@@ -36,6 +36,7 @@ use lowvolt_io::{
     circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig, ImportedCircuit,
 };
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
+use lowvolt_serve::json::escape;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
 use std::time::Instant;
 
@@ -296,10 +297,6 @@ fn generated_sta_leg(
     Ok(report.to_string())
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"threads\": {threads},\n"));
@@ -310,12 +307,12 @@ fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageR
         let counters = s
             .counters
             .iter()
-            .map(|(name, v)| format!("\"{}\": {v}", json_escape(name)))
+            .map(|(name, v)| format!("\"{}\": {v}", escape(name)))
             .collect::<Vec<_>>()
             .join(", ");
         let engine = s
             .engine
-            .map(|e| format!("\"engine\": \"{}\", ", json_escape(e)))
+            .map(|e| format!("\"engine\": \"{}\", ", escape(e)))
             .unwrap_or_default();
         let throughput = s
             .injections_per_sec()
@@ -323,7 +320,7 @@ fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageR
             .unwrap_or_default();
         out.push_str(&format!(
             "    {{\"name\": \"{}\", {engine}\"serial_wall_ms\": {:.3}, \"parallel_wall_ms\": {:.3}, \"speedup\": {:.3}, {throughput}\"identical\": {}, \"counters\": {{{counters}}}}}{}\n",
-            json_escape(s.name),
+            escape(s.name),
             s.serial_wall_ms,
             s.parallel_wall_ms,
             s.speedup(),
@@ -464,5 +461,49 @@ fn main() {
     if let Err(msg) = run() {
         eprintln!("perf: error: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lowvolt_serve::json::Json;
+
+    /// A stage name with a quote, a backslash, the three named control
+    /// escapes, two `\u00XX` ones and a non-ASCII letter.
+    const AWKWARD: &str = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é";
+
+    #[test]
+    fn escaped_strings_parse_back_to_the_original() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for s in [AWKWARD, every_control.as_str()] {
+            let parsed = Json::parse(&format!("\"{}\"", escape(s))).expect("valid JSON string");
+            assert_eq!(parsed.as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn rendered_json_parses_back_with_control_characters_in_names() {
+        let stage = StageResult {
+            name: AWKWARD,
+            engine: Some("compiled\tengine"),
+            serial_wall_ms: 2.0,
+            parallel_wall_ms: 1.0,
+            identical: true,
+            counters: vec![("line\nbreak", 3)],
+        };
+        let doc = Json::parse(&render_json(2, 2, true, &[stage])).expect("valid JSON document");
+        let row = &doc.get("stages").and_then(Json::as_array).expect("stages")[0];
+        assert_eq!(row.get("name").and_then(Json::as_str), Some(AWKWARD));
+        assert_eq!(
+            row.get("engine").and_then(Json::as_str),
+            Some("compiled\tengine")
+        );
+        assert_eq!(
+            row.get("counters")
+                .and_then(|c| c.get("line\nbreak"))
+                .and_then(Json::as_u64),
+            Some(3)
+        );
     }
 }

@@ -29,7 +29,8 @@
 //! oscillate, so such netlists are refused with
 //! [`CircuitError::Unlevelizable`] rather than silently mis-simulated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
@@ -750,15 +751,24 @@ impl CompiledNetlist {
     }
 }
 
-/// Reusable per-word worklist state for fault re-evaluation: a working
+/// Per-item worklist state for fault re-evaluation: a working
 /// plane set kept equal to its golden reference between faults via an
-/// undo log, an epoch-stamped dedup array, and per-level gate buckets.
+/// undo log, an epoch-stamped dedup array, and per-level gate buckets
+/// with the lowest non-empty one tracked, so propagation starts where
+/// the fault first reaches rather than at level 1.
 struct Scratch {
     planes: Planes,
+    /// Every node whose planes differ from the reference: the undo log,
+    /// and the only nodes that can change a classification.
     touched: Vec<u32>,
-    queued: Vec<u64>,
-    epoch: u64,
+    /// Per gate, the epoch (one per fault pass) it was last enqueued in.
+    /// A `Scratch` lives for one work item of at most `FAULT_RANGE`
+    /// faults, so the epoch cannot wrap.
+    queued: Vec<u32>,
+    epoch: u32,
     buckets: Vec<Vec<u32>>,
+    /// Lowest bucket holding a gate; `buckets.len()` when all are empty.
+    min_level: usize,
 }
 
 impl Scratch {
@@ -769,6 +779,7 @@ impl Scratch {
             queued: vec![0; comp.gate_count()],
             epoch: 0,
             buckets: vec![Vec::new(); comp.level_count()],
+            min_level: comp.level_count(),
         }
     }
 
@@ -786,7 +797,9 @@ impl CompiledNetlist {
             let p = p as usize;
             if s.queued[p] != s.epoch {
                 s.queued[p] = s.epoch;
-                s.buckets[self.gate_level[p] as usize - 1].push(p as u32);
+                let l = self.gate_level[p] as usize - 1;
+                s.buckets[l].push(p as u32);
+                s.min_level = s.min_level.min(l);
                 *pending += 1;
             }
         }
@@ -804,11 +817,12 @@ impl CompiledNetlist {
     }
 
     /// Difference-frontier propagation: evaluates only enqueued gates,
-    /// level-ascending, enqueueing fanout only where the faulty planes
-    /// diverge from `reference`. Early-exits the moment no gate remains
-    /// enqueued — the concurrent-fault-style dropout. Returns the gate
-    /// evaluations performed and whether the frontier died before the
-    /// last level.
+    /// level-ascending from the lowest enqueued level, enqueueing fanout
+    /// only where the faulty planes diverge from `reference`.
+    /// Early-exits the moment no gate remains enqueued — the
+    /// concurrent-fault-style dropout. Returns the gate evaluations
+    /// performed and whether the frontier died before the last level (a
+    /// fault that enqueued nothing at all counts as a dropout).
     fn propagate(
         &self,
         s: &mut Scratch,
@@ -816,9 +830,10 @@ impl CompiledNetlist {
         forced: Option<usize>,
         mut pending: usize,
     ) -> (u64, bool) {
+        let levels = self.level_count();
         let mut evals = 0u64;
-        let mut dropped = false;
-        for l in 0..self.level_count() {
+        let mut dropped = levels > 0 && pending == 0;
+        for l in std::mem::replace(&mut s.min_level, levels)..levels {
             if pending == 0 {
                 dropped = true;
                 break;
@@ -842,6 +857,9 @@ impl CompiledNetlist {
             }
             s.buckets[l].clear();
         }
+        // Fanout enqueued during the sweep moved `min_level` off the
+        // sentinel, but every bucket is drained now.
+        s.min_level = levels;
         (evals, dropped)
     }
 }
@@ -930,6 +948,51 @@ impl CompiledNetlist {
             evals,
         )
     }
+}
+
+/// The per-campaign tables the per-fault loop reads, built once so
+/// each fault costs work proportional to the nodes it changes: which
+/// nodes are observed outputs, and which flip-flops capture each node.
+struct FaultSim<'a> {
+    comp: &'a CompiledNetlist,
+    target: &'a FaultTarget,
+    is_output: Vec<bool>,
+    /// CSR node → indices into `comp.dffs` of the flip-flops whose data
+    /// input is that node.
+    capture_starts: Vec<usize>,
+    captured_by: Vec<u32>,
+}
+
+impl<'a> FaultSim<'a> {
+    fn new(comp: &'a CompiledNetlist, target: &'a FaultTarget) -> FaultSim<'a> {
+        let mut is_output = vec![false; comp.node_count];
+        // Foreign output ids read X on both sides and can never differ.
+        for n in &target.outputs {
+            if let Some(slot) = is_output.get_mut(n.index()) {
+                *slot = true;
+            }
+        }
+        let mut capture_starts = vec![0usize; comp.node_count + 1];
+        for dff in &comp.dffs {
+            capture_starts[dff.d as usize + 1] += 1;
+        }
+        for i in 0..comp.node_count {
+            capture_starts[i + 1] += capture_starts[i];
+        }
+        let mut cursor = capture_starts.clone();
+        let mut captured_by = vec![0u32; comp.dffs.len()];
+        for (k, dff) in comp.dffs.iter().enumerate() {
+            captured_by[cursor[dff.d as usize]] = k as u32;
+            cursor[dff.d as usize] += 1;
+        }
+        FaultSim {
+            comp,
+            target,
+            is_output,
+            capture_starts,
+            captured_by,
+        }
+    }
 
     /// Seeds one fault's perturbation into `s` (whose planes equal
     /// `reference`). Returns the forced node (for stuck-at faults) or an
@@ -939,35 +1002,35 @@ impl CompiledNetlist {
         &self,
         s: &mut Scratch,
         gw: &GoldenWord,
-        target: &FaultTarget,
         fault: &GateFault,
         pending: &mut usize,
     ) -> Result<Option<usize>, u8> {
+        let comp = self.comp;
         match *fault {
             GateFault::NodeStuckAt { node, value } => {
                 let n = node.index();
-                if n >= self.node_count {
+                if n >= comp.node_count {
                     return Err(CLASS_UNKNOWN_NODE);
                 }
-                self.seed(s, n, bit_planes(value), pending);
+                comp.seed(s, n, bit_planes(value), pending);
                 Ok(Some(n))
             }
             GateFault::InputX { input_index } => {
-                if input_index >= target.inputs.len() {
+                if input_index >= self.target.inputs.len() {
                     return Err(CLASS_BAD_INPUT_INDEX);
                 }
-                let n = target.inputs[input_index].index();
-                self.seed(s, n, (0, 0), pending);
+                let n = self.target.inputs[input_index].index();
+                comp.seed(s, n, (0, 0), pending);
                 Ok(None)
             }
             GateFault::StimulusBitFlip { input_index } => {
-                if input_index >= target.inputs.len() {
+                if input_index >= self.target.inputs.len() {
                     return Err(CLASS_BAD_INPUT_INDEX);
                 }
-                let n = target.inputs[input_index].index();
+                let n = self.target.inputs[input_index].index();
                 // `Bit::not` flips known lanes and keeps X lanes X.
                 let cur = gw.input_planes[input_index];
-                self.seed(s, n, (cur.0 ^ cur.1, cur.1), pending);
+                comp.seed(s, n, (cur.0 ^ cur.1, cur.1), pending);
                 Ok(None)
             }
             // Rejected up front by `run_campaign_packed`.
@@ -975,17 +1038,21 @@ impl CompiledNetlist {
         }
     }
 
-    /// Classifies the faulty planes against the golden planes over the
-    /// observed outputs, restricted to active lanes — the packed form of
-    /// the event campaign's per-vector `classify` scan.
-    fn classify_word(&self, target: &FaultTarget, gw: &GoldenWord, faulty: &Planes) -> u8 {
+    /// Classifies the faulty planes in `s` against the golden planes
+    /// over the observed outputs, restricted to active lanes — the
+    /// packed form of the event campaign's per-vector `classify` scan.
+    /// Untouched nodes equal golden, so only touched outputs are read.
+    fn classify(&self, gw: &GoldenWord, s: &Scratch) -> u8 {
         let mut definite = 0u64;
         let mut xdiv = 0u64;
-        for n in &target.outputs {
-            let g = gw.fin.get_or_x(n.index());
-            let f = faulty.get_or_x(n.index());
-            definite |= g.1 & f.1 & (g.0 ^ f.0);
-            xdiv |= g.1 ^ f.1;
+        for &n in &s.touched {
+            let n = n as usize;
+            if self.is_output[n] {
+                let g = gw.fin.get(n);
+                let f = s.planes.get(n);
+                definite |= g.1 & f.1 & (g.0 ^ f.0);
+                xdiv |= g.1 ^ f.1;
+            }
         }
         if definite & gw.active != 0 {
             CLASS_CORRUPTED
@@ -1001,18 +1068,16 @@ impl CompiledNetlist {
     /// evaluations, dropout flag).
     fn fault_word_class(
         &self,
-        target: &FaultTarget,
         gw: &GoldenWord,
         sa: &mut Option<Scratch>,
         sb: &mut Scratch,
         fault: &GateFault,
     ) -> (u8, u64, bool) {
-        let mut evals = 0u64;
-        let mut dropped = false;
+        let comp = self.comp;
         // A stuck clock never produces the clean low→high edge flip-flops
         // capture on, so state is X for every lane; everything else about
         // the circuit still sees the forced clock level.
-        let clock_fault = match (fault, target.clock) {
+        let clock_fault = match (fault, self.target.clock) {
             (&GateFault::NodeStuckAt { node, value }, Some(clk)) if node == clk => Some(value),
             _ => None,
         };
@@ -1025,36 +1090,39 @@ impl CompiledNetlist {
             };
             sa.epoch += 1;
             let mut pending = 0usize;
-            let forced = match self.seed_fault(sa, gw, target, fault, &mut pending) {
+            let forced = match self.seed_fault(sa, gw, fault, &mut pending) {
                 Ok(f) => f,
                 Err(class) => return (class, 0, false),
             };
-            let (e, d) = self.propagate(sa, ga, forced, pending);
-            evals += e;
-            dropped |= d;
-            let captured: Vec<P> = self
-                .dffs
-                .iter()
-                .map(|f| sa.planes.get(f.d as usize))
-                .collect();
-            sa.undo(ga);
+            let (mut evals, mut dropped) = comp.propagate(sa, ga, forced, pending);
 
             sb.epoch += 1;
             let mut pending = 0usize;
-            let forced = match self.seed_fault(sb, gw, target, fault, &mut pending) {
+            let forced = match self.seed_fault(sb, gw, fault, &mut pending) {
                 Ok(f) => f,
-                Err(class) => return (class, evals, dropped),
+                Err(class) => {
+                    sa.undo(ga);
+                    return (class, evals, dropped);
+                }
             };
-            for (dff, &q) in self.dffs.iter().zip(&captured) {
-                let qn = dff.q as usize;
-                if forced != Some(qn) {
-                    self.seed(sb, qn, q, &mut pending);
+            // Golden phase B already holds the golden captured state, so
+            // only flip-flops whose data node phase A changed get a new
+            // `q`.
+            for &d in &sa.touched {
+                let d = d as usize;
+                let capturing = self.capture_starts[d]..self.capture_starts[d + 1];
+                for &k in &self.captured_by[capturing] {
+                    let q = comp.dffs[k as usize].q as usize;
+                    if forced != Some(q) {
+                        comp.seed(sb, q, sa.planes.get(d), &mut pending);
+                    }
                 }
             }
-            let (e, d) = self.propagate(sb, &gw.fin, forced, pending);
+            sa.undo(ga);
+            let (e, d) = comp.propagate(sb, &gw.fin, forced, pending);
             evals += e;
             dropped |= d;
-            let class = self.classify_word(target, gw, &sb.planes);
+            let class = self.classify(gw, sb);
             sb.undo(&gw.fin);
             return (class, evals, dropped);
         }
@@ -1064,29 +1132,29 @@ impl CompiledNetlist {
         let mut pending = 0usize;
         let forced = match clock_fault {
             Some(value) => {
-                let clk = match target.clock {
+                let clk = match self.target.clock {
                     Some(c) => c.index(),
                     None => 0,
                 };
-                self.seed(sb, clk, bit_planes(value), &mut pending);
-                for dff in &self.dffs {
-                    self.seed(sb, dff.q as usize, (0, 0), &mut pending);
+                comp.seed(sb, clk, bit_planes(value), &mut pending);
+                for dff in &comp.dffs {
+                    comp.seed(sb, dff.q as usize, (0, 0), &mut pending);
                 }
                 Some(clk)
             }
-            None => match self.seed_fault(sb, gw, target, fault, &mut pending) {
+            None => match self.seed_fault(sb, gw, fault, &mut pending) {
                 Ok(f) => f,
                 Err(class) => return (class, 0, false),
             },
         };
-        let (e, d) = self.propagate(sb, &gw.fin, forced, pending);
-        evals += e;
-        dropped |= d;
-        let class = self.classify_word(target, gw, &sb.planes);
+        let (evals, dropped) = comp.propagate(sb, &gw.fin, forced, pending);
+        let class = self.classify(gw, sb);
         sb.undo(&gw.fin);
         (class, evals, dropped)
     }
+}
 
+impl CompiledNetlist {
     /// The packed counterpart of
     /// [`Simulator::measure_activity`](crate::sim::Simulator::measure_activity):
     /// applies `cycles` pattern vectors 64 at a time and counts **settled**
@@ -1229,6 +1297,68 @@ impl CompiledNetlist {
     }
 }
 
+/// Faults per packed work item. The size is fixed rather than derived
+/// from the thread count, so a target's journal layout is the same at
+/// every thread count and a journal written at one resumes at any
+/// other. At 1024 faults an item is milliseconds of propagation on a
+/// generated netlist: coarse enough that per-item scratch setup is
+/// noise, fine enough that a one-word campaign over thousands of faults
+/// spreads over every core.
+const FAULT_RANGE: usize = 1024;
+
+/// Fault ranges per stimulus word — at least one, so a campaign with no
+/// faults still evaluates its words.
+fn fault_ranges(faults: usize) -> usize {
+    faults.div_ceil(FAULT_RANGE).max(1)
+}
+
+/// Work items, and so checkpoint-journal records, in a packed campaign
+/// of `vectors` stimulus vectors over `faults` faults: one per
+/// (64-vector word, 1024-fault range) pair. Item `w * ranges + r` is
+/// word `w` over fault range `r`, so a target with at most 1024 faults
+/// has exactly one item per word.
+#[must_use]
+pub fn packed_campaign_items(vectors: usize, faults: usize) -> u64 {
+    (vectors.div_ceil(64) * fault_ranges(faults)) as u64
+}
+
+/// One packed work item: a stimulus word and a contiguous fault range.
+struct PackedItem {
+    word: usize,
+    faults: Range<usize>,
+}
+
+/// One fault's outcome from its word-local class bytes, with the event
+/// engine's precedence: a trace error is `Detected` before any vector is
+/// classified, a definite disagreement anywhere dominates X divergence,
+/// and X divergence dominates agreement.
+fn fold_word_classes(fault: &GateFault, classes: impl Iterator<Item = u8>) -> FaultOutcome {
+    let mut has = [false; 5];
+    for c in classes {
+        has[usize::from(c)] = true;
+    }
+    if has[usize::from(CLASS_UNKNOWN_NODE)] {
+        match *fault {
+            GateFault::NodeStuckAt { node, .. } => {
+                FaultOutcome::Detected(CircuitError::UnknownNode(node.index()))
+            }
+            _ => FaultOutcome::Detected(CircuitError::Internal {
+                detail: "unknown-node class for a non-stuck-at fault",
+            }),
+        }
+    } else if has[usize::from(CLASS_BAD_INPUT_INDEX)] {
+        FaultOutcome::Detected(CircuitError::InvalidStimulus {
+            reason: "fault input index out of range",
+        })
+    } else if has[usize::from(CLASS_CORRUPTED)] {
+        FaultOutcome::Corrupted
+    } else if has[usize::from(CLASS_X)] {
+        FaultOutcome::PropagatedAsX
+    } else {
+        FaultOutcome::Masked
+    }
+}
+
 /// [`run_campaign_resilient`](crate::faults::run_campaign_resilient)'s
 /// contract executed on the compiled bit-parallel engine: the golden
 /// planes are computed once per 64-vector stimulus word, each fault is
@@ -1236,10 +1366,11 @@ impl CompiledNetlist {
 /// dropout, and per-fault outcomes are combined from per-word class
 /// bytes. Classifications and the resume/cache determinism contract are
 /// **byte-identical** to the event engine's; the unit of parallel work,
-/// checkpoint journaling, and interruption accounting is the stimulus
-/// *word*, so `replayed`/`computed`/`skipped` count words (not
-/// injections) and an interrupted run reports every fault slot as
-/// unresolved until resumed to completion.
+/// checkpoint journaling, and interruption accounting is a (stimulus
+/// word, 1024-fault range) item — see [`packed_campaign_items`] — so
+/// `replayed`/`computed`/`skipped` count items (not injections), and an
+/// interrupted run reports a fault as unresolved until every word of
+/// its range is done.
 ///
 /// # Errors
 ///
@@ -1271,7 +1402,10 @@ pub fn run_campaign_packed(
             got: stimulus.width(),
         });
     }
-    let comp = CompiledNetlist::compile(&target.netlist)?;
+    let comp = {
+        let _compile_timer = span(rec, names::SPAN_COMPILED_COMPILE);
+        CompiledNetlist::compile(&target.netlist)?
+    };
     comp.validate_campaign(
         target,
         faults.iter().any(|f| matches!(f, GateFault::Bridge { .. })),
@@ -1282,13 +1416,13 @@ pub fn run_campaign_packed(
         checkpoint,
     } = options;
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
     let mut warnings = Vec::new();
     let mut golden_from_cache = false;
     let n_words = vectors.div_ceil(64);
     let mut golden_evals = 0u64;
     let golden_words: Vec<GoldenWord> = {
-        let _golden_timer = timer.child("golden");
+        let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
+        let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
         let words: Vec<GoldenWord> = (0..n_words)
             .map(|w| {
                 let (gw, e) = comp.golden_word(target, &vecs, w);
@@ -1345,53 +1479,67 @@ pub fn run_campaign_packed(
         }
         words
     };
+    let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
+    let sim = FaultSim::new(&comp, target);
     let gate_evals = AtomicU64::new(golden_evals);
     let dropouts = AtomicU64::new(0);
-    let words_done = AtomicU64::new(0);
-    let lanes_done = AtomicU64::new(0);
-    let class_word = |w: usize, token: &CancelToken| -> ItemStatus<Vec<u8>> {
-        let gw = &golden_words[w];
+    let vectors_done = AtomicU64::new(0);
+    let word_evaluated: Vec<AtomicBool> = (0..n_words).map(|_| AtomicBool::new(false)).collect();
+    let class_item = |item: &PackedItem, token: &CancelToken| -> ItemStatus<Vec<u8>> {
+        let gw = &golden_words[item.word];
         let mut sa = gw.a.as_ref().map(|ga| Scratch::new(&comp, ga));
         let mut sb = Scratch::new(&comp, &gw.fin);
-        let mut classes = Vec::with_capacity(faults.len());
+        let mut classes = Vec::with_capacity(item.faults.len());
         let mut evals = 0u64;
         let mut drops = 0u64;
-        for f in faults {
+        for f in &faults[item.faults.clone()] {
             if token.is_cancelled() {
                 return ItemStatus::TimedOut;
             }
-            let (class, e, d) = comp.fault_word_class(target, gw, &mut sa, &mut sb, f);
+            let (class, e, d) = sim.fault_word_class(gw, &mut sa, &mut sb, f);
             classes.push(class);
             evals += e;
             drops += u64::from(d);
         }
         gate_evals.fetch_add(evals, Ordering::Relaxed);
         dropouts.fetch_add(drops, Ordering::Relaxed);
-        words_done.fetch_add(1, Ordering::Relaxed);
-        lanes_done.fetch_add(gw.lanes as u64, Ordering::Relaxed);
+        vectors_done.fetch_add((gw.lanes * item.faults.len()) as u64, Ordering::Relaxed);
+        word_evaluated[item.word].store(true, Ordering::Relaxed);
         ItemStatus::Done(classes)
     };
-    let word_items: Vec<u64> = (0..n_words as u64).collect();
+    let ranges = fault_ranges(faults.len());
+    let items: Vec<PackedItem> = (0..n_words)
+        .flat_map(|word| {
+            (0..ranges).map(move |r| PackedItem {
+                word,
+                faults: r * FAULT_RANGE..((r + 1) * FAULT_RANGE).min(faults.len()),
+            })
+        })
+        .collect();
     let (slots, replayed, computed, skipped) = match checkpoint {
         Some(spec) => {
             let out = run_checkpointed(
                 policy,
                 &fault,
                 rec,
-                &word_items,
+                &items,
                 spec,
                 |c: &Vec<u8>| crate::persist::encode_word_classes(c),
-                |bytes| {
-                    crate::persist::decode_word_classes(bytes).filter(|c| c.len() == faults.len())
+                // A record of another length belongs to a different item
+                // layout (e.g. a journal written with one item per word)
+                // and is recomputed with a warning, never misassigned.
+                |item: &PackedItem, bytes| {
+                    crate::persist::decode_word_classes(bytes)
+                        .filter(|c| c.len() == item.faults.len())
                 },
-                |_, w, token| class_word(*w as usize, token),
+                |_, item, token| class_item(item, token),
             );
             warnings.extend(out.warnings);
             (out.results, out.replayed, out.computed, out.skipped)
         }
         None => {
-            let res = parallel_map_isolated(policy, &fault, rec, &word_items, |_, w, token| {
-                class_word(*w as usize, token)
+            let res = parallel_map_isolated(policy, &fault, rec, &items, |_, item, token| {
+                class_item(item, token)
             });
             let computed = res.len();
             (
@@ -1402,71 +1550,38 @@ pub fn run_campaign_packed(
             )
         }
     };
+    drop(faults_timer);
     drop(timer);
-    let resolved: Option<Vec<Result<Vec<u8>, ExecError>>> = slots.into_iter().collect();
-    let reports: Vec<Option<FaultReport>> = match resolved {
-        // An interrupted run has whole words outstanding, and every fault
-        // needs every word — no fault slot is resolvable yet.
-        None => vec![None; faults.len()],
-        Some(words) => {
-            if let Some(e) = words.iter().find_map(|r| r.as_ref().err()) {
-                // A word-level execution failure (exhausted retries or a
-                // deadline) leaves no classes for any fault over those
-                // lanes: the packed analogue of the event engine's
-                // per-injection `Errored` slots, at word granularity.
-                faults
-                    .iter()
-                    .map(|f| {
-                        Some(FaultReport {
-                            fault: f.clone(),
-                            outcome: FaultOutcome::Errored(e.clone()),
-                        })
-                    })
-                    .collect()
-            } else {
-                let classes: Vec<Vec<u8>> = words.into_iter().filter_map(Result::ok).collect();
-                faults
-                    .iter()
-                    .enumerate()
-                    .map(|(fi, f)| {
-                        let mut has = [false; 5];
-                        for c in &classes {
-                            has[usize::from(c[fi])] = true;
-                        }
-                        // Precedence mirrors the event engine: a trace
-                        // error is `Detected` before any vector is
-                        // classified, a definite disagreement anywhere
-                        // dominates X divergence, X divergence dominates
-                        // agreement.
-                        let outcome = if has[usize::from(CLASS_UNKNOWN_NODE)] {
-                            match *f {
-                                GateFault::NodeStuckAt { node, .. } => {
-                                    FaultOutcome::Detected(CircuitError::UnknownNode(node.index()))
-                                }
-                                _ => FaultOutcome::Detected(CircuitError::Internal {
-                                    detail: "unknown-node class for a non-stuck-at fault",
-                                }),
-                            }
-                        } else if has[usize::from(CLASS_BAD_INPUT_INDEX)] {
-                            FaultOutcome::Detected(CircuitError::InvalidStimulus {
-                                reason: "fault input index out of range",
-                            })
-                        } else if has[usize::from(CLASS_CORRUPTED)] {
-                            FaultOutcome::Corrupted
-                        } else if has[usize::from(CLASS_X)] {
-                            FaultOutcome::PropagatedAsX
-                        } else {
-                            FaultOutcome::Masked
-                        };
-                        Some(FaultReport {
-                            fault: f.clone(),
-                            outcome,
-                        })
-                    })
-                    .collect()
-            }
-        }
-    };
+    let reports: Vec<Option<FaultReport>> = faults
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| {
+            let (r, offset) = (fi / FAULT_RANGE, fi % FAULT_RANGE);
+            // An interrupted run has whole items outstanding, and a
+            // fault needs every word of its range.
+            let words: Vec<&Result<Vec<u8>, ExecError>> = (0..n_words)
+                .map(|w| slots[w * ranges + r].as_ref())
+                .collect::<Option<_>>()?;
+            // An item-level execution failure (exhausted retries or a
+            // deadline) leaves no classes for its faults over those
+            // lanes: the packed analogue of the event engine's
+            // per-injection `Errored` slots.
+            let outcome = match words.iter().find_map(|w| w.as_ref().err()) {
+                Some(e) => FaultOutcome::Errored(e.clone()),
+                None => fold_word_classes(
+                    f,
+                    words
+                        .iter()
+                        .filter_map(|w| w.as_ref().ok())
+                        .map(|c| c[offset]),
+                ),
+            };
+            Some(FaultReport {
+                fault: f.clone(),
+                outcome,
+            })
+        })
+        .collect();
     if rec.is_enabled() {
         let count = |label: &str| {
             reports
@@ -1482,13 +1597,19 @@ pub fn run_campaign_packed(
         );
         rec.add(
             names::CAMPAIGN_VECTORS,
-            lanes_done.load(Ordering::Relaxed) * faults.len() as u64,
+            vectors_done.load(Ordering::Relaxed),
         );
         rec.add(names::CAMPAIGN_DETECTED, count("detected"));
         rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
         rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
         rec.add(names::CAMPAIGN_MASKED, count("masked"));
-        rec.add(names::COMPILED_WORDS, words_done.load(Ordering::Relaxed));
+        rec.add(
+            names::COMPILED_WORDS,
+            word_evaluated
+                .iter()
+                .filter(|w| w.load(Ordering::Relaxed))
+                .count() as u64,
+        );
         rec.add(
             names::COMPILED_GATE_EVALS,
             gate_evals.load(Ordering::Relaxed),
@@ -1811,6 +1932,38 @@ mod tests {
         assert_eq!(
             reg.counter(names::CAMPAIGN_VECTORS),
             130 * faults.len() as u64
+        );
+    }
+
+    #[test]
+    fn packed_campaign_emits_compile_golden_and_fault_spans() {
+        let targets = standard_targets(4).unwrap();
+        let registers = targets.last().unwrap();
+        let faults = stuck_faults(registers);
+        let reg = lowvolt_obs::MetricsRegistry::new();
+        let mut src = PatternSource::random(registers.inputs.len(), 5).unwrap();
+        run_campaign_packed(
+            &ExecPolicy::with_threads(2),
+            &reg,
+            registers,
+            &faults,
+            &mut src,
+            70,
+            CampaignOptions::default(),
+        )
+        .unwrap();
+        let report = reg.snapshot();
+        let nanos = |name: &str| {
+            report
+                .span(name)
+                .unwrap_or_else(|| panic!("span {name} missing"))
+                .total_nanos
+        };
+        assert!(nanos(names::SPAN_COMPILED_COMPILE) > 0);
+        // The two children nest inside the run span.
+        assert!(
+            nanos(names::SPAN_CAMPAIGN_GOLDEN) + nanos(names::SPAN_CAMPAIGN_FAULTS)
+                <= nanos(names::SPAN_CAMPAIGN_RUN)
         );
     }
 

@@ -523,9 +523,10 @@ pub fn run_campaign_recorded(
     // The golden run also warms the netlist's CSR fanout index, so the
     // workers share the prebuilt adjacency read-only.
     let golden = {
-        let _golden_timer = timer.child("golden");
+        let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
         run_trace(target, &vecs, None, rec, CancelToken::never())?
     };
+    let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
     let reports = parallel_map_recorded(policy, rec, faults, |_, fault| {
         let outcome = match run_trace(target, &vecs, Some(fault), rec, CancelToken::never()) {
             Ok(trace) => classify(&golden, &trace),
@@ -536,6 +537,7 @@ pub fn run_campaign_recorded(
             outcome,
         }
     });
+    drop(faults_timer);
     drop(timer);
     let report = CampaignReport {
         target: target.name.clone(),
@@ -703,7 +705,7 @@ pub fn run_campaign_resilient(
     let mut warnings = Vec::new();
     let mut golden_from_cache = false;
     let golden = {
-        let _golden_timer = timer.child("golden");
+        let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
         let key = cache.map(|(c, seed)| {
             (
                 c,
@@ -754,6 +756,7 @@ pub fn run_campaign_resilient(
             Err(err) => ItemStatus::Done(FaultOutcome::Detected(err)),
         }
     };
+    let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
     let (slots, replayed, computed, skipped) = match checkpoint {
         Some(spec) => {
             let out = run_checkpointed(
@@ -763,7 +766,7 @@ pub fn run_campaign_resilient(
                 faults,
                 spec,
                 |o: &FaultOutcome| crate::persist::encode_outcome(o),
-                crate::persist::decode_outcome,
+                |_, bytes| crate::persist::decode_outcome(bytes),
                 |_, f, token| classify_item(f, token),
             );
             warnings.extend(out.warnings);
@@ -782,6 +785,7 @@ pub fn run_campaign_resilient(
             )
         }
     };
+    drop(faults_timer);
     drop(timer);
     let reports: Vec<Option<FaultReport>> = slots
         .into_iter()

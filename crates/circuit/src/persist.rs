@@ -475,8 +475,8 @@ pub fn decode_outcome(bytes: &[u8]) -> Option<FaultOutcome> {
 }
 
 /// Encodes one packed-campaign checkpoint record: the per-fault
-/// classification bytes for a single 64-vector stimulus word, prefixed
-/// with the fault count. Class values are the compiled engine's
+/// classification bytes of one work item (a 64-vector stimulus word
+/// over a fault range), prefixed with the fault count. Class values are the compiled engine's
 /// word-local verdicts (`0` masked, `1` X-divergence, `2` definite
 /// corruption, `3`/`4` detected-malformed-fault markers).
 #[must_use]

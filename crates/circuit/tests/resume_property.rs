@@ -4,15 +4,18 @@
 //! the fault universe and across thread counts on both sides of the
 //! interruption. Plus the corruption contract: a damaged journal tail
 //! is discarded with a warning and recomputed, never trusted and never
-//! a panic.
+//! a panic. The compiled engine's (word, fault range) journal items get
+//! the same kill-and-resume guarantee at every item cut point.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use lowvolt_circuit::compiled::{packed_campaign_items, run_campaign_packed};
 use lowvolt_circuit::faults::{
     run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, FaultOutcome,
     FaultTarget, GateFault,
 };
+use lowvolt_circuit::persist::encode_word_classes;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_exec::{CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy};
 
@@ -243,5 +246,162 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
         .iter()
         .flatten()
         .all(|r| !matches!(r.outcome, FaultOutcome::Errored(_))));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A width-16 multiplier: more than 2048 stuck-at faults, so each
+/// packed stimulus word splits into three fault-range work items.
+fn multi_range_target() -> (FaultTarget, Vec<GateFault>) {
+    let target = standard_targets(16)
+        .expect("standard targets")
+        .into_iter()
+        .nth(2)
+        .expect("multiplier target");
+    let faults = stuck_at_universe(&target.netlist);
+    assert!(
+        (2049..=3072).contains(&faults.len()),
+        "{} faults are not three ranges",
+        faults.len()
+    );
+    (target, faults)
+}
+
+/// 70 vectors: one full stimulus word and one partial.
+const PACKED_VECTORS: usize = 70;
+
+fn run_packed_with_journal(
+    target: &FaultTarget,
+    faults: &[GateFault],
+    journal: &mut CheckpointJournal,
+    completed: &HashMap<u64, Vec<u8>>,
+    cap: Option<usize>,
+    threads: usize,
+) -> lowvolt_circuit::faults::ResilientCampaign {
+    run_campaign_packed(
+        &ExecPolicy::with_threads(threads),
+        lowvolt_obs::noop(),
+        target,
+        faults,
+        &mut stimulus(target),
+        PACKED_VECTORS,
+        CampaignOptions {
+            checkpoint: Some(CheckpointSpec {
+                journal,
+                completed,
+                index_base: 0,
+                max_new_items: cap,
+            }),
+            ..CampaignOptions::default()
+        },
+    )
+    .expect("packed campaign runs")
+}
+
+/// The packed engine's journal items are (word, fault range) pairs in
+/// word-major order, so K = 3 cuts at the word boundary and every other
+/// K in 1..6 cuts mid-word. Every cut point resumes to the clean run's
+/// bytes, with each item either replayed or computed exactly once.
+#[test]
+fn packed_kill_after_k_items_and_resume_is_byte_identical() {
+    let (target, faults) = multi_range_target();
+    let total = packed_campaign_items(PACKED_VECTORS, faults.len()) as usize;
+    assert_eq!(total, 6, "2 words x 3 fault ranges");
+    let reference = run_campaign_packed(
+        &ExecPolicy::serial(),
+        lowvolt_obs::noop(),
+        &target,
+        &faults,
+        &mut stimulus(&target),
+        PACKED_VECTORS,
+        CampaignOptions::default(),
+    )
+    .expect("reference campaign")
+    .report()
+    .expect("reference is complete")
+    .to_string();
+    for k in 0..=total {
+        for (before, after) in [(1usize, 2usize), (2, 1), (8, 8)] {
+            let path = tmp(&format!("packed-k{k}-t{before}{after}"));
+            let _ = std::fs::remove_file(&path);
+            let mut journal = CheckpointJournal::create(&path).expect("create journal");
+            let partial = run_packed_with_journal(
+                &target,
+                &faults,
+                &mut journal,
+                &HashMap::new(),
+                Some(k),
+                before,
+            );
+            assert_eq!(
+                (partial.computed, partial.skipped),
+                (k, total - k),
+                "K = {k}"
+            );
+            // A fault resolves once every word of its range is done:
+            // range r's last item is 3 + r.
+            let resolved = partial.reports.iter().flatten().count();
+            let expected = (k.saturating_sub(3) * 1024).min(faults.len());
+            assert_eq!(resolved, expected, "K = {k}");
+            drop(journal);
+
+            let (mut journal, replay) = CheckpointJournal::resume(&path).expect("resume journal");
+            assert!(replay.warning.is_none(), "clean journal, K = {k}");
+            let completed = replay.completed();
+            let resumed =
+                run_packed_with_journal(&target, &faults, &mut journal, &completed, None, after);
+            assert!(!resumed.interrupted());
+            assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
+            assert_eq!(resumed.replayed, k, "K = {k}");
+            assert_eq!(resumed.replayed + resumed.computed, total, "K = {k}");
+            let report = resumed.report().expect("resumed run is complete");
+            assert_eq!(
+                report.to_string(),
+                reference,
+                "K = {k}, {before}->{after} threads"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
+/// A record whose class count does not match its item — here a
+/// word-sized record, as a journal written with one item per stimulus
+/// word would hold — is recomputed with a warning, never misassigned.
+#[test]
+fn packed_record_of_the_wrong_length_is_recomputed_with_a_warning() {
+    let (target, faults) = multi_range_target();
+    let total = packed_campaign_items(PACKED_VECTORS, faults.len()) as usize;
+    let clean = {
+        let path = tmp("packed-wrong-len-ref");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = CheckpointJournal::create(&path).expect("create journal");
+        let run = run_packed_with_journal(&target, &faults, &mut journal, &HashMap::new(), None, 2);
+        let _ = std::fs::remove_file(&path);
+        run.report().expect("complete").to_string()
+    };
+    let path = tmp("packed-wrong-len");
+    let _ = std::fs::remove_file(&path);
+    let mut journal = CheckpointJournal::create(&path).expect("create journal");
+    journal
+        .append(
+            0,
+            &encode_word_classes(&vec![0u8; faults.len()]),
+            lowvolt_obs::noop(),
+        )
+        .expect("append stale record");
+    drop(journal);
+    let (mut journal, replay) = CheckpointJournal::resume(&path).expect("resume journal");
+    let completed = replay.completed();
+    let resumed = run_packed_with_journal(&target, &faults, &mut journal, &completed, None, 2);
+    assert_eq!((resumed.replayed, resumed.computed), (0, total));
+    assert!(
+        resumed
+            .warnings
+            .iter()
+            .any(|w| w.contains("checkpoint record 0 could not be decoded")),
+        "{:?}",
+        resumed.warnings
+    );
+    assert_eq!(resumed.report().expect("complete").to_string(), clean);
     let _ = std::fs::remove_file(&path);
 }

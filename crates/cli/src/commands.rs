@@ -195,8 +195,11 @@ structures only the event engine can simulate (combinational cycles,
 bridge faults, gated flip-flop clocks, register feedback) are refused
 with an explanatory error. Under `--engine compiled` the checkpoint,
 `--interrupt-after`, and resume unit is a 64-vector stimulus *word*,
-not an injection, and a journal written by one engine is not replayed
-by the other (the mismatched records are recomputed with a warning).
+not an injection; a target with more than 1024 faults splits each word
+into one item per 1024-fault range, and the interrupted run's `stimulus
+word(s) pending` count counts those items. A journal written by one
+engine is not replayed by the other (the mismatched records are
+recomputed with a warning).
 
 `sta` runs zero-simulation static timing analysis over a standard
 datapath: the critical path as a named gate chain, per-endpoint arrival

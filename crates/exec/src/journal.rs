@@ -320,6 +320,9 @@ struct JournalSink<'a> {
 /// decodable record in `spec.completed` are replayed without running;
 /// the rest execute under the fault layer, and each successful result
 /// is encoded and appended to the journal as soon as it completes.
+/// `decode` sees the item a record belongs to, so it can refuse a
+/// record whose shape does not fit that item; the item is then
+/// recomputed with a warning.
 ///
 /// Because replay keys on the input index and results always land at
 /// their input slots, an interrupted run resumed to completion yields
@@ -343,7 +346,7 @@ where
     R: Send,
     F: Fn(usize, &T, &CancelToken) -> ItemStatus<R> + Sync,
     Enc: Fn(&R) -> Vec<u8> + Sync,
-    Dec: Fn(&[u8]) -> Option<R>,
+    Dec: Fn(&T, &[u8]) -> Option<R>,
 {
     let mut results: Vec<Option<Result<R, ExecError>>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
@@ -352,7 +355,7 @@ where
     let mut pending: Vec<usize> = Vec::new();
     for (i, slot) in results.iter_mut().enumerate() {
         let key = spec.index_base + i as u64;
-        match spec.completed.get(&key).map(|p| decode(p)) {
+        match spec.completed.get(&key).map(|p| decode(&items[i], p)) {
             Some(Some(r)) => {
                 *slot = Some(Ok(r));
                 replayed += 1;
@@ -540,7 +543,7 @@ mod tests {
                     max_new_items: cap,
                 },
                 |r: &u64| r.to_le_bytes().to_vec(),
-                |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
+                |_: &u64, b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
                 |_, &x, _| ItemStatus::Done(x * x),
             )
         };

@@ -212,47 +212,52 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let slots = Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Claim a chunk, compute it into a local buffer, then take
-                // the slot lock once per chunk to deposit results at their
-                // input indices. The lock is held only for the copy-out, so
-                // contention stays negligible next to simulation work.
-                let worker_start = enabled.then(Instant::now);
-                let mut claimed: u64 = 0;
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    claimed += 1;
-                    let chunk_start = enabled.then(Instant::now);
-                    let end = (start + chunk).min(items.len());
-                    let local: Vec<R> = items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, t)| f(start + off, t))
-                        .collect();
-                    if let Ok(mut guard) = slots.lock() {
-                        for (off, r) in local.into_iter().enumerate() {
-                            guard[start + off] = Some(r);
-                        }
-                    }
-                    if let Some(t0) = chunk_start {
-                        rec.record_nanos(names::SPAN_EXEC_CHUNK, elapsed_nanos(t0));
-                    }
+    // The calling thread is one of the workers, so a region spawns
+    // `workers - 1` threads (each with its own stack and allocator
+    // arena) rather than `workers`.
+    let work = || {
+        // Claim a chunk, compute it into a local buffer, then take
+        // the slot lock once per chunk to deposit results at their
+        // input indices. The lock is held only for the copy-out, so
+        // contention stays negligible next to simulation work.
+        let worker_start = enabled.then(Instant::now);
+        let mut claimed: u64 = 0;
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            claimed += 1;
+            let chunk_start = enabled.then(Instant::now);
+            let end = (start + chunk).min(items.len());
+            let local: Vec<R> = items[start..end]
+                .iter()
+                .enumerate()
+                .map(|(off, t)| f(start + off, t))
+                .collect();
+            if let Ok(mut guard) = slots.lock() {
+                for (off, r) in local.into_iter().enumerate() {
+                    guard[start + off] = Some(r);
                 }
-                if enabled {
-                    if claimed > 0 {
-                        rec.add(names::EXEC_CHUNKS, claimed);
-                    }
-                    if let Some(t0) = worker_start {
-                        rec.record_nanos(names::SPAN_EXEC_WORKER, elapsed_nanos(t0));
-                    }
-                }
-            });
+            }
+            if let Some(t0) = chunk_start {
+                rec.record_nanos(names::SPAN_EXEC_CHUNK, elapsed_nanos(t0));
+            }
         }
+        if enabled {
+            if claimed > 0 {
+                rec.add(names::EXEC_CHUNKS, claimed);
+            }
+            if let Some(t0) = worker_start {
+                rec.record_nanos(names::SPAN_EXEC_WORKER, elapsed_nanos(t0));
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     drop(region);
     // Every index in 0..len was claimed by exactly one worker and scope

@@ -8,7 +8,8 @@ use std::path::Path;
 
 use lowvolt_circuit::compiled::{run_campaign_packed, CompiledNetlist};
 use lowvolt_circuit::faults::{
-    run_campaign_resilient, stuck_at_universe, CampaignOptions, FaultTarget,
+    run_campaign_resilient, stuck_at_universe, CampaignOptions, CampaignReport, FaultTarget,
+    GateFault,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::sim::Simulator;
@@ -182,6 +183,79 @@ fn generated_campaign_thread_invariant() {
         )
         .expect("packed campaign runs");
         let rendered = packed.report().expect("completed").to_string();
+        match &reference {
+            None => reference = Some(rendered),
+            Some(first) => assert_eq!(first, &rendered, "diverged at {threads} thread(s)"),
+        }
+    }
+}
+
+/// Packed campaign on a clocked generated netlist with more than one
+/// 1024-fault range and a partial second stimulus word: the outcome of
+/// every sampled fault equals the event engine's, and so does the
+/// rendered report over the sample; the full packed report is
+/// byte-identical at 1, 2, and 8 threads. This exercises the compiled
+/// engine's sparse flip-flop reseeding (only flip-flops whose data node
+/// a fault changed get a new state) and its classification over
+/// touched outputs only, across work-item boundaries. The event engine
+/// runs every seventh fault — per-fault outcomes do not depend on the
+/// other faults — to keep the debug-build run to a few seconds; the
+/// stride is odd so both stuck values of a node get sampled.
+#[test]
+fn clocked_multi_range_campaign_event_vs_compiled() {
+    const VECTORS: usize = 70;
+    const SEED: u64 = 0x5EC;
+    const STRIDE: usize = 7;
+    let mut cfg = GeneratorConfig::new(600, 0xF1F0);
+    cfg.dff_fraction = 0.15;
+    let c = generate(&cfg).expect("generates");
+    assert!(c.clock.is_some(), "expected a clocked netlist");
+    let target = fault_target(&c);
+    let faults = stuck_at_universe(&target.netlist);
+    assert!(faults.len() > 1024, "{} faults fit one range", faults.len());
+    let sample: Vec<GateFault> = faults.iter().step_by(STRIDE).cloned().collect();
+    let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
+    let event = run_campaign_resilient(
+        &ExecPolicy::with_threads(2),
+        lowvolt_obs::noop(),
+        &target,
+        &sample,
+        &mut stimulus,
+        VECTORS,
+        CampaignOptions::default(),
+    )
+    .expect("event campaign runs")
+    .report()
+    .expect("event campaign completed");
+    let mut reference: Option<String> = None;
+    for threads in [1usize, 2, 8] {
+        let mut stimulus =
+            PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
+        let packed = run_campaign_packed(
+            &ExecPolicy::with_threads(threads),
+            lowvolt_obs::noop(),
+            &target,
+            &faults,
+            &mut stimulus,
+            VECTORS,
+            CampaignOptions::default(),
+        )
+        .expect("packed campaign runs")
+        .report()
+        .expect("packed campaign completed");
+        let sampled = CampaignReport {
+            reports: packed.reports.iter().step_by(STRIDE).cloned().collect(),
+            ..packed.clone()
+        };
+        for (e, p) in event.reports.iter().zip(&sampled.reports) {
+            assert_eq!(e, p, "threads {threads}");
+        }
+        assert_eq!(
+            event.to_string(),
+            sampled.to_string(),
+            "sampled report diverged at {threads} thread(s)"
+        );
+        let rendered = packed.to_string();
         match &reference {
             None => reference = Some(rendered),
             Some(first) => assert_eq!(first, &rendered, "diverged at {threads} thread(s)"),

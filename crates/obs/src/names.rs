@@ -193,6 +193,16 @@ pub const SPAN_SIM_MEASURE_ACTIVITY: &str = "sim.measure_activity";
 pub const SPAN_SWITCH_SETTLE: &str = "switch.settle";
 /// Span name for one fault-campaign target.
 pub const SPAN_CAMPAIGN_RUN: &str = "campaign.run";
+/// Child of [`SPAN_CAMPAIGN_RUN`]: stimulus expansion plus the golden
+/// (fault-free) evaluation and its cache lookup/store.
+pub const SPAN_CAMPAIGN_GOLDEN: &str = "campaign.run.golden";
+/// Child of [`SPAN_CAMPAIGN_RUN`]: fault injection, propagation and
+/// classification of every work item. With [`SPAN_CAMPAIGN_GOLDEN`] it
+/// accounts for the parent's wall time.
+pub const SPAN_CAMPAIGN_FAULTS: &str = "campaign.run.faults";
+/// Span name for levelizing a netlist into the compiled engine's tables
+/// (opened before, not inside, [`SPAN_CAMPAIGN_RUN`]).
+pub const SPAN_COMPILED_COMPILE: &str = "compiled.compile";
 /// Span name for a whole `parallel_map` region (serial or parallel).
 pub const SPAN_EXEC_REGION: &str = "exec.region";
 /// Span name accumulating each worker's busy time inside a region;

@@ -6,17 +6,17 @@
 //! maintenance.
 //!
 //! Campaign jobs additionally support sharded execution: the fault
-//! universe (injections for the event engine, 64-vector stimulus words
-//! for the compiled engine) is processed in bounded rounds through the
-//! `LVJR0001` checkpoint journal, with a progress callback after every
-//! round. Because per-item results are deterministic for any thread
+//! universe (injections for the event engine, (64-vector stimulus word,
+//! 1024-fault range) items for the compiled engine) is processed in
+//! bounded rounds through the `LVJR0001` checkpoint journal, with a
+//! progress callback after every round. Because per-item results are deterministic for any thread
 //! count and journal replay decodes to the same classification the
 //! simulator computes, the final table is byte-identical whether the
 //! job ran in one shot, in shards, or across a daemon kill/restart.
 
 use std::collections::HashMap;
 
-use lowvolt_circuit::compiled::run_campaign_packed;
+use lowvolt_circuit::compiled::{packed_campaign_items, run_campaign_packed};
 use lowvolt_circuit::faults::{
     run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
     ResilientCampaign,
@@ -341,7 +341,8 @@ pub enum RunMode {
 pub struct CampaignOutcome {
     /// The full report, byte-identical to the CLI's stdout string.
     pub payload: String,
-    /// Journal items (injections or stimulus words) in the whole job.
+    /// Journal items (injections, or (word, fault range) pairs) in the
+    /// whole job.
     pub total_items: u64,
     /// Items already on the journal when this run started.
     pub replayed: u64,
@@ -391,7 +392,7 @@ pub fn run_campaign_job(
     let items_for = |i: usize| -> u64 {
         match spec.engine {
             Engine::Event => faults_per[i].len() as u64,
-            Engine::Compiled => spec.vectors.div_ceil(64) as u64,
+            Engine::Compiled => packed_campaign_items(spec.vectors, faults_per[i].len()),
         }
     };
     let total_items: u64 = (0..targets.len()).map(items_for).sum();
@@ -498,8 +499,9 @@ pub fn run_campaign_job(
             round.computed += res.computed;
             round.skipped += res.skipped;
             // The journal item (and thus the index space) is an injection
-            // for the event engine but a packed 64-vector word for the
-            // compiled one.
+            // for the event engine but a (64-vector word, 1024-fault
+            // range) pair for the compiled one — one item per word unless
+            // the target has more than 1024 faults.
             index_base += items_for(i);
             let masked = label_count(&res, "masked");
             let resolved = res.reports.iter().flatten().count();
