@@ -23,9 +23,8 @@
 //! that the parallel leg reproduced the serial output bit for bit.
 
 use lowvolt_bench::{all_experiments, run_experiments_with, BenchError};
-use lowvolt_circuit::compiled::run_campaign_packed;
 use lowvolt_circuit::faults::{
-    run_campaign_recorded, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultTarget,
 };
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_core::optimizer::FixedThroughputOptimizer;
@@ -36,6 +35,7 @@ use lowvolt_io::{
     circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig, ImportedCircuit,
 };
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
+use lowvolt_serve::jobs::imported_fault_target;
 use lowvolt_serve::json::escape;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
 use std::time::Instant;
@@ -120,9 +120,8 @@ fn stage<R: PartialEq>(
 }
 
 /// The campaign stage: the full stuck-at universe over every standard
-/// datapath target, fixed-seed random vectors. `compiled` switches the
-/// bit-parallel levelized engine in for the event-driven one; the
-/// rendered reports are byte-identical between the two, so the
+/// datapath target, fixed-seed random vectors, on `engine`. The rendered
+/// reports are byte-identical between the two engines, so the
 /// event/compiled rows in `BENCH_sim.json` time the same classification
 /// work.
 fn campaign_leg(
@@ -130,37 +129,43 @@ fn campaign_leg(
     rec: &dyn Recorder,
     width: usize,
     vectors: usize,
-    compiled: bool,
+    engine: Engine,
 ) -> Result<String, String> {
     let targets = standard_targets(width).map_err(|e| e.to_string())?;
     let mut out = String::new();
     for (i, target) in targets.iter().enumerate() {
-        let faults = stuck_at_universe(&target.netlist);
-        let mut stimulus = PatternSource::random(target.inputs.len(), 0xC0FFEE + i as u64)
+        let stimulus = PatternSource::random(target.inputs.len(), 0xC0FFEE + i as u64)
             .map_err(|e| e.to_string())?;
-        if compiled {
-            let res = run_campaign_packed(
-                policy,
-                rec,
-                target,
-                &faults,
-                &mut stimulus,
-                vectors,
-                CampaignOptions::default(),
-            )
-            .map_err(|e| e.to_string())?;
-            let report = res
-                .report()
-                .ok_or_else(|| "compiled campaign left injections unresolved".to_string())?;
-            out.push_str(&report.to_string());
-        } else {
-            let report =
-                run_campaign_recorded(policy, rec, target, &faults, &mut stimulus, vectors)
-                    .map_err(|e| e.to_string())?;
-            out.push_str(&report.to_string());
-        }
+        out.push_str(&campaign_report(
+            policy, rec, target, stimulus, vectors, engine,
+        )?);
     }
     Ok(out)
+}
+
+/// One campaign over `target`'s full stuck-at universe, rendered as
+/// its report text.
+fn campaign_report(
+    policy: &ExecPolicy,
+    rec: &dyn Recorder,
+    target: &FaultTarget,
+    mut stimulus: PatternSource,
+    vectors: usize,
+    engine: Engine,
+) -> Result<String, String> {
+    let faults = stuck_at_universe(&target.netlist);
+    let options = CampaignOptions {
+        engine,
+        policy: *policy,
+        recorder: rec,
+        ..CampaignOptions::default()
+    };
+    let res = run_campaign(target, &faults, &mut stimulus, vectors, options)
+        .map_err(|e| e.to_string())?;
+    Ok(res
+        .report()
+        .ok_or("campaign left injections unresolved")?
+        .to_string())
 }
 
 /// The regen stage: a fixed slice of the experiment registry, one
@@ -245,17 +250,6 @@ fn parse_leg(source: &ImportedCircuit, text: &str) -> Result<String, String> {
     ))
 }
 
-/// Adapts a generated circuit to the fault-campaign target shape.
-fn fault_target(c: &ImportedCircuit) -> FaultTarget {
-    FaultTarget {
-        name: c.name.clone(),
-        netlist: c.netlist.clone(),
-        inputs: c.inputs.clone(),
-        outputs: c.outputs.clone(),
-        clock: c.clock,
-    }
-}
-
 /// The generated-campaign stage: the full stuck-at universe of a large
 /// seeded random netlist under the compiled bit-parallel engine — the
 /// scale row the interchange subsystem exists for.
@@ -265,23 +259,9 @@ fn generated_campaign_leg(
     target: &FaultTarget,
     vectors: usize,
 ) -> Result<String, String> {
-    let faults = stuck_at_universe(&target.netlist);
-    let mut stimulus =
+    let stimulus =
         PatternSource::wide_random(target.inputs.len(), 0xD1CE).map_err(|e| e.to_string())?;
-    let res = run_campaign_packed(
-        policy,
-        rec,
-        target,
-        &faults,
-        &mut stimulus,
-        vectors,
-        CampaignOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let report = res
-        .report()
-        .ok_or_else(|| "generated campaign left injections unresolved".to_string())?;
-    Ok(report.to_string())
+    campaign_report(policy, rec, target, stimulus, vectors, Engine::Compiled)
 }
 
 /// The generated-STA stage: one full static timing report over a
@@ -390,19 +370,20 @@ fn run() -> Result<(), String> {
     let parse_circuit =
         generate(&GeneratorConfig::new(parse_gates, 0xB11F)).map_err(|e| e.to_string())?;
     let parse_text = write_blif(&parse_circuit).map_err(|e| e.to_string())?;
-    let gen_target =
-        fault_target(&generate(&GeneratorConfig::new(gen_gates, 42)).map_err(|e| e.to_string())?);
+    let gen_target = imported_fault_target(
+        &generate(&GeneratorConfig::new(gen_gates, 42)).map_err(|e| e.to_string())?,
+    );
     let sta_circuit = generate(&GeneratorConfig::new(sta_gates, 42)).map_err(|e| e.to_string())?;
 
     let stages = vec![
         stage(names::STAGE_CAMPAIGN, Some("event"), &policy, |p, rec| {
-            campaign_leg(p, rec, width, vectors, false)
+            campaign_leg(p, rec, width, vectors, Engine::Event)
         })?,
         stage(
             names::STAGE_CAMPAIGN,
             Some("compiled"),
             &policy,
-            |p, rec| campaign_leg(p, rec, width, vectors, true),
+            |p, rec| campaign_leg(p, rec, width, vectors, Engine::Compiled),
         )?,
         stage(names::STAGE_REGEN, None, &policy, |p, _| {
             regen_leg(p, regen_ids)

@@ -18,33 +18,30 @@
 //! operation implements the same three-valued algebra as
 //! [`GateKind::evaluate`].
 //!
-//! On top of the evaluator, [`run_campaign_packed`] computes the golden
-//! planes once per 64-vector word and, per fault, re-evaluates only
-//! levels at or after the injection point, early-exiting the moment the
-//! difference frontier against the golden planes goes all-zero
-//! (concurrent-fault-style dropout). The event engine remains required
+//! On top of the evaluator,
+//! [`run_campaign`](crate::faults::run_campaign) on
+//! [`Engine::Compiled`](crate::faults::Engine::Compiled) computes the
+//! golden planes once per 64-vector word and, per fault, re-evaluates
+//! only levels at or after the injection point, early-exiting the
+//! moment the difference frontier against the golden planes goes
+//! all-zero (concurrent-fault-style dropout). The event engine remains required
 //! for combinational cycles, bridge-fault drive fights, gated or derived
 //! flip-flop clocks, register-to-register feedback, and
 //! oscillation/timing diagnosis — a levelized evaluator cannot
 //! oscillate, so such netlists are refused with
 //! [`CircuitError::Unlevelizable`] rather than silently mis-simulated.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
-use crate::faults::{
-    golden_cache_content, CampaignOptions, FaultOutcome, FaultReport, FaultTarget, GateFault,
-    ResilientCampaign,
-};
+use crate::faults::{CampaignEngine, FaultOutcome, FaultTarget, GateFault};
 use crate::logic::Bit;
 use crate::netlist::{GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
-use lowvolt_exec::{
-    parallel_map_isolated, run_checkpointed, CacheKey, CancelToken, ExecError, ExecPolicy,
-    ItemStatus,
-};
+use lowvolt_exec::{CancelToken, ExecError, ItemStatus};
 use lowvolt_obs::{names, span, Recorder};
 
 /// One node's 64 packed lanes: `(val, known)`. Encoding is canonical
@@ -865,7 +862,7 @@ impl CompiledNetlist {
 }
 
 /// Golden (fault-free) planes for one 64-vector stimulus word.
-struct GoldenWord {
+pub(crate) struct GoldenWord {
     /// Stimulus columns, one per target input, for seeding fault planes.
     input_planes: Vec<P>,
     /// Phase-A planes (clock low) for clocked targets; `None` for
@@ -877,7 +874,6 @@ struct GoldenWord {
     /// Mask of lanes carrying real stimulus vectors (the last word of a
     /// campaign may be partial).
     active: u64,
-    lanes: usize,
 }
 
 impl CompiledNetlist {
@@ -943,7 +939,6 @@ impl CompiledNetlist {
                 a,
                 fin,
                 active,
-                lanes,
             },
             evals,
         )
@@ -1033,7 +1028,7 @@ impl<'a> FaultSim<'a> {
                 comp.seed(s, n, (cur.0 ^ cur.1, cur.1), pending);
                 Ok(None)
             }
-            // Rejected up front by `run_campaign_packed`.
+            // Rejected up front by `CompiledNetlist::for_campaign`.
             GateFault::Bridge { .. } => Err(CLASS_UNKNOWN_NODE),
         }
     }
@@ -1312,18 +1307,16 @@ fn fault_ranges(faults: usize) -> usize {
     faults.div_ceil(FAULT_RANGE).max(1)
 }
 
-/// Work items, and so checkpoint-journal records, in a packed campaign
-/// of `vectors` stimulus vectors over `faults` faults: one per
-/// (64-vector word, 1024-fault range) pair. Item `w * ranges + r` is
-/// word `w` over fault range `r`, so a target with at most 1024 faults
-/// has exactly one item per word.
-#[must_use]
-pub fn packed_campaign_items(vectors: usize, faults: usize) -> u64 {
-    (vectors.div_ceil(64) * fault_ranges(faults)) as u64
+/// Work items in a packed campaign of `vectors` stimulus vectors over
+/// `faults` faults: one per (64-vector word, 1024-fault range) pair.
+/// Item `w * ranges + r` is word `w` over fault range `r`.
+pub(crate) fn packed_items(vectors: usize, faults: usize) -> u64 {
+    (vectors.div_ceil(64) as u64).saturating_mul(fault_ranges(faults) as u64)
 }
 
 /// One packed work item: a stimulus word and a contiguous fault range.
-struct PackedItem {
+#[derive(Clone)]
+pub(crate) struct PackedItem {
     word: usize,
     faults: Range<usize>,
 }
@@ -1359,203 +1352,171 @@ fn fold_word_classes(fault: &GateFault, classes: impl Iterator<Item = u8>) -> Fa
     }
 }
 
-/// [`run_campaign_resilient`](crate::faults::run_campaign_resilient)'s
-/// contract executed on the compiled bit-parallel engine: the golden
-/// planes are computed once per 64-vector stimulus word, each fault is
+impl CompiledNetlist {
+    /// Compiles `target`'s netlist for a packed campaign over `faults`
+    /// and checks that the engine supports the pairing.
+    pub(crate) fn for_campaign(
+        rec: &dyn Recorder,
+        target: &FaultTarget,
+        faults: &[GateFault],
+    ) -> Result<CompiledNetlist, CircuitError> {
+        let comp = {
+            let _compile_timer = span(rec, names::SPAN_COMPILED_COMPILE);
+            CompiledNetlist::compile(&target.netlist)?
+        };
+        comp.validate_campaign(
+            target,
+            faults.iter().any(|f| matches!(f, GateFault::Bridge { .. })),
+        )?;
+        Ok(comp)
+    }
+}
+
+/// The compiled engine's side of
+/// [`run_campaign`](crate::faults::run_campaign): the golden planes are
+/// computed once per 64-vector stimulus word, each fault is
 /// re-evaluated per word via difference-frontier propagation with
-/// dropout, and per-fault outcomes are combined from per-word class
-/// bytes. Classifications and the resume/cache determinism contract are
-/// **byte-identical** to the event engine's; the unit of parallel work,
-/// checkpoint journaling, and interruption accounting is a (stimulus
-/// word, 1024-fault range) item — see [`packed_campaign_items`] — so
-/// `replayed`/`computed`/`skipped` count items (not injections), and an
-/// interrupted run reports a fault as unresolved until every word of
-/// its range is done.
-///
-/// # Errors
-///
-/// The [`run_campaign_resilient`](crate::faults::run_campaign_resilient)
-/// stimulus-validation contract, plus [`CircuitError::Unlevelizable`]
-/// for netlist/target/fault shapes only the event engine can simulate:
-/// combinational cycles, multiply-driven nodes, gated or derived
-/// flip-flop clocks, register-to-register feedback, and bridge faults
-/// (drive fights need event-ordered resolution).
-#[allow(clippy::too_many_lines)]
-pub fn run_campaign_packed(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
+/// dropout, and per-fault outcomes are folded from per-word class
+/// bytes. A fault is unresolved until every word of its range is done.
+pub(crate) struct PackedCampaign<'a> {
+    faults: &'a [GateFault],
     vectors: usize,
-    options: CampaignOptions<'_>,
-) -> Result<ResilientCampaign, CircuitError> {
-    if vectors == 0 {
-        return Err(CircuitError::InvalidStimulus {
-            reason: "campaign needs at least one vector",
-        });
+    sim: FaultSim<'a>,
+    gate_evals: AtomicU64,
+    dropouts: AtomicU64,
+    word_evaluated: Vec<AtomicBool>,
+}
+
+impl<'a> PackedCampaign<'a> {
+    pub(crate) fn new(
+        comp: &'a CompiledNetlist,
+        target: &'a FaultTarget,
+        faults: &'a [GateFault],
+        vectors: usize,
+    ) -> PackedCampaign<'a> {
+        PackedCampaign {
+            faults,
+            vectors,
+            sim: FaultSim::new(comp, target),
+            gate_evals: AtomicU64::new(0),
+            dropouts: AtomicU64::new(0),
+            word_evaluated: (0..vectors.div_ceil(64))
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+        }
     }
-    if stimulus.width() != target.inputs.len() {
-        return Err(CircuitError::WidthMismatch {
-            what: "fault campaign stimulus",
-            expected: target.inputs.len(),
-            got: stimulus.width(),
-        });
-    }
-    let comp = {
-        let _compile_timer = span(rec, names::SPAN_COMPILED_COMPILE);
-        CompiledNetlist::compile(&target.netlist)?
-    };
-    comp.validate_campaign(
-        target,
-        faults.iter().any(|f| matches!(f, GateFault::Bridge { .. })),
-    )?;
-    let CampaignOptions {
-        fault,
-        cache,
-        checkpoint,
-    } = options;
-    let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let mut warnings = Vec::new();
-    let mut golden_from_cache = false;
-    let n_words = vectors.div_ceil(64);
-    let mut golden_evals = 0u64;
-    let golden_words: Vec<GoldenWord> = {
-        let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
-        let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
-        let words: Vec<GoldenWord> = (0..n_words)
+}
+
+impl CampaignEngine for PackedCampaign<'_> {
+    type Golden = Vec<GoldenWord>;
+    type Item = PackedItem;
+    type Record = Vec<u8>;
+
+    /// Classification always runs against freshly computed planes, so a
+    /// cached trace only marks the run as a cache hit; the stimulus is
+    /// dropped once it is packed into the planes.
+    fn golden(
+        &self,
+        vecs: Vec<Vec<Bit>>,
+        _cached: Option<Vec<Vec<Bit>>>,
+    ) -> Result<Vec<GoldenWord>, CircuitError> {
+        let comp = self.sim.comp;
+        let mut evals = 0u64;
+        let words = (0..self.word_evaluated.len())
             .map(|w| {
-                let (gw, e) = comp.golden_word(target, &vecs, w);
-                golden_evals += e;
+                let (gw, e) = comp.golden_word(self.sim.target, &vecs, w);
+                evals += e;
                 gw
             })
             .collect();
-        // Mirror the event engine's golden-trace cache protocol so the
-        // two engines interoperate on the same cache directory: the key
-        // is engine-independent and the stored trace is the derived
-        // golden output trace, which the differential contract makes
-        // identical to an event-simulated one. Classification always
-        // runs against the freshly computed planes.
-        if let Some((c, seed)) = cache {
-            let key = CacheKey {
-                content: golden_cache_content(target, &vecs),
-                seed,
-            };
-            let cached =
-                c.load(key, rec)
-                    .and_then(|bytes| match crate::persist::decode_trace(&bytes) {
-                        Some(trace)
-                            if trace.len() == vectors
-                                && trace.iter().all(|row| row.len() == target.outputs.len()) =>
-                        {
-                            Some(trace)
-                        }
-                        _ => {
-                            warnings.push(format!(
-                            "golden-trace cache entry {} decoded to the wrong shape; recomputing",
-                            key.file_name()
-                        ));
-                            None
-                        }
-                    });
-            match cached {
-                Some(_) => golden_from_cache = true,
-                None => {
-                    let trace: Vec<Vec<Bit>> = (0..vectors)
-                        .map(|t| {
-                            let gw = &words[t / 64];
-                            target
-                                .outputs
-                                .iter()
-                                .map(|n| lane_bit(gw.fin.get_or_x(n.index()), t % 64))
-                                .collect()
-                        })
-                        .collect();
-                    if let Err(e) = c.store(key, &crate::persist::encode_trace(&trace)) {
-                        warnings.push(format!("golden-trace cache store failed: {e}"));
-                    }
-                }
-            }
-        }
-        words
-    };
-    let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
-    let sim = FaultSim::new(&comp, target);
-    let gate_evals = AtomicU64::new(golden_evals);
-    let dropouts = AtomicU64::new(0);
-    let vectors_done = AtomicU64::new(0);
-    let word_evaluated: Vec<AtomicBool> = (0..n_words).map(|_| AtomicBool::new(false)).collect();
-    let class_item = |item: &PackedItem, token: &CancelToken| -> ItemStatus<Vec<u8>> {
-        let gw = &golden_words[item.word];
-        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(&comp, ga));
-        let mut sb = Scratch::new(&comp, &gw.fin);
+        self.gate_evals.fetch_add(evals, Ordering::Relaxed);
+        Ok(words)
+    }
+
+    /// The golden output trace read back out of the planes: the cache
+    /// key and payload are engine-independent, so the two engines share
+    /// entries.
+    fn golden_trace<'g>(&self, golden: &'g Vec<GoldenWord>) -> Cow<'g, [Vec<Bit>]> {
+        Cow::Owned(
+            (0..self.vectors)
+                .map(|t| {
+                    let gw = &golden[t / 64];
+                    self.sim
+                        .target
+                        .outputs
+                        .iter()
+                        .map(|n| lane_bit(gw.fin.get_or_x(n.index()), t % 64))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    fn items(&self) -> Cow<'_, [PackedItem]> {
+        let faults = self.faults.len();
+        let ranges = fault_ranges(faults);
+        Cow::Owned(
+            (0..self.word_evaluated.len())
+                .flat_map(|word| {
+                    (0..ranges).map(move |r| PackedItem {
+                        word,
+                        faults: r * FAULT_RANGE..((r + 1) * FAULT_RANGE).min(faults),
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    fn item_vectors(&self, item: &PackedItem) -> u64 {
+        ((self.vectors - item.word * 64).min(64) * item.faults.len()) as u64
+    }
+
+    fn run_item(
+        &self,
+        golden: &Vec<GoldenWord>,
+        item: &PackedItem,
+        token: &CancelToken,
+    ) -> ItemStatus<Vec<u8>> {
+        let comp = self.sim.comp;
+        let gw = &golden[item.word];
+        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(comp, ga));
+        let mut sb = Scratch::new(comp, &gw.fin);
         let mut classes = Vec::with_capacity(item.faults.len());
         let mut evals = 0u64;
         let mut drops = 0u64;
-        for f in &faults[item.faults.clone()] {
+        for f in &self.faults[item.faults.clone()] {
             if token.is_cancelled() {
                 return ItemStatus::TimedOut;
             }
-            let (class, e, d) = sim.fault_word_class(gw, &mut sa, &mut sb, f);
+            let (class, e, d) = self.sim.fault_word_class(gw, &mut sa, &mut sb, f);
             classes.push(class);
             evals += e;
             drops += u64::from(d);
         }
-        gate_evals.fetch_add(evals, Ordering::Relaxed);
-        dropouts.fetch_add(drops, Ordering::Relaxed);
-        vectors_done.fetch_add((gw.lanes * item.faults.len()) as u64, Ordering::Relaxed);
-        word_evaluated[item.word].store(true, Ordering::Relaxed);
+        self.gate_evals.fetch_add(evals, Ordering::Relaxed);
+        self.dropouts.fetch_add(drops, Ordering::Relaxed);
+        self.word_evaluated[item.word].store(true, Ordering::Relaxed);
         ItemStatus::Done(classes)
-    };
-    let ranges = fault_ranges(faults.len());
-    let items: Vec<PackedItem> = (0..n_words)
-        .flat_map(|word| {
-            (0..ranges).map(move |r| PackedItem {
-                word,
-                faults: r * FAULT_RANGE..((r + 1) * FAULT_RANGE).min(faults.len()),
-            })
-        })
-        .collect();
-    let (slots, replayed, computed, skipped) = match checkpoint {
-        Some(spec) => {
-            let out = run_checkpointed(
-                policy,
-                &fault,
-                rec,
-                &items,
-                spec,
-                |c: &Vec<u8>| crate::persist::encode_word_classes(c),
-                // A record of another length belongs to a different item
-                // layout (e.g. a journal written with one item per word)
-                // and is recomputed with a warning, never misassigned.
-                |item: &PackedItem, bytes| {
-                    crate::persist::decode_word_classes(bytes)
-                        .filter(|c| c.len() == item.faults.len())
-                },
-                |_, item, token| class_item(item, token),
-            );
-            warnings.extend(out.warnings);
-            (out.results, out.replayed, out.computed, out.skipped)
-        }
-        None => {
-            let res = parallel_map_isolated(policy, &fault, rec, &items, |_, item, token| {
-                class_item(item, token)
-            });
-            let computed = res.len();
-            (
-                res.into_iter().map(Some).collect::<Vec<_>>(),
-                0,
-                computed,
-                0,
-            )
-        }
-    };
-    drop(faults_timer);
-    drop(timer);
-    let reports: Vec<Option<FaultReport>> = faults
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| {
+    }
+
+    fn encode(classes: &Vec<u8>) -> Vec<u8> {
+        crate::persist::encode_word_classes(classes)
+    }
+
+    /// A record of another length belongs to a different item layout
+    /// (e.g. a journal written with one item per word) and is
+    /// recomputed with a warning, never misassigned.
+    fn decode(item: &PackedItem, bytes: &[u8]) -> Option<Vec<u8>> {
+        crate::persist::decode_word_classes(bytes).filter(|c| c.len() == item.faults.len())
+    }
+
+    fn outcomes(
+        &self,
+        slots: Vec<Option<Result<Vec<u8>, ExecError>>>,
+    ) -> impl Iterator<Item = Option<FaultOutcome>> {
+        let ranges = fault_ranges(self.faults.len());
+        let n_words = self.word_evaluated.len();
+        self.faults.iter().enumerate().map(move |(fi, f)| {
             let (r, offset) = (fi / FAULT_RANGE, fi % FAULT_RANGE);
             // An interrupted run has whole items outstanding, and a
             // fault needs every word of its range.
@@ -1566,7 +1527,7 @@ pub fn run_campaign_packed(
             // deadline) leaves no classes for its faults over those
             // lanes: the packed analogue of the event engine's
             // per-injection `Errored` slots.
-            let outcome = match words.iter().find_map(|w| w.as_ref().err()) {
+            Some(match words.iter().find_map(|w| w.as_ref().err()) {
                 Some(e) => FaultOutcome::Errored(e.clone()),
                 None => fold_word_classes(
                     f,
@@ -1575,101 +1536,53 @@ pub fn run_campaign_packed(
                         .filter_map(|w| w.as_ref().ok())
                         .map(|c| c[offset]),
                 ),
-            };
-            Some(FaultReport {
-                fault: f.clone(),
-                outcome,
             })
         })
-        .collect();
-    if rec.is_enabled() {
-        let count = |label: &str| {
-            reports
-                .iter()
-                .flatten()
-                .filter(|r| r.outcome.label() == label)
-                .count() as u64
-        };
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(
-            names::CAMPAIGN_INJECTIONS,
-            reports.iter().flatten().count() as u64,
-        );
-        rec.add(
-            names::CAMPAIGN_VECTORS,
-            vectors_done.load(Ordering::Relaxed),
-        );
-        rec.add(names::CAMPAIGN_DETECTED, count("detected"));
-        rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
-        rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
-        rec.add(names::CAMPAIGN_MASKED, count("masked"));
+    }
+
+    fn flush(&self, rec: &dyn Recorder) {
         rec.add(
             names::COMPILED_WORDS,
-            word_evaluated
+            self.word_evaluated
                 .iter()
                 .filter(|w| w.load(Ordering::Relaxed))
                 .count() as u64,
         );
         rec.add(
             names::COMPILED_GATE_EVALS,
-            gate_evals.load(Ordering::Relaxed),
+            self.gate_evals.load(Ordering::Relaxed),
         );
         rec.add(
             names::COMPILED_FAULT_DROPOUTS,
-            dropouts.load(Ordering::Relaxed),
+            self.dropouts.load(Ordering::Relaxed),
         );
     }
-    Ok(ResilientCampaign {
-        target: target.name.clone(),
-        vectors,
-        reports,
-        replayed,
-        computed,
-        skipped,
-        golden_from_cache,
-        warnings,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{run_campaign_with, standard_targets};
+    use crate::faults::{run_campaign, standard_targets, CampaignOptions, Engine};
     use crate::sim::Simulator;
+    use lowvolt_exec::ExecPolicy;
 
-    fn packed_outcomes(
+    fn outcomes(
+        engine: Engine,
         target: &FaultTarget,
         faults: &[GateFault],
         vectors: usize,
         seed: u64,
     ) -> Vec<FaultOutcome> {
         let mut src = PatternSource::random(target.inputs.len(), seed).unwrap();
-        let run = run_campaign_packed(
-            &ExecPolicy::serial(),
-            lowvolt_obs::noop(),
-            target,
-            faults,
-            &mut src,
-            vectors,
-            CampaignOptions::default(),
-        )
-        .unwrap();
+        let options = CampaignOptions {
+            engine,
+            ..CampaignOptions::default()
+        };
+        let run = run_campaign(target, faults, &mut src, vectors, options).unwrap();
         run.reports
             .into_iter()
             .map(|r| r.unwrap().outcome)
             .collect()
-    }
-
-    fn event_outcomes(
-        target: &FaultTarget,
-        faults: &[GateFault],
-        vectors: usize,
-        seed: u64,
-    ) -> Vec<FaultOutcome> {
-        let mut src = PatternSource::random(target.inputs.len(), seed).unwrap();
-        let report =
-            run_campaign_with(&ExecPolicy::serial(), target, faults, &mut src, vectors).unwrap();
-        report.reports.into_iter().map(|r| r.outcome).collect()
     }
 
     fn stuck_faults(target: &FaultTarget) -> Vec<GateFault> {
@@ -1772,14 +1685,15 @@ mod tests {
         };
         let faults = vec![GateFault::Bridge { a, b: y }];
         let mut src = PatternSource::random(1, 1).unwrap();
-        let err = run_campaign_packed(
-            &ExecPolicy::serial(),
-            lowvolt_obs::noop(),
+        let err = run_campaign(
             &target,
             &faults,
             &mut src,
             8,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                ..CampaignOptions::default()
+            },
         )
         .unwrap_err();
         match err {
@@ -1849,8 +1763,8 @@ mod tests {
         });
         faults.push(GateFault::InputX { input_index: 999 });
         assert_eq!(
-            packed_outcomes(adder, &faults, 100, 42),
-            event_outcomes(adder, &faults, 100, 42)
+            outcomes(Engine::Compiled, adder, &faults, 100, 42),
+            outcomes(Engine::Event, adder, &faults, 100, 42)
         );
     }
 
@@ -1872,8 +1786,8 @@ mod tests {
             });
         }
         assert_eq!(
-            packed_outcomes(registers, &faults, 70, 7),
-            event_outcomes(registers, &faults, 70, 7)
+            outcomes(Engine::Compiled, registers, &faults, 70, 7),
+            outcomes(Engine::Event, registers, &faults, 70, 7)
         );
     }
 
@@ -1886,14 +1800,15 @@ mod tests {
             b: adder.inputs[1],
         }];
         let mut src = PatternSource::random(adder.inputs.len(), 1).unwrap();
-        let err = run_campaign_packed(
-            &ExecPolicy::serial(),
-            lowvolt_obs::noop(),
+        let err = run_campaign(
             adder,
             &faults,
             &mut src,
             8,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                ..CampaignOptions::default()
+            },
         )
         .unwrap_err();
         assert_eq!(
@@ -1913,14 +1828,16 @@ mod tests {
         let faults = stuck_faults(adder);
         let reg = lowvolt_obs::MetricsRegistry::new();
         let mut src = PatternSource::random(adder.inputs.len(), 3).unwrap();
-        let run = run_campaign_packed(
-            &ExecPolicy::serial(),
-            &reg,
+        let run = run_campaign(
             adder,
             &faults,
             &mut src,
             130,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                recorder: &reg,
+                ..CampaignOptions::default()
+            },
         )
         .unwrap();
         assert!(!run.interrupted());
@@ -1942,14 +1859,17 @@ mod tests {
         let faults = stuck_faults(registers);
         let reg = lowvolt_obs::MetricsRegistry::new();
         let mut src = PatternSource::random(registers.inputs.len(), 5).unwrap();
-        run_campaign_packed(
-            &ExecPolicy::with_threads(2),
-            &reg,
+        run_campaign(
             registers,
             &faults,
             &mut src,
             70,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                policy: ExecPolicy::with_threads(2),
+                recorder: &reg,
+                ..CampaignOptions::default()
+            },
         )
         .unwrap();
         let report = reg.snapshot();

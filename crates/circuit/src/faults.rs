@@ -5,15 +5,20 @@
 //! from a *slow* one. This module makes that assumption testable: it
 //! defines structural fault models at both abstraction levels —
 //! stuck-at/bridging faults on gate-level nodes and stuck-on/stuck-off
-//! transistors at switch level — and a campaign runner that sweeps a
-//! fault universe across a datapath, classifying every injection as
-//! detected (the simulator raised a typed error), corrupted (definite
-//! wrong outputs), propagated-as-X, or masked.
+//! transistors at switch level — and one campaign runner,
+//! [`run_campaign`], that sweeps a fault universe across a datapath on
+//! either [`Engine`], classifying every injection as detected (the
+//! simulator raised a typed error), corrupted (definite wrong outputs),
+//! propagated-as-X, or masked.
 //!
-//! The campaign never panics: every failure mode surfaces as either a
-//! [`FaultOutcome::Detected`] classification or a typed
-//! [`CircuitError`] from the runner itself.
+//! The campaign never panics: every failure mode surfaces as a
+//! [`FaultOutcome::Detected`] or [`FaultOutcome::Errored`]
+//! classification or a typed [`CircuitError`] from the runner itself.
 
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::compiled::{CompiledNetlist, PackedCampaign};
 use crate::error::CircuitError;
 use crate::logic::Bit;
 use crate::netlist::{Netlist, NodeId};
@@ -21,8 +26,8 @@ use crate::sim::Simulator;
 use crate::stimulus::PatternSource;
 use crate::switchlevel::{SwNodeId, SwitchNetlist, SwitchSim};
 use lowvolt_exec::{
-    fnv64, parallel_map_isolated, parallel_map_recorded, run_checkpointed, ByteCache, CacheKey,
-    CancelToken, CheckpointSpec, ExecError, ExecPolicy, FaultPolicy, ItemStatus,
+    fnv64, parallel_map_isolated, run_checkpointed, ByteCache, CacheKey, CancelToken,
+    CheckpointSpec, ExecError, ExecPolicy, FaultPolicy, ItemStatus,
 };
 use lowvolt_obs::{names, span, Recorder};
 
@@ -116,9 +121,7 @@ pub enum FaultOutcome {
     Masked,
     /// The injection's simulation itself failed at the execution layer —
     /// it panicked on every attempt or exhausted its per-item deadline —
-    /// so no classification exists. Only the resilient runner produces
-    /// this; the classic runner would have aborted (panic) or waited
-    /// forever instead.
+    /// so no classification exists.
     Errored(ExecError),
 }
 
@@ -251,8 +254,7 @@ impl CampaignReport {
     }
 
     /// Injections whose simulation failed at the execution layer
-    /// (panicked every attempt or timed out); zero outside the
-    /// resilient runner.
+    /// (panicked every attempt or timed out).
     #[must_use]
     pub fn errored(&self) -> usize {
         self.count("errored")
@@ -435,137 +437,75 @@ fn classify(golden: &[Vec<Bit>], faulty: &[Vec<Bit>]) -> FaultOutcome {
     }
 }
 
-/// Sweeps `faults` over `target`, applying the same `vectors`-long
-/// stimulus to a golden run and to every injection, and classifies each
-/// outcome.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidStimulus`] if `vectors` is zero,
-/// [`CircuitError::WidthMismatch`] if the stimulus width mismatches the
-/// target's input count, or any error from the *golden* run — a golden
-/// run that fails means the target, not the fault, is broken. Errors
-/// during faulted runs are classifications
-/// ([`FaultOutcome::Detected`]), not campaign failures.
-pub fn run_campaign(
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    run_campaign_with(&ExecPolicy::serial(), target, faults, stimulus, vectors)
+/// Largest `vectors` a campaign accepts. The stimulus is expanded up
+/// front, so the cap bounds the allocation an untrusted request can ask
+/// for; it is far above anything the workloads use.
+const MAX_CAMPAIGN_VECTORS: usize = 1 << 20;
+
+/// Which simulation engine a fault campaign runs on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// The event-driven simulator: handles every circuit, one work item
+    /// per injection.
+    #[default]
+    Event,
+    /// The bit-parallel levelized engine (64 vectors per word). One work
+    /// item is a (64-vector stimulus word, 1024-fault range) pair, so a
+    /// target with at most 1024 faults has one item per word.
+    Compiled,
 }
 
-/// [`run_campaign`] with an explicit execution policy: injections are
-/// partitioned over the policy's worker threads, one fresh simulator per
-/// injection as in the serial path. The stimulus is expanded and the
-/// golden run executed up front on the calling thread, so the report is
-/// **bit-identical** to the serial campaign for any thread count — the
-/// per-fault results land at their fault's index regardless of which
-/// worker classified them.
-///
-/// # Errors
-///
-/// Exactly the serial [`run_campaign`] contract: stimulus validation
-/// errors or a failing *golden* run abort the campaign; faulted-run
-/// errors are [`FaultOutcome::Detected`] classifications.
-pub fn run_campaign_with(
-    policy: &ExecPolicy,
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    run_campaign_recorded(
-        policy,
-        lowvolt_obs::noop(),
-        target,
-        faults,
-        stimulus,
-        vectors,
-    )
-}
-
-/// [`run_campaign_with`] with campaign metrics flushed to `rec`: the
-/// `campaign.*` counters (injections, vector applications, one count per
-/// outcome class), a `campaign.run` span with a `.golden` child, the
-/// execution engine's `exec.*` chunk/region metrics, and — because every
-/// per-injection simulator carries the recorder — the aggregate `sim.*`
-/// counters across all faulted runs. Every counter except `exec.chunks`
-/// is identical for any thread count: the per-settle deltas are fixed by
-/// the deterministic simulation and atomic addition commutes.
-///
-/// # Errors
-///
-/// Exactly the [`run_campaign`] contract.
-pub fn run_campaign_recorded(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    if vectors == 0 {
-        return Err(CircuitError::InvalidStimulus {
-            reason: "campaign needs at least one vector",
-        });
-    }
-    if stimulus.width() != target.inputs.len() {
-        return Err(CircuitError::WidthMismatch {
-            what: "fault campaign stimulus",
-            expected: target.inputs.len(),
-            got: stimulus.width(),
-        });
-    }
-    let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
-    // The golden run also warms the netlist's CSR fanout index, so the
-    // workers share the prebuilt adjacency read-only.
-    let golden = {
-        let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
-        run_trace(target, &vecs, None, rec, CancelToken::never())?
-    };
-    let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
-    let reports = parallel_map_recorded(policy, rec, faults, |_, fault| {
-        let outcome = match run_trace(target, &vecs, Some(fault), rec, CancelToken::never()) {
-            Ok(trace) => classify(&golden, &trace),
-            Err(err) => FaultOutcome::Detected(err),
-        };
-        FaultReport {
-            fault: fault.clone(),
-            outcome,
+impl Engine {
+    /// Parses an engine name as the `--engine` flag and the `"engine"`
+    /// job field spell it.
+    ///
+    /// # Errors
+    ///
+    /// Unknown names get a message listing the valid engines.
+    pub fn parse(name: &str) -> Result<Engine, String> {
+        match name {
+            "event" => Ok(Engine::Event),
+            "compiled" => Ok(Engine::Compiled),
+            other => Err(format!("unknown engine `{other}` (event, compiled)")),
         }
-    });
-    drop(faults_timer);
-    drop(timer);
-    let report = CampaignReport {
-        target: target.name.clone(),
-        vectors,
-        reports,
-    };
-    if rec.is_enabled() {
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(names::CAMPAIGN_INJECTIONS, faults.len() as u64);
-        rec.add(names::CAMPAIGN_VECTORS, (vectors * faults.len()) as u64);
-        rec.add(names::CAMPAIGN_DETECTED, report.detected() as u64);
-        rec.add(names::CAMPAIGN_CORRUPTED, report.corrupted() as u64);
-        rec.add(
-            names::CAMPAIGN_PROPAGATED_X,
-            report.propagated_as_x() as u64,
-        );
-        rec.add(names::CAMPAIGN_MASKED, report.masked() as u64);
     }
-    Ok(report)
+
+    /// Work items, and so checkpoint-journal records, in a campaign of
+    /// `vectors` stimulus vectors over `faults` faults. Item `i` of the
+    /// compiled engine is word `i / ranges` over fault range
+    /// `i % ranges`. Saturates rather than overflowing.
+    #[must_use]
+    pub fn work_items(self, vectors: usize, faults: usize) -> u64 {
+        match self {
+            Engine::Event => faults as u64,
+            Engine::Compiled => crate::compiled::packed_items(vectors, faults),
+        }
+    }
+
+    /// What one work item is called in checkpoint and interruption text.
+    #[must_use]
+    pub fn work_unit(self) -> &'static str {
+        match self {
+            Engine::Event => "injection",
+            Engine::Compiled => "work item",
+        }
+    }
 }
 
-/// Options steering the fault-tolerant campaign runner
-/// [`run_campaign_resilient`]: per-injection retry/deadline policy,
-/// an optional golden-trace cache, and optional checkpoint-journal
-/// bookkeeping.
-#[derive(Debug, Default)]
+/// Options for [`run_campaign`]. The default is the event engine on the
+/// calling thread, no metrics, no retries or deadline, no cache and no
+/// journal.
+#[derive(Debug)]
 pub struct CampaignOptions<'a> {
-    /// Retry and cooperative-deadline policy applied to every injection.
+    /// Simulation engine.
+    pub engine: Engine,
+    /// Worker threads the work items are spread over.
+    pub policy: ExecPolicy,
+    /// Receives the `campaign.*` counters and spans, the `exec.*`
+    /// region metrics, and the engine's own `sim.*` or `compiled.*`
+    /// counters.
+    pub recorder: &'a dyn Recorder,
+    /// Retry and cooperative-deadline policy applied to every work item.
     pub fault: FaultPolicy,
     /// Golden-trace cache plus the stimulus seed that keys it; `None`
     /// recomputes the golden run unconditionally.
@@ -574,9 +514,22 @@ pub struct CampaignOptions<'a> {
     pub checkpoint: Option<CheckpointSpec<'a>>,
 }
 
-/// Result of a fault-tolerant campaign: per-injection outcome slots
-/// (with `None` where an interruption cap skipped the injection) plus
-/// replay/compute accounting and non-fatal diagnostics.
+impl Default for CampaignOptions<'_> {
+    fn default() -> Self {
+        CampaignOptions {
+            engine: Engine::Event,
+            policy: ExecPolicy::serial(),
+            recorder: lowvolt_obs::noop(),
+            fault: FaultPolicy::default(),
+            cache: None,
+            checkpoint: None,
+        }
+    }
+}
+
+/// Result of a fault campaign: per-injection outcome slots (with `None`
+/// where an interruption cap skipped the injection) plus replay/compute
+/// accounting and non-fatal diagnostics.
 #[derive(Debug)]
 pub struct ResilientCampaign {
     /// Target name.
@@ -584,15 +537,15 @@ pub struct ResilientCampaign {
     /// Vectors applied per injection.
     pub vectors: usize,
     /// One slot per fault, in fault order; `None` only when the run was
-    /// interrupted by [`CheckpointSpec::max_new_items`] before reaching
-    /// the injection.
+    /// interrupted by [`CheckpointSpec::max_new_items`] before every
+    /// work item the fault needs was done.
     pub reports: Vec<Option<FaultReport>>,
-    /// Injections restored from the checkpoint journal without
+    /// Work items restored from the checkpoint journal without
     /// simulating.
     pub replayed: usize,
-    /// Injections actually simulated this run.
+    /// Work items actually simulated this run.
     pub computed: usize,
-    /// Injections skipped by the interruption cap.
+    /// Work items skipped by the interruption cap.
     pub skipped: usize,
     /// Whether the golden trace came from the cache instead of a fresh
     /// simulation.
@@ -607,6 +560,17 @@ impl ResilientCampaign {
     #[must_use]
     pub fn interrupted(&self) -> bool {
         self.skipped > 0
+    }
+
+    /// Resolved faults whose outcome carries `label`
+    /// ([`FaultOutcome::label`]).
+    #[must_use]
+    pub fn count(&self, label: &str) -> usize {
+        self.reports
+            .iter()
+            .flatten()
+            .filter(|r| r.outcome.label() == label)
+            .count()
     }
 
     /// The completed run as a classic [`CampaignReport`]; `None` while
@@ -626,7 +590,7 @@ impl ResilientCampaign {
 /// hash mixed with the observation interface (input/output/clock node
 /// ids) and the expanded stimulus itself, so a cache entry can only hit
 /// when the golden run it stores would be recomputed identically.
-pub(crate) fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
+fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&target.netlist.structural_hash().to_le_bytes());
     bytes.extend_from_slice(&(target.inputs.len() as u64).to_le_bytes());
@@ -648,35 +612,48 @@ pub(crate) fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u
     fnv64(&bytes)
 }
 
-/// [`run_campaign_recorded`] hardened for long campaigns: every
-/// injection runs under panic isolation with bounded retries and an
-/// optional per-item deadline, completed injections stream into a
-/// checkpoint journal so a killed campaign resumes where it stopped,
-/// and the golden trace is served from a content-addressed cache when
-/// one is supplied.
+/// Sweeps `faults` over `target`, applying the same `vectors`-long
+/// stimulus to a golden run and to every injection, and classifies each
+/// outcome on the engine `options` selects.
 ///
-/// Determinism contract: an interrupted run resumed to completion
-/// produces `reports` byte-identical to an uninterrupted run, for any
-/// thread count on either side — outcomes land at their fault's index
-/// and journal replay keys on that index. A permanently failing
-/// injection (panicking every attempt or exceeding its deadline)
-/// degrades to [`FaultOutcome::Errored`] at its slot; it never aborts
-/// the campaign and is retried on resume rather than journaled.
+/// The work is split into the engine's work items (see
+/// [`Engine::work_items`]) and spread over the policy's threads. Each
+/// item runs under panic isolation with bounded retries and an optional
+/// deadline; completed items stream into the checkpoint journal when
+/// one is given, so a killed campaign resumes where it stopped; and the
+/// golden trace is served from the cache when one is given. Both
+/// engines share the cache entries, and a journal written by one engine
+/// is not replayed by the other.
 ///
-/// Counters: `campaign.injections` counts slots resolved this run
-/// (replayed + computed), `campaign.vectors` counts only vectors
+/// Determinism contract: `reports` are identical for either engine on
+/// circuits both accept, for any thread count, and for an interrupted
+/// run resumed to completion at any thread count — outcomes land at
+/// their fault's index and journal replay keys on the item index. A
+/// permanently failing item (panicking every attempt or exceeding its
+/// deadline) degrades its faults to [`FaultOutcome::Errored`]; it never
+/// aborts the campaign and is retried on resume rather than journaled.
+///
+/// Counters: `campaign.injections` counts faults resolved this run
+/// (replayed or computed), `campaign.vectors` counts only vectors
 /// actually simulated, and the outcome-class counters tally the
 /// outcomes present in `reports` — so an interrupted run's counters
-/// reflect what it really did.
+/// reflect what it really did. Every counter except `exec.chunks` is
+/// the same for any thread count.
 ///
 /// # Errors
 ///
-/// The [`run_campaign`] contract: stimulus validation errors or a
-/// failing *golden* run abort the campaign. Faulted-run failures of any
-/// kind are classifications, never campaign failures.
-pub fn run_campaign_resilient(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
+/// Returns [`CircuitError::InvalidStimulus`] if `vectors` is zero or
+/// above 2^20, [`CircuitError::WidthMismatch`] if the stimulus width
+/// mismatches the target's input count, or any error from the *golden*
+/// run — a golden run that fails means the target, not the fault, is
+/// broken. The compiled engine also refuses, with
+/// [`CircuitError::Unlevelizable`], the shapes only the event engine can
+/// simulate: combinational cycles, multiply-driven nodes, gated or
+/// derived flip-flop clocks, register-to-register feedback, and bridge
+/// faults. Faulted-run failures of any kind are classifications
+/// ([`FaultOutcome::Detected`] or [`FaultOutcome::Errored`]), never
+/// campaign failures.
+pub fn run_campaign(
     target: &FaultTarget,
     faults: &[GateFault],
     stimulus: &mut PatternSource,
@@ -688,6 +665,11 @@ pub fn run_campaign_resilient(
             reason: "campaign needs at least one vector",
         });
     }
+    if vectors > MAX_CAMPAIGN_VECTORS {
+        return Err(CircuitError::InvalidStimulus {
+            reason: "campaign accepts at most 1048576 (2^20) vectors",
+        });
+    }
     if stimulus.width() != target.inputs.len() {
         return Err(CircuitError::WidthMismatch {
             what: "fault campaign stimulus",
@@ -695,17 +677,176 @@ pub fn run_campaign_resilient(
             got: stimulus.width(),
         });
     }
+    match options.engine {
+        Engine::Event => {
+            let engine = EventCampaign {
+                target,
+                faults,
+                vectors,
+                rec: options.recorder,
+            };
+            drive(&engine, target, faults, stimulus, vectors, options)
+        }
+        Engine::Compiled => {
+            let comp = CompiledNetlist::for_campaign(options.recorder, target, faults)?;
+            let engine = PackedCampaign::new(&comp, target, faults, vectors);
+            drive(&engine, target, faults, stimulus, vectors, options)
+        }
+    }
+}
+
+/// What an engine supplies to [`run_campaign`]: its golden run, its
+/// work items, how one item is simulated and journaled, and how item
+/// records become per-fault outcomes. Validation, stimulus expansion,
+/// the golden-trace cache, dispatch and the `campaign.*` counters are
+/// the shared pipeline's.
+pub(crate) trait CampaignEngine: Sync {
+    /// The fault-free reference items are classified against.
+    type Golden: Sync;
+    /// One unit of parallel work and of checkpoint journaling.
+    type Item: Clone + Sync;
+    /// One item's result, as journaled.
+    type Record: Send;
+
+    /// Runs the fault-free simulation over the expanded stimulus
+    /// `vecs`, keeping what the items need of it. `cached` is a golden
+    /// output trace from the cache, already shape-checked, which the
+    /// engine may use instead of simulating.
+    fn golden(
+        &self,
+        vecs: Vec<Vec<Bit>>,
+        cached: Option<Vec<Vec<Bit>>>,
+    ) -> Result<Self::Golden, CircuitError>;
+
+    /// The golden output trace to store in the cache.
+    fn golden_trace<'g>(&self, golden: &'g Self::Golden) -> Cow<'g, [Vec<Bit>]>;
+
+    /// The campaign's work items, in journal-index order.
+    fn items(&self) -> Cow<'_, [Self::Item]>;
+
+    /// Vectors one completed item simulated.
+    fn item_vectors(&self, item: &Self::Item) -> u64;
+
+    /// Simulates one item, polling `token` for its deadline.
+    fn run_item(
+        &self,
+        golden: &Self::Golden,
+        item: &Self::Item,
+        token: &CancelToken,
+    ) -> ItemStatus<Self::Record>;
+
+    /// A record's journal payload.
+    fn encode(record: &Self::Record) -> Vec<u8>;
+
+    /// A journal payload back as `item`'s record; `None` recomputes it.
+    fn decode(item: &Self::Item, bytes: &[u8]) -> Option<Self::Record>;
+
+    /// Per-fault outcomes from the item slots, in fault order; `None`
+    /// where a fault still waits on a skipped item. Lazy, so the
+    /// reports are built without a second per-fault buffer.
+    fn outcomes(
+        &self,
+        slots: Vec<Option<Result<Self::Record, ExecError>>>,
+    ) -> impl Iterator<Item = Option<FaultOutcome>>;
+
+    /// Flushes the engine's own counters.
+    fn flush(&self, _rec: &dyn Recorder) {}
+}
+
+/// The event engine: one fresh simulator per injection, every vector
+/// replayed, outcomes journaled per injection.
+struct EventCampaign<'a> {
+    target: &'a FaultTarget,
+    faults: &'a [GateFault],
+    vectors: usize,
+    rec: &'a dyn Recorder,
+}
+
+impl CampaignEngine for EventCampaign<'_> {
+    /// The stimulus every injection replays, and the golden output
+    /// trace.
+    type Golden = (Vec<Vec<Bit>>, Vec<Vec<Bit>>);
+    type Item = GateFault;
+    type Record = FaultOutcome;
+
+    fn golden(
+        &self,
+        vecs: Vec<Vec<Bit>>,
+        cached: Option<Vec<Vec<Bit>>>,
+    ) -> Result<Self::Golden, CircuitError> {
+        let trace = match cached {
+            Some(trace) => trace,
+            None => run_trace(self.target, &vecs, None, self.rec, CancelToken::never())?,
+        };
+        Ok((vecs, trace))
+    }
+
+    fn golden_trace<'g>(&self, (_, trace): &'g Self::Golden) -> Cow<'g, [Vec<Bit>]> {
+        Cow::Borrowed(trace)
+    }
+
+    fn items(&self) -> Cow<'_, [GateFault]> {
+        Cow::Borrowed(self.faults)
+    }
+
+    fn item_vectors(&self, _: &GateFault) -> u64 {
+        self.vectors as u64
+    }
+
+    fn run_item(
+        &self,
+        (vecs, golden): &Self::Golden,
+        fault: &GateFault,
+        token: &CancelToken,
+    ) -> ItemStatus<FaultOutcome> {
+        match run_trace(self.target, vecs, Some(fault), self.rec, token) {
+            Ok(trace) => ItemStatus::Done(classify(golden, &trace)),
+            Err(CircuitError::Cancelled { .. }) if token.is_cancelled() => ItemStatus::TimedOut,
+            Err(err) => ItemStatus::Done(FaultOutcome::Detected(err)),
+        }
+    }
+
+    fn encode(outcome: &FaultOutcome) -> Vec<u8> {
+        crate::persist::encode_outcome(outcome)
+    }
+
+    fn decode(_: &GateFault, bytes: &[u8]) -> Option<FaultOutcome> {
+        crate::persist::decode_outcome(bytes)
+    }
+
+    fn outcomes(
+        &self,
+        slots: Vec<Option<Result<FaultOutcome, ExecError>>>,
+    ) -> impl Iterator<Item = Option<FaultOutcome>> {
+        slots
+            .into_iter()
+            .map(|slot| slot.map(|res| res.unwrap_or_else(FaultOutcome::Errored)))
+    }
+}
+
+/// The engine-independent campaign pipeline behind [`run_campaign`],
+/// run after the stimulus checks.
+fn drive<E: CampaignEngine>(
+    engine: &E,
+    target: &FaultTarget,
+    faults: &[GateFault],
+    stimulus: &mut PatternSource,
+    vectors: usize,
+    options: CampaignOptions<'_>,
+) -> Result<ResilientCampaign, CircuitError> {
     let CampaignOptions {
+        policy,
+        recorder: rec,
         fault,
         cache,
         checkpoint,
+        ..
     } = options;
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
     let mut warnings = Vec::new();
-    let mut golden_from_cache = false;
-    let golden = {
+    let (golden, golden_from_cache) = {
         let _golden_timer = span(rec, names::SPAN_CAMPAIGN_GOLDEN);
+        let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
         let key = cache.map(|(c, seed)| {
             (
                 c,
@@ -733,90 +874,60 @@ pub fn run_campaign_resilient(
                 }
             }
         });
-        match cached {
-            Some(trace) => {
-                golden_from_cache = true;
-                trace
-            }
-            None => {
-                let trace = run_trace(target, &vecs, None, rec, CancelToken::never())?;
-                if let Some((c, k)) = key {
-                    if let Err(e) = c.store(k, &crate::persist::encode_trace(&trace)) {
-                        warnings.push(format!("golden-trace cache store failed: {e}"));
-                    }
-                }
-                trace
+        let from_cache = cached.is_some();
+        let golden = engine.golden(vecs, cached)?;
+        if let (Some((c, k)), false) = (key, from_cache) {
+            let trace = engine.golden_trace(&golden);
+            if let Err(e) = c.store(k, &crate::persist::encode_trace(&trace)) {
+                warnings.push(format!("golden-trace cache store failed: {e}"));
             }
         }
+        (golden, from_cache)
     };
-    let classify_item = |f: &GateFault, token: &CancelToken| -> ItemStatus<FaultOutcome> {
-        match run_trace(target, &vecs, Some(f), rec, token) {
-            Ok(trace) => ItemStatus::Done(classify(&golden, &trace)),
-            Err(CircuitError::Cancelled { .. }) if token.is_cancelled() => ItemStatus::TimedOut,
-            Err(err) => ItemStatus::Done(FaultOutcome::Detected(err)),
+    let items = engine.items();
+    let vectors_done = AtomicU64::new(0);
+    let run_item = |_: usize, item: &E::Item, token: &CancelToken| {
+        let status = engine.run_item(&golden, item, token);
+        if matches!(status, ItemStatus::Done(_)) {
+            vectors_done.fetch_add(engine.item_vectors(item), Ordering::Relaxed);
         }
+        status
     };
     let faults_timer = span(rec, names::SPAN_CAMPAIGN_FAULTS);
     let (slots, replayed, computed, skipped) = match checkpoint {
         Some(spec) => {
             let out = run_checkpointed(
-                policy,
+                &policy,
                 &fault,
                 rec,
-                faults,
+                &items,
                 spec,
-                |o: &FaultOutcome| crate::persist::encode_outcome(o),
-                |_, bytes| crate::persist::decode_outcome(bytes),
-                |_, f, token| classify_item(f, token),
+                E::encode,
+                E::decode,
+                run_item,
             );
             warnings.extend(out.warnings);
             (out.results, out.replayed, out.computed, out.skipped)
         }
         None => {
-            let res = parallel_map_isolated(policy, &fault, rec, faults, |_, f, token| {
-                classify_item(f, token)
-            });
+            let res = parallel_map_isolated(&policy, &fault, rec, &items, run_item);
             let computed = res.len();
-            (
-                res.into_iter().map(Some).collect::<Vec<_>>(),
-                0,
-                computed,
-                0,
-            )
+            (res.into_iter().map(Some).collect(), 0, computed, 0)
         }
     };
     drop(faults_timer);
     drop(timer);
-    let reports: Vec<Option<FaultReport>> = slots
-        .into_iter()
+    let reports = engine
+        .outcomes(slots)
         .zip(faults)
-        .map(|(slot, f)| {
-            slot.map(|res| FaultReport {
+        .map(|(outcome, f)| {
+            outcome.map(|outcome| FaultReport {
                 fault: f.clone(),
-                outcome: match res {
-                    Ok(o) => o,
-                    Err(e) => FaultOutcome::Errored(e),
-                },
+                outcome,
             })
         })
         .collect();
-    if rec.is_enabled() {
-        let count = |label: &str| {
-            reports
-                .iter()
-                .flatten()
-                .filter(|r| r.outcome.label() == label)
-                .count() as u64
-        };
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(names::CAMPAIGN_INJECTIONS, (replayed + computed) as u64);
-        rec.add(names::CAMPAIGN_VECTORS, (vectors * computed) as u64);
-        rec.add(names::CAMPAIGN_DETECTED, count("detected"));
-        rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
-        rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
-        rec.add(names::CAMPAIGN_MASKED, count("masked"));
-    }
-    Ok(ResilientCampaign {
+    let res = ResilientCampaign {
         target: target.name.clone(),
         vectors,
         reports,
@@ -825,7 +936,25 @@ pub fn run_campaign_resilient(
         skipped,
         golden_from_cache,
         warnings,
-    })
+    };
+    if rec.is_enabled() {
+        let count = |label: &str| res.count(label) as u64;
+        rec.add(names::CAMPAIGN_TARGETS, 1);
+        rec.add(
+            names::CAMPAIGN_INJECTIONS,
+            res.reports.iter().flatten().count() as u64,
+        );
+        rec.add(
+            names::CAMPAIGN_VECTORS,
+            vectors_done.load(Ordering::Relaxed),
+        );
+        rec.add(names::CAMPAIGN_DETECTED, count("detected"));
+        rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
+        rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
+        rec.add(names::CAMPAIGN_MASKED, count("masked"));
+        engine.flush(rec);
+    }
+    Ok(res)
 }
 
 /// Builds the five standard datapath targets at the given width: the
@@ -908,6 +1037,25 @@ mod tests {
         standard_targets(width).unwrap().into_iter().next().unwrap()
     }
 
+    /// A default-options campaign's completed report.
+    fn campaign(
+        target: &FaultTarget,
+        faults: &[GateFault],
+        stimulus: &mut PatternSource,
+        vectors: usize,
+    ) -> CampaignReport {
+        run_campaign(
+            target,
+            faults,
+            stimulus,
+            vectors,
+            CampaignOptions::default(),
+        )
+        .unwrap()
+        .report()
+        .unwrap()
+    }
+
     #[test]
     fn outcome_merge_is_a_max_over_the_word_class_precedence() {
         let detected_unknown = || FaultOutcome::Detected(CircuitError::UnknownNode(3));
@@ -974,10 +1122,20 @@ mod tests {
         let run = |threads: usize| {
             let reg = MetricsRegistry::new();
             let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-            let policy = ExecPolicy::with_threads(threads);
-            let report =
-                run_campaign_recorded(&policy, &reg, &target, &faults, &mut src, 6).unwrap();
-            (reg.snapshot(), report)
+            let options = CampaignOptions {
+                policy: ExecPolicy::with_threads(threads),
+                recorder: &reg,
+                ..CampaignOptions::default()
+            };
+            let res = run_campaign(&target, &faults, &mut src, 6, options).unwrap();
+            // Without a journal or cache every injection is computed
+            // fresh and nothing is worth a warning.
+            assert!(!res.interrupted());
+            assert_eq!(res.replayed, 0);
+            assert_eq!(res.computed, faults.len());
+            assert!(!res.golden_from_cache);
+            assert!(res.warnings.is_empty());
+            (reg.snapshot(), res.report().unwrap())
         };
 
         let (snap1, report) = run(1);
@@ -1022,7 +1180,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::counting(target.inputs.len(), 0).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 8).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 8);
         assert_eq!(report.reports[0].outcome, FaultOutcome::Corrupted);
     }
 
@@ -1034,7 +1192,7 @@ mod tests {
             input_index: target.inputs.len() - 1,
         };
         let mut src = PatternSource::zeros(target.inputs.len()).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4);
         assert_eq!(report.reports[0].outcome, FaultOutcome::PropagatedAsX);
     }
 
@@ -1047,7 +1205,7 @@ mod tests {
             value: Bit::Zero,
         };
         let mut src = PatternSource::zeros(target.inputs.len()).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4);
         assert_eq!(report.reports[0].outcome, FaultOutcome::Masked);
     }
 
@@ -1078,7 +1236,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::zeros(2).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 2).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 2);
         assert!(
             matches!(
                 report.reports[0].outcome,
@@ -1107,7 +1265,7 @@ mod tests {
         };
         let fault = GateFault::Bridge { a, b: buf2 };
         let mut src = PatternSource::counting(1, 0).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4);
         assert_eq!(report.reports[0].outcome, FaultOutcome::Masked);
     }
 
@@ -1116,14 +1274,38 @@ mod tests {
         let target = adder_target(4);
         let mut narrow = PatternSource::zeros(2).unwrap();
         assert!(matches!(
-            run_campaign(&target, &[], &mut narrow, 4),
+            run_campaign(&target, &[], &mut narrow, 4, CampaignOptions::default()),
             Err(CircuitError::WidthMismatch { .. })
         ));
         let mut ok = PatternSource::zeros(target.inputs.len()).unwrap();
         assert!(matches!(
-            run_campaign(&target, &[], &mut ok, 0),
+            run_campaign(&target, &[], &mut ok, 0, CampaignOptions::default()),
             Err(CircuitError::InvalidStimulus { .. })
         ));
+    }
+
+    #[test]
+    fn campaign_rejects_unbounded_vectors_before_allocating() {
+        let target = adder_target(2);
+        let faults = stuck_at_universe(&target.netlist);
+        for engine in [Engine::Event, Engine::Compiled] {
+            let options = || CampaignOptions {
+                engine,
+                ..CampaignOptions::default()
+            };
+            let mut src = PatternSource::zeros(target.inputs.len()).unwrap();
+            // 10^11 vectors would ask for terabytes of expanded stimulus.
+            assert_eq!(
+                run_campaign(&target, &faults, &mut src, 100_000_000_000, options()).unwrap_err(),
+                CircuitError::InvalidStimulus {
+                    reason: "campaign accepts at most 1048576 (2^20) vectors",
+                }
+            );
+            assert!(matches!(
+                run_campaign(&target, &[], &mut src, MAX_CAMPAIGN_VECTORS + 1, options()),
+                Err(CircuitError::InvalidStimulus { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1143,7 +1325,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::counting(4, 0).unwrap();
-        let report = run_campaign(regs, &[fault], &mut src, 6).unwrap();
+        let report = campaign(regs, &[fault], &mut src, 6);
         assert_eq!(report.reports[0].outcome, FaultOutcome::Corrupted);
     }
 
@@ -1184,31 +1366,6 @@ mod tests {
     }
 
     #[test]
-    fn resilient_matches_classic_runner_without_options() {
-        let target = adder_target(2);
-        let faults = stuck_at_universe(&target.netlist);
-        let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-        let classic = run_campaign(&target, &faults, &mut src, 4).unwrap();
-        let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-        let resilient = run_campaign_resilient(
-            &ExecPolicy::with_threads(2),
-            lowvolt_obs::noop(),
-            &target,
-            &faults,
-            &mut src,
-            4,
-            CampaignOptions::default(),
-        )
-        .unwrap();
-        assert!(!resilient.interrupted());
-        assert_eq!(resilient.replayed, 0);
-        assert_eq!(resilient.computed, faults.len());
-        assert!(!resilient.golden_from_cache);
-        assert!(resilient.warnings.is_empty());
-        assert_eq!(resilient.report().unwrap(), classic);
-    }
-
-    #[test]
     fn item_deadline_degrades_to_errored_outcomes() {
         let target = adder_target(2);
         let faults = stuck_at_universe(&target.netlist);
@@ -1221,16 +1378,7 @@ mod tests {
             ..CampaignOptions::default()
         };
         let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-        let res = run_campaign_resilient(
-            &ExecPolicy::serial(),
-            lowvolt_obs::noop(),
-            &target,
-            &faults[..3],
-            &mut src,
-            4,
-            options,
-        )
-        .unwrap();
+        let res = run_campaign(&target, &faults[..3], &mut src, 4, options).unwrap();
         // The golden run carries no deadline, so the campaign proceeds;
         // every injection hits the already-fired token and degrades to a
         // typed per-item error instead of aborting anything.
@@ -1261,14 +1409,13 @@ mod tests {
         let run = || {
             let reg = MetricsRegistry::new();
             let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-            let res = run_campaign_resilient(
-                &ExecPolicy::serial(),
-                &reg,
+            let res = run_campaign(
                 &target,
                 &faults,
                 &mut src,
                 4,
                 CampaignOptions {
+                    recorder: &reg,
                     cache: Some((&cache, 1)),
                     ..CampaignOptions::default()
                 },

@@ -3,36 +3,37 @@
 //! to the serial sweep, for any thread count.
 
 use lowvolt_circuit::faults::{
-    run_campaign, run_campaign_with, standard_targets, stuck_at_universe, CampaignReport,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, CampaignReport, FaultTarget,
 };
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_exec::ExecPolicy;
 
-fn serial_reports(width: usize, vectors: usize) -> Vec<CampaignReport> {
-    let targets = standard_targets(width).expect("standard targets build");
-    targets
-        .iter()
-        .map(|target| {
-            let faults = stuck_at_universe(&target.netlist);
-            let mut src = PatternSource::random(target.inputs.len(), 0xD5EED).expect("stimulus");
-            run_campaign(target, &faults, &mut src, vectors).expect("serial campaign")
-        })
-        .collect()
+fn report(target: &FaultTarget, policy: ExecPolicy, seed: u64, vectors: usize) -> CampaignReport {
+    let faults = stuck_at_universe(&target.netlist);
+    let mut src = PatternSource::random(target.inputs.len(), seed).expect("stimulus");
+    let options = CampaignOptions {
+        policy,
+        ..CampaignOptions::default()
+    };
+    run_campaign(target, &faults, &mut src, vectors, options)
+        .expect("campaign runs")
+        .report()
+        .expect("an unjournaled run resolves every fault")
 }
 
 #[test]
 fn campaign_identical_for_any_thread_count() {
     let width = 4;
     let vectors = 8;
-    let serial = serial_reports(width, vectors);
     let targets = standard_targets(width).expect("standard targets build");
+    let serial: Vec<CampaignReport> = targets
+        .iter()
+        .map(|target| report(target, ExecPolicy::serial(), 0xD5EED, vectors))
+        .collect();
     for threads in [1, 2, 3, 8] {
         let policy = ExecPolicy::with_threads(threads);
         for (target, expected) in targets.iter().zip(&serial) {
-            let faults = stuck_at_universe(&target.netlist);
-            let mut src = PatternSource::random(target.inputs.len(), 0xD5EED).expect("stimulus");
-            let got = run_campaign_with(&policy, target, &faults, &mut src, vectors)
-                .expect("parallel campaign");
+            let got = report(target, policy, 0xD5EED, vectors);
             // Structural equality: same faults in the same order with the
             // same classifications…
             assert_eq!(&got, expected, "threads = {threads}, {}", target.name);
@@ -53,11 +54,7 @@ fn campaign_default_policy_matches_serial() {
     // must agree with the serial reference.
     let targets = standard_targets(2).expect("standard targets build");
     let target = &targets[0];
-    let faults = stuck_at_universe(&target.netlist);
-    let mut src = PatternSource::random(target.inputs.len(), 7).expect("stimulus");
-    let serial = run_campaign(target, &faults, &mut src, 4).expect("serial");
-    let mut src = PatternSource::random(target.inputs.len(), 7).expect("stimulus");
-    let parallel =
-        run_campaign_with(&ExecPolicy::from_env(), target, &faults, &mut src, 4).expect("parallel");
+    let serial = report(target, ExecPolicy::serial(), 7, 4);
+    let parallel = report(target, ExecPolicy::from_env(), 7, 4);
     assert_eq!(serial, parallel);
 }

@@ -13,33 +13,38 @@
 
 use std::collections::HashMap;
 
-use lowvolt_circuit::compiled::{run_campaign_packed, CompiledNetlist};
+use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::faults::{
-    run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultTarget,
+    ResilientCampaign,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_circuit::NodeId;
 use lowvolt_exec::ExecPolicy;
+use lowvolt_obs::{names, noop, MetricsRegistry, Recorder};
 
 const VECTORS: usize = 96; // two packed words, the second half-full
 const SEED: u64 = 0xD1FF;
 
-fn event_reference(target: &FaultTarget, seed: u64) -> lowvolt_circuit::faults::ResilientCampaign {
+fn campaign(
+    target: &FaultTarget,
+    seed: u64,
+    engine: Engine,
+    threads: usize,
+    recorder: &dyn Recorder,
+) -> ResilientCampaign {
     let faults = stuck_at_universe(&target.netlist);
     let mut stimulus =
         PatternSource::random(target.inputs.len(), seed).expect("stimulus width is nonzero");
-    run_campaign_resilient(
-        &ExecPolicy::serial(),
-        lowvolt_obs::noop(),
-        target,
-        &faults,
-        &mut stimulus,
-        VECTORS,
-        CampaignOptions::default(),
-    )
-    .expect("event campaign runs")
+    let options = CampaignOptions {
+        engine,
+        policy: ExecPolicy::with_threads(threads),
+        recorder,
+        ..CampaignOptions::default()
+    };
+    run_campaign(target, &faults, &mut stimulus, VECTORS, options).expect("campaign runs")
 }
 
 /// Every fault on every standard datapath classifies identically under
@@ -50,23 +55,11 @@ fn packed_campaign_matches_event_on_all_standard_targets() {
     let targets = standard_targets(4).expect("standard targets build");
     for (i, target) in targets.iter().enumerate() {
         let seed = SEED.wrapping_add(i as u64);
-        let event = event_reference(target, seed);
+        let event = campaign(target, seed, Engine::Event, 1, noop());
         let event_report = event.report().expect("event campaign completed");
         let faults = stuck_at_universe(&target.netlist);
         for threads in [1usize, 2, 8] {
-            let policy = ExecPolicy::with_threads(threads);
-            let mut stimulus = PatternSource::random(target.inputs.len(), seed)
-                .expect("stimulus width is nonzero");
-            let packed = run_campaign_packed(
-                &policy,
-                lowvolt_obs::noop(),
-                target,
-                &faults,
-                &mut stimulus,
-                VECTORS,
-                CampaignOptions::default(),
-            )
-            .expect("packed campaign runs");
+            let packed = campaign(target, seed, Engine::Compiled, threads, noop());
             assert_eq!(event.reports.len(), packed.reports.len());
             for (f, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports)) {
                 let e = e.as_ref().expect("event outcome resolved");
@@ -84,6 +77,50 @@ fn packed_campaign_matches_event_on_all_standard_targets() {
                 "rendered report diverged on {} at {threads} thread(s)",
                 target.name
             );
+        }
+    }
+}
+
+/// The shared campaign epilogue makes the `campaign.*` counters part of
+/// the cross-engine contract: both engines report the same targets,
+/// injections, simulated vectors and outcome classes on every standard
+/// datapath at every thread count.
+#[test]
+fn campaign_counters_match_across_engines() {
+    let targets = standard_targets(4).expect("standard targets build");
+    for (i, target) in targets.iter().enumerate() {
+        let seed = SEED.wrapping_add(i as u64);
+        let counters = |engine: Engine, threads: usize| {
+            let reg = MetricsRegistry::new();
+            campaign(target, seed, engine, threads, &reg);
+            let snap = reg.snapshot();
+            names::COUNTERS
+                .iter()
+                .filter(|name| name.starts_with("campaign."))
+                .map(|&name| (name, snap.counter(name)))
+                .collect::<Vec<_>>()
+        };
+        let reference = counters(Engine::Event, 1);
+        let faults = stuck_at_universe(&target.netlist).len() as u64;
+        let get = |name: &str| {
+            reference
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        assert_eq!(reference.len(), 7, "every campaign counter compared");
+        assert_eq!(get(names::CAMPAIGN_TARGETS), 1);
+        assert_eq!(get(names::CAMPAIGN_INJECTIONS), faults);
+        assert_eq!(get(names::CAMPAIGN_VECTORS), faults * VECTORS as u64);
+        for engine in [Engine::Event, Engine::Compiled] {
+            for threads in [1usize, 2, 8] {
+                assert_eq!(
+                    counters(engine, threads),
+                    reference,
+                    "{} on {engine:?} at {threads} thread(s)",
+                    target.name
+                );
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! width-mismatched stimulus, and full stuck-at fault campaigns over
 //! random circuits.
 
-use lowvolt_circuit::faults::{run_campaign, stuck_at_universe, FaultTarget};
+use lowvolt_circuit::faults::{run_campaign, stuck_at_universe, CampaignOptions, FaultTarget};
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 use lowvolt_circuit::sim::Simulator;
@@ -194,9 +194,12 @@ proptest! {
             clock: None,
         };
         let mut src = PatternSource::random(inputs.len(), seed).expect("non-zero width");
-        match run_campaign(&target, &faults, &mut src, 6) {
-            Ok(report) => {
+        match run_campaign(&target, &faults, &mut src, 6, CampaignOptions::default()) {
+            Ok(res) => {
+                let report = res.report().expect("an unjournaled run resolves every fault");
                 prop_assert_eq!(report.faults(), universe);
+                // A panicking injection would be isolated as `errored`,
+                // which this sum leaves out.
                 prop_assert_eq!(
                     report.detected()
                         + report.corrupted()

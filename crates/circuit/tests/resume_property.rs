@@ -10,9 +10,8 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use lowvolt_circuit::compiled::{packed_campaign_items, run_campaign_packed};
 use lowvolt_circuit::faults::{
-    run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, FaultOutcome,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
     FaultTarget, GateFault,
 };
 use lowvolt_circuit::persist::encode_word_classes;
@@ -49,14 +48,13 @@ fn run_with_journal(
     cap: Option<usize>,
     threads: usize,
 ) -> lowvolt_circuit::faults::ResilientCampaign {
-    run_campaign_resilient(
-        &ExecPolicy::with_threads(threads),
-        lowvolt_obs::noop(),
+    run_campaign(
         target,
         faults,
         &mut stimulus(target),
         VECTORS,
         CampaignOptions {
+            policy: ExecPolicy::with_threads(threads),
             checkpoint: Some(CheckpointSpec {
                 journal,
                 completed,
@@ -73,9 +71,7 @@ fn run_with_journal(
 fn kill_after_k_and_resume_is_byte_identical_for_every_k() {
     let target = adder_target();
     let faults = stuck_at_universe(&target.netlist);
-    let reference = run_campaign_resilient(
-        &ExecPolicy::serial(),
-        lowvolt_obs::noop(),
+    let reference = run_campaign(
         &target,
         &faults,
         &mut stimulus(&target),
@@ -128,9 +124,7 @@ fn kill_after_k_and_resume_is_byte_identical_for_every_k() {
 fn seeded_journal_corruption_degrades_to_recompute_with_warning() {
     let target = adder_target();
     let faults = stuck_at_universe(&target.netlist);
-    let reference = run_campaign_resilient(
-        &ExecPolicy::serial(),
-        lowvolt_obs::noop(),
+    let reference = run_campaign(
         &target,
         &faults,
         &mut stimulus(&target),
@@ -201,14 +195,13 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
     let path = tmp("timeout");
     let _ = std::fs::remove_file(&path);
     let mut journal = CheckpointJournal::create(&path).expect("create");
-    let doomed = run_campaign_resilient(
-        &ExecPolicy::with_threads(2),
-        lowvolt_obs::noop(),
+    let doomed = run_campaign(
         &target,
         &faults,
         &mut stimulus(&target),
         VECTORS,
         CampaignOptions {
+            policy: ExecPolicy::with_threads(2),
             fault: FaultPolicy {
                 item_timeout_ms: Some(0),
                 backoff_base_ms: 0,
@@ -277,14 +270,14 @@ fn run_packed_with_journal(
     cap: Option<usize>,
     threads: usize,
 ) -> lowvolt_circuit::faults::ResilientCampaign {
-    run_campaign_packed(
-        &ExecPolicy::with_threads(threads),
-        lowvolt_obs::noop(),
+    run_campaign(
         target,
         faults,
         &mut stimulus(target),
         PACKED_VECTORS,
         CampaignOptions {
+            engine: Engine::Compiled,
+            policy: ExecPolicy::with_threads(threads),
             checkpoint: Some(CheckpointSpec {
                 journal,
                 completed,
@@ -304,16 +297,17 @@ fn run_packed_with_journal(
 #[test]
 fn packed_kill_after_k_items_and_resume_is_byte_identical() {
     let (target, faults) = multi_range_target();
-    let total = packed_campaign_items(PACKED_VECTORS, faults.len()) as usize;
+    let total = Engine::Compiled.work_items(PACKED_VECTORS, faults.len()) as usize;
     assert_eq!(total, 6, "2 words x 3 fault ranges");
-    let reference = run_campaign_packed(
-        &ExecPolicy::serial(),
-        lowvolt_obs::noop(),
+    let reference = run_campaign(
         &target,
         &faults,
         &mut stimulus(&target),
         PACKED_VECTORS,
-        CampaignOptions::default(),
+        CampaignOptions {
+            engine: Engine::Compiled,
+            ..CampaignOptions::default()
+        },
     )
     .expect("reference campaign")
     .report()
@@ -370,7 +364,7 @@ fn packed_kill_after_k_items_and_resume_is_byte_identical() {
 #[test]
 fn packed_record_of_the_wrong_length_is_recomputed_with_a_warning() {
     let (target, faults) = multi_range_target();
-    let total = packed_campaign_items(PACKED_VECTORS, faults.len()) as usize;
+    let total = Engine::Compiled.work_items(PACKED_VECTORS, faults.len()) as usize;
     let clean = {
         let path = tmp("packed-wrong-len-ref");
         let _ = std::fs::remove_file(&path);

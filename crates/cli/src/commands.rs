@@ -194,10 +194,10 @@ activity are byte-identical to the event engine on supported circuits;
 structures only the event engine can simulate (combinational cycles,
 bridge faults, gated flip-flop clocks, register feedback) are refused
 with an explanatory error. Under `--engine compiled` the checkpoint,
-`--interrupt-after`, and resume unit is a 64-vector stimulus *word*,
-not an injection; a target with more than 1024 faults splits each word
-into one item per 1024-fault range, and the interrupted run's `stimulus
-word(s) pending` count counts those items. A journal written by one
+`--interrupt-after`, and resume unit is a *work item* (one 64-vector
+stimulus word over a range of up to 1024 faults), not an injection;
+the checkpoint line and the interrupted run's pending count are in
+work items. A journal written by one
 engine is not replayed by the other (the mismatched records are
 recomputed with a warning).
 
@@ -1427,7 +1427,7 @@ mod tests {
             "{interrupted}"
         );
         assert!(
-            interrupted.contains("stimulus word(s) pending"),
+            interrupted.contains("campaign interrupted: 7 work item(s) pending"),
             "{interrupted}"
         );
         assert!(interrupted.contains("--"), "partial coverage shown");
@@ -1441,6 +1441,10 @@ mod tests {
         let table = |s: &str| s.split("\n\n").nth(1).map(str::to_string);
         assert_eq!(table(&clean), table(&resumed));
         assert!(!resumed.contains("campaign interrupted"), "{resumed}");
+        assert!(
+            resumed.contains("(3 completed work item(s) on file)"),
+            "{resumed}"
+        );
         std::fs::remove_file(&journal).ok();
     }
 

@@ -23,6 +23,26 @@ fn errors_go_to_stderr_with_nonzero_exit() {
 }
 
 #[test]
+fn campaign_with_unbounded_vectors_exits_2_instead_of_aborting() {
+    // Expanding 10^11 stimulus vectors up front would need terabytes;
+    // the campaign must refuse the count before allocating anything.
+    for engine in ["event", "compiled"] {
+        let out = lowvolt()
+            .args(["campaign", "--width", "2", "--vectors", "100000000000"])
+            .args(["--engine", engine])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{engine}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("at most 1048576 (2^20) vectors"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{engine}");
+    }
+}
+
+#[test]
 fn lint_gate_failure_prints_report_to_stdout_with_exit_1() {
     let out = lowvolt()
         .args(["lint", "--fixture", "sleep", "--json"])

@@ -6,9 +6,9 @@
 
 use std::path::Path;
 
-use lowvolt_circuit::compiled::{run_campaign_packed, CompiledNetlist};
+use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::faults::{
-    run_campaign_resilient, stuck_at_universe, CampaignOptions, CampaignReport, FaultTarget,
+    run_campaign, stuck_at_universe, CampaignOptions, CampaignReport, Engine, FaultTarget,
     GateFault,
 };
 use lowvolt_circuit::logic::Bit;
@@ -121,9 +121,7 @@ fn c17_campaign_event_vs_compiled_thread_invariant() {
     let target = fault_target(&c17());
     let faults = stuck_at_universe(&target.netlist);
     let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
-    let event = run_campaign_resilient(
-        &ExecPolicy::serial(),
-        lowvolt_obs::noop(),
+    let event = run_campaign(
         &target,
         &faults,
         &mut stimulus,
@@ -135,14 +133,16 @@ fn c17_campaign_event_vs_compiled_thread_invariant() {
     for threads in [1usize, 2, 8] {
         let mut stimulus =
             PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
-        let packed = run_campaign_packed(
-            &ExecPolicy::with_threads(threads),
-            lowvolt_obs::noop(),
+        let packed = run_campaign(
             &target,
             &faults,
             &mut stimulus,
             VECTORS,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                policy: ExecPolicy::with_threads(threads),
+                ..CampaignOptions::default()
+            },
         )
         .expect("packed campaign runs");
         for (f, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports)) {
@@ -172,14 +172,16 @@ fn generated_campaign_thread_invariant() {
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 8] {
         let mut stimulus = PatternSource::random(target.inputs.len(), 7).expect("stimulus builds");
-        let packed = run_campaign_packed(
-            &ExecPolicy::with_threads(threads),
-            lowvolt_obs::noop(),
+        let packed = run_campaign(
             &target,
             &faults,
             &mut stimulus,
             VECTORS,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                policy: ExecPolicy::with_threads(threads),
+                ..CampaignOptions::default()
+            },
         )
         .expect("packed campaign runs");
         let rendered = packed.report().expect("completed").to_string();
@@ -215,14 +217,15 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
     assert!(faults.len() > 1024, "{} faults fit one range", faults.len());
     let sample: Vec<GateFault> = faults.iter().step_by(STRIDE).cloned().collect();
     let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
-    let event = run_campaign_resilient(
-        &ExecPolicy::with_threads(2),
-        lowvolt_obs::noop(),
+    let event = run_campaign(
         &target,
         &sample,
         &mut stimulus,
         VECTORS,
-        CampaignOptions::default(),
+        CampaignOptions {
+            policy: ExecPolicy::with_threads(2),
+            ..CampaignOptions::default()
+        },
     )
     .expect("event campaign runs")
     .report()
@@ -231,14 +234,16 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
     for threads in [1usize, 2, 8] {
         let mut stimulus =
             PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
-        let packed = run_campaign_packed(
-            &ExecPolicy::with_threads(threads),
-            lowvolt_obs::noop(),
+        let packed = run_campaign(
             &target,
             &faults,
             &mut stimulus,
             VECTORS,
-            CampaignOptions::default(),
+            CampaignOptions {
+                engine: Engine::Compiled,
+                policy: ExecPolicy::with_threads(threads),
+                ..CampaignOptions::default()
+            },
         )
         .expect("packed campaign runs")
         .report()

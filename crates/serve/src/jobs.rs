@@ -5,21 +5,23 @@
 //! corresponding CLI run *by construction*, not by parallel
 //! maintenance.
 //!
-//! Campaign jobs additionally support sharded execution: the fault
-//! universe (injections for the event engine, (64-vector stimulus word,
-//! 1024-fault range) items for the compiled engine) is processed in
-//! bounded rounds through the `LVJR0001` checkpoint journal, with a
-//! progress callback after every round. Because per-item results are deterministic for any thread
-//! count and journal replay decodes to the same classification the
-//! simulator computes, the final table is byte-identical whether the
-//! job ran in one shot, in shards, or across a daemon kill/restart.
+//! Campaign jobs run every target through the one
+//! [`lowvolt_circuit::faults::run_campaign`] on the spec's [`Engine`]
+//! (re-exported here), which owns the work-item layout: an injection
+//! for the event engine, a (64-vector stimulus word, 1024-fault range)
+//! pair for the compiled one. They additionally support sharded
+//! execution: the work items are processed in bounded rounds through
+//! the `LVJR0001` checkpoint journal, with a progress callback after
+//! every round. Because per-item results are deterministic for any
+//! thread count and journal replay decodes to the same classification
+//! the simulator computes, the final table is byte-identical whether
+//! the job ran in one shot, in shards, or across a daemon kill/restart.
 
 use std::collections::HashMap;
 
-use lowvolt_circuit::compiled::{packed_campaign_items, run_campaign_packed};
+pub use lowvolt_circuit::faults::Engine;
 use lowvolt_circuit::faults::{
-    run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
-    ResilientCampaign,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
 };
 use lowvolt_circuit::ring::RingOscillator;
 use lowvolt_circuit::stimulus::PatternSource;
@@ -219,33 +221,6 @@ pub fn select_standard_targets(name: &str, width: usize) -> Result<Vec<LintTarge
     }
 }
 
-/// Which simulation engine a campaign runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The event-driven simulator (default; handles every circuit).
-    Event,
-    /// The bit-parallel levelized engine (64 vectors per word).
-    Compiled,
-}
-
-impl Engine {
-    /// Parses an engine name as the `--engine` flag / `"engine"` job
-    /// field spells it.
-    ///
-    /// # Errors
-    ///
-    /// Unknown names list the valid engines.
-    pub fn parse(name: &str) -> Result<Engine, JobError> {
-        match name {
-            "event" => Ok(Engine::Event),
-            "compiled" => Ok(Engine::Compiled),
-            other => Err(JobError(format!(
-                "unknown engine `{other}` (event, compiled)"
-            ))),
-        }
-    }
-}
-
 /// What a stuck-at campaign runs: circuit source, stimulus shape, and
 /// per-injection fault policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -389,13 +364,10 @@ pub fn run_campaign_job(
         .iter()
         .map(|t| stuck_at_universe(&t.netlist))
         .collect();
-    let items_for = |i: usize| -> u64 {
-        match spec.engine {
-            Engine::Event => faults_per[i].len() as u64,
-            Engine::Compiled => packed_campaign_items(spec.vectors, faults_per[i].len()),
-        }
-    };
-    let total_items: u64 = (0..targets.len()).map(items_for).sum();
+    let items_for = |i: usize| spec.engine.work_items(spec.vectors, faults_per[i].len());
+    let total_items = (0..targets.len())
+        .map(items_for)
+        .fold(0u64, u64::saturating_add);
 
     // Header block: everything before the first blank line may vary
     // between a fresh, interrupted, and resumed run; the coverage table
@@ -426,13 +398,6 @@ pub fn run_campaign_job(
     let run_round = |journal_state: &mut Option<(CheckpointJournal, HashMap<u64, Vec<u8>>)>,
                      budget: Option<usize>|
      -> Result<Round, JobError> {
-        let label_count = |res: &ResilientCampaign, label: &str| {
-            res.reports
-                .iter()
-                .flatten()
-                .filter(|r| r.outcome.label() == label)
-                .count()
-        };
         let mut t = Table::new([
             "target",
             "faults",
@@ -457,6 +422,9 @@ pub fn run_campaign_job(
             let target_seed = spec.seed.wrapping_add(i as u64);
             let mut stimulus = PatternSource::wide_random(target.inputs.len(), target_seed)?;
             let options = CampaignOptions {
+                engine: spec.engine,
+                policy: *policy,
+                recorder: rec,
                 fault: FaultPolicy {
                     max_retries: spec.max_retries,
                     item_timeout_ms: spec.item_timeout_ms,
@@ -472,38 +440,15 @@ pub fn run_campaign_job(
                         max_new_items: budget,
                     }),
             };
-            let res = match spec.engine {
-                Engine::Event => run_campaign_resilient(
-                    policy,
-                    rec,
-                    target,
-                    faults,
-                    &mut stimulus,
-                    spec.vectors,
-                    options,
-                )?,
-                Engine::Compiled => run_campaign_packed(
-                    policy,
-                    rec,
-                    target,
-                    faults,
-                    &mut stimulus,
-                    spec.vectors,
-                    options,
-                )?,
-            };
+            let res = run_campaign(target, faults, &mut stimulus, spec.vectors, options)?;
             round.warnings.extend(res.warnings.clone());
             if let Some(b) = budget {
                 budget = Some(b.saturating_sub(res.computed));
             }
             round.computed += res.computed;
             round.skipped += res.skipped;
-            // The journal item (and thus the index space) is an injection
-            // for the event engine but a (64-vector word, 1024-fault
-            // range) pair for the compiled one — one item per word unless
-            // the target has more than 1024 faults.
             index_base += items_for(i);
-            let masked = label_count(&res, "masked");
+            let masked = res.count("masked");
             let resolved = res.reports.iter().flatten().count();
             let coverage = if resolved == faults.len() {
                 format!(
@@ -516,11 +461,11 @@ pub fn run_campaign_job(
             t.push_row([
                 res.target.clone(),
                 faults.len().to_string(),
-                label_count(&res, "detected").to_string(),
-                label_count(&res, "corrupted").to_string(),
-                label_count(&res, "propagated-as-X").to_string(),
+                res.count("detected").to_string(),
+                res.count("corrupted").to_string(),
+                res.count("propagated-as-X").to_string(),
                 masked.to_string(),
-                label_count(&res, "errored").to_string(),
+                res.count("errored").to_string(),
                 coverage,
             ]);
         }
@@ -551,8 +496,9 @@ pub fn run_campaign_job(
             if let (Some(path), Some((_, completed))) = (persist.checkpoint, &journal_state) {
                 if persist.announce {
                     out.push_str(&format!(
-                        "checkpoint: {path} ({} completed injection(s) on file)\n",
-                        completed.len()
+                        "checkpoint: {path} ({} completed {}(s) on file)\n",
+                        completed.len(),
+                        spec.engine.work_unit()
                     ));
                 }
             }
@@ -579,14 +525,11 @@ pub fn run_campaign_job(
             payload_warnings.extend(round.warnings);
             out.push_str(&round.table.to_string());
             if round.skipped > 0 {
-                let unit = match spec.engine {
-                    Engine::Event => "injection",
-                    Engine::Compiled => "stimulus word",
-                };
                 out.push_str(&format!(
-                    "\ncampaign interrupted: {} {unit}(s) pending; \
+                    "\ncampaign interrupted: {} {}(s) pending; \
                      rerun with --resume --checkpoint to finish\n",
-                    round.skipped
+                    round.skipped,
+                    spec.engine.work_unit()
                 ));
             }
             if persist.announce {
@@ -1345,7 +1288,7 @@ mod tests {
         assert_eq!(Engine::parse("event").unwrap(), Engine::Event);
         assert_eq!(Engine::parse("compiled").unwrap(), Engine::Compiled);
         let err = Engine::parse("vliw").unwrap_err();
-        assert!(err.0.contains("unknown engine `vliw`"), "{err}");
+        assert_eq!(err, "unknown engine `vliw` (event, compiled)");
         let err = example_source("nonsuch").unwrap_err();
         assert!(err.0.contains("unknown example `nonsuch`"), "{err}");
     }

@@ -134,6 +134,31 @@ fn unknown_job_kinds_and_commands_are_rejected_by_name() {
 }
 
 #[test]
+fn unbounded_campaign_vectors_are_an_error_not_a_daemon_abort() {
+    let (addr, state, handle) = start("vectors");
+    let mut conn = Conn::open(&addr);
+
+    // 10^11 vectors would expand to terabytes of stimulus; the daemon
+    // must refuse the job, for every client, and keep serving.
+    for engine in ["event", "compiled"] {
+        conn.send(&format!(
+            "{{\"job\":\"campaign\",\"width\":2,\"vectors\":100000000000,\"engine\":\"{engine}\"}}"
+        ));
+        let mut event = conn.recv();
+        while event.contains("\"event\":\"accepted\"") {
+            event = conn.recv();
+        }
+        assert!(event.contains("\"event\":\"error\""), "{event}");
+        assert!(event.contains("at most 1048576 (2^20) vectors"), "{event}");
+    }
+    conn.send("{\"cmd\":\"ping\"}");
+    assert!(conn.recv().contains("\"event\":\"pong\""));
+
+    shutdown(&addr, handle);
+    std::fs::remove_dir_all(&state).ok();
+}
+
+#[test]
 fn oversized_lines_are_rejected_and_the_stream_stays_in_sync() {
     let (addr, state, handle) = start("oversized");
     let mut conn = Conn::open(&addr);

@@ -1,19 +1,18 @@
 //! Shard-merge determinism: splitting a packed campaign's stimulus into
 //! arbitrary vector shards and folding the per-shard classifications
 //! with [`FaultOutcome::merge`] reproduces the unsharded
-//! [`run_campaign_packed`] result bit-for-bit — for random shard sizes
+//! compiled-engine [`run_campaign`] result bit-for-bit — for random shard sizes
 //! and worker counts 1/2/8. This is the algebraic core of the serve
 //! daemon's resume guarantee: a job interrupted at any shard boundary
 //! and finished later reports exactly what an uninterrupted run would.
 
-use lowvolt_circuit::compiled::run_campaign_packed;
 use lowvolt_circuit::faults::{
-    standard_targets, stuck_at_universe, CampaignOptions, FaultOutcome, FaultTarget, GateFault,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
+    FaultTarget, GateFault,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_exec::ExecPolicy;
-use lowvolt_obs::noop;
 use proptest::prelude::*;
 
 /// One of the combinational standard datapaths at the given width.
@@ -40,14 +39,16 @@ fn classify(
     stimulus: &[Vec<Bit>],
 ) -> Vec<FaultOutcome> {
     let mut src = PatternSource::replay(stimulus.to_vec()).expect("replay");
-    let res = run_campaign_packed(
-        policy,
-        noop(),
+    let res = run_campaign(
         target,
         faults,
         &mut src,
         stimulus.len(),
-        CampaignOptions::default(),
+        CampaignOptions {
+            engine: Engine::Compiled,
+            policy: *policy,
+            ..CampaignOptions::default()
+        },
     )
     .expect("campaign runs");
     res.reports
