@@ -34,10 +34,11 @@ use lowvolt_exec::ExecPolicy;
 use lowvolt_io::{
     circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig, ImportedCircuit,
 };
+use lowvolt_obs::json::{fixed, quote};
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
 use lowvolt_serve::jobs::imported_fault_target;
-use lowvolt_serve::json::escape;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One stage's measurements. Counters come from the serial leg's
@@ -278,35 +279,31 @@ fn generated_sta_leg(
 }
 
 fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageResult]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"parallelism_available\": {parallelism},\n"));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str("  \"stages\": [\n");
+    let mut out = format!(
+        "{{\n  \"threads\": {threads},\n  \"parallelism_available\": {parallelism},\n  \"quick\": {quick},\n  \"stages\": [\n"
+    );
     for (i, s) in stages.iter().enumerate() {
-        let counters = s
-            .counters
-            .iter()
-            .map(|(name, v)| format!("\"{}\": {v}", escape(name)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let engine = s
-            .engine
-            .map(|e| format!("\"engine\": \"{}\", ", escape(e)))
-            .unwrap_or_default();
-        let throughput = s
-            .injections_per_sec()
-            .map(|r| format!("\"injections_per_sec\": {r:.1}, "))
-            .unwrap_or_default();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", {engine}\"serial_wall_ms\": {:.3}, \"parallel_wall_ms\": {:.3}, \"speedup\": {:.3}, {throughput}\"identical\": {}, \"counters\": {{{counters}}}}}{}\n",
-            escape(s.name),
-            s.serial_wall_ms,
-            s.parallel_wall_ms,
-            s.speedup(),
-            s.identical,
-            if i + 1 < stages.len() { "," } else { "" }
-        ));
+        let _ = write!(out, "    {{\"name\": {}, ", quote(s.name));
+        if let Some(e) = s.engine {
+            let _ = write!(out, "\"engine\": {}, ", quote(e));
+        }
+        let _ = write!(
+            out,
+            "\"serial_wall_ms\": {}, \"parallel_wall_ms\": {}, \"speedup\": {}, ",
+            fixed(s.serial_wall_ms, 3),
+            fixed(s.parallel_wall_ms, 3),
+            fixed(s.speedup(), 3)
+        );
+        if let Some(r) = s.injections_per_sec() {
+            let _ = write!(out, "\"injections_per_sec\": {}, ", fixed(r, 1));
+        }
+        let _ = write!(out, "\"identical\": {}, \"counters\": {{", s.identical);
+        for (j, (name, v)) in s.counters.iter().enumerate() {
+            let sep = if j > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}{}: {v}", quote(name));
+        }
+        let sep = if i + 1 < stages.len() { "," } else { "" };
+        let _ = writeln!(out, "}}}}{sep}");
     }
     out.push_str("  ]\n}\n");
     out
@@ -448,7 +445,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowvolt_serve::json::Json;
+    use lowvolt_obs::json::{escape, Json};
 
     /// A stage name with a quote, a backslash, the three named control
     /// escapes, two `\u00XX` ones and a non-ASCII letter.
@@ -465,26 +462,59 @@ mod tests {
 
     #[test]
     fn rendered_json_parses_back_with_control_characters_in_names() {
+        let every_control: &'static str = Box::leak(
+            (0u8..0x20)
+                .map(char::from)
+                .collect::<String>()
+                .into_boxed_str(),
+        );
+        let stages: Vec<StageResult> = [AWKWARD, every_control, "astral 𝄞😀\u{10FFFF}"]
+            .into_iter()
+            .map(|name| StageResult {
+                name,
+                engine: Some(name),
+                serial_wall_ms: 2.0,
+                parallel_wall_ms: 1.0,
+                identical: true,
+                counters: vec![(name, 3), (names::CAMPAIGN_INJECTIONS, 10)],
+            })
+            .collect();
+        let doc = Json::parse(&render_json(2, 2, true, &stages)).expect("valid JSON document");
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        let rows = doc.get("stages").and_then(Json::as_array).expect("stages");
+        assert_eq!(rows.len(), stages.len());
+        for (row, stage) in rows.iter().zip(&stages) {
+            assert_eq!(row.get("name").and_then(Json::as_str), Some(stage.name));
+            assert_eq!(row.get("engine").and_then(Json::as_str), stage.engine);
+            assert_eq!(
+                row.get("counters")
+                    .and_then(|c| c.get(stage.name))
+                    .and_then(Json::as_u64),
+                Some(3)
+            );
+            assert_eq!(row.get("speedup").and_then(Json::as_f64), Some(2.0));
+            assert_eq!(
+                row.get("injections_per_sec").and_then(Json::as_f64),
+                Some(5000.0)
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_timings_render_as_null() {
         let stage = StageResult {
-            name: AWKWARD,
-            engine: Some("compiled\tengine"),
-            serial_wall_ms: 2.0,
-            parallel_wall_ms: 1.0,
-            identical: true,
-            counters: vec![("line\nbreak", 3)],
+            name: "nan",
+            engine: None,
+            serial_wall_ms: f64::NAN,
+            parallel_wall_ms: f64::INFINITY,
+            identical: false,
+            counters: vec![],
         };
-        let doc = Json::parse(&render_json(2, 2, true, &[stage])).expect("valid JSON document");
+        let doc = Json::parse(&render_json(1, 1, false, &[stage])).expect("valid JSON document");
         let row = &doc.get("stages").and_then(Json::as_array).expect("stages")[0];
-        assert_eq!(row.get("name").and_then(Json::as_str), Some(AWKWARD));
-        assert_eq!(
-            row.get("engine").and_then(Json::as_str),
-            Some("compiled\tengine")
-        );
-        assert_eq!(
-            row.get("counters")
-                .and_then(|c| c.get("line\nbreak"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
+        for key in ["serial_wall_ms", "parallel_wall_ms", "speedup"] {
+            assert!(row.get(key).is_some_and(Json::is_null), "{key}");
+        }
+        assert!(row.get("engine").is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! Compiled bit-parallel (parallel-pattern) simulation backend.
 //!
-//! The event-driven [`Simulator`](crate::sim::Simulator) pays a heap
+//! The event-driven [`Simulator`](crate::sim::Simulator) pays a queue
 //! push/pop per gate evaluation and re-settles the whole netlist once per
 //! (fault, vector) pair. This module trades that generality for
 //! throughput the classic EDA way: a **levelization pass** over the
@@ -9,7 +9,7 @@
 //! core into per-level struct-of-arrays gate tables, and a **two-plane
 //! bitwise evaluator** (`val`/`known` u64 planes, so X propagates soundly
 //! through Kleene logic) settles 64 stimulus vectors per machine word per
-//! gate — no heap, no events, no per-vector allocation.
+//! gate — no event queue, no per-vector allocation.
 //!
 //! On an acyclic combinational core the event simulator's settled state
 //! is the unique fixpoint of the gate functions, which is exactly what

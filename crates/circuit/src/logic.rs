@@ -4,16 +4,17 @@
 //! propagate pessimistically through gates so that activity counting only
 //! begins once the circuit has genuinely settled.
 
-/// A ternary logic value.
+/// A ternary logic value. The discriminants index the operator truth
+/// tables below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Bit {
     /// Logic low.
-    Zero,
+    Zero = 0,
     /// Logic high.
-    One,
+    One = 1,
     /// Unknown / uninitialised.
     #[default]
-    X,
+    X = 2,
 }
 
 impl Bit {
@@ -49,40 +50,28 @@ impl Bit {
     #[allow(clippy::should_implement_trait)]
     #[must_use]
     pub fn not(self) -> Bit {
-        match self {
-            Bit::Zero => Bit::One,
-            Bit::One => Bit::Zero,
-            Bit::X => Bit::X,
-        }
+        [Bit::One, Bit::Zero, Bit::X][self as usize]
     }
 
     /// Kleene AND: a single `0` input dominates any `X`.
     #[must_use]
     pub fn and(self, rhs: Bit) -> Bit {
-        match (self, rhs) {
-            (Bit::Zero, _) | (_, Bit::Zero) => Bit::Zero,
-            (Bit::One, Bit::One) => Bit::One,
-            _ => Bit::X,
-        }
+        use Bit::{One, Zero, X};
+        [[Zero, Zero, Zero], [Zero, One, X], [Zero, X, X]][self as usize][rhs as usize]
     }
 
     /// Kleene OR: a single `1` input dominates any `X`.
     #[must_use]
     pub fn or(self, rhs: Bit) -> Bit {
-        match (self, rhs) {
-            (Bit::One, _) | (_, Bit::One) => Bit::One,
-            (Bit::Zero, Bit::Zero) => Bit::Zero,
-            _ => Bit::X,
-        }
+        use Bit::{One, Zero, X};
+        [[Zero, One, X], [One, One, One], [X, One, X]][self as usize][rhs as usize]
     }
 
     /// Kleene XOR: unknown if either input is unknown.
     #[must_use]
     pub fn xor(self, rhs: Bit) -> Bit {
-        match (self.to_bool(), rhs.to_bool()) {
-            (Some(a), Some(b)) => Bit::from_bool(a ^ b),
-            _ => Bit::X,
-        }
+        use Bit::{One, Zero, X};
+        [[Zero, One, X], [One, Zero, X], [X, X, X]][self as usize][rhs as usize]
     }
 }
 
@@ -153,6 +142,37 @@ mod tests {
         assert_eq!(Bit::One.xor(Bit::One), Bit::Zero);
         assert_eq!(Bit::One.xor(Bit::Zero), Bit::One);
         assert_eq!(Bit::Zero.not(), Bit::One);
+    }
+
+    /// Every operator table entry against the Kleene rule it encodes:
+    /// the result is known exactly when every way of resolving the X
+    /// inputs to 0 or 1 gives the same Boolean result.
+    #[test]
+    fn operator_tables_are_kleene_on_every_input_pair() {
+        let all = [Bit::Zero, Bit::One, Bit::X];
+        let resolve = |b: Bit| match b.to_bool() {
+            Some(v) => vec![v],
+            None => vec![false, true],
+        };
+        let kleene = |a: Bit, b: Bit, op: fn(bool, bool) -> bool| {
+            let outs: Vec<bool> = resolve(a)
+                .into_iter()
+                .flat_map(|x| resolve(b).into_iter().map(move |y| op(x, y)))
+                .collect();
+            if outs.iter().all(|&o| o == outs[0]) {
+                Bit::from_bool(outs[0])
+            } else {
+                Bit::X
+            }
+        };
+        for a in all {
+            assert_eq!(a.not(), kleene(a, a, |x, _| !x), "not {a}");
+            for b in all {
+                assert_eq!(a.and(b), kleene(a, b, |x, y| x & y), "{a} and {b}");
+                assert_eq!(a.or(b), kleene(a, b, |x, y| x | y), "{a} or {b}");
+                assert_eq!(a.xor(b), kleene(a, b, |x, y| x ^ y), "{a} xor {b}");
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! drive fights). The [`crate::faults`] module builds campaign tooling on
 //! top of these primitives.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use lowvolt_exec::CancelToken;
 use lowvolt_obs::{names, span, Recorder};
@@ -42,46 +41,125 @@ use crate::logic::Bit;
 use crate::netlist::{FanoutIndex, GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
 
-/// A scheduled gate update. The pending value rides inside the heap
-/// entry, so applying an event is a single pop — no side-table lookup.
-/// Entries order by `(time, gate, seq)`; `seq` is a global schedule
-/// counter, so several entries for the same `(time, gate)` pop adjacently
-/// with the most recently scheduled last. That last entry carries the
-/// value that stands, which reproduces the old same-tick coalescing
-/// ("exactly one update per gate per tick, final value wins") without a
-/// `HashMap` remove per event.
-#[derive(Debug, Clone, Copy)]
-struct Ev {
+/// The gates scheduled for one tick: a bit per gate, a summary bit per
+/// non-zero word (so a sparse tick of a large netlist skips empty
+/// words), and the value most recently scheduled for each gate.
+#[derive(Debug, Default)]
+struct Tick {
     time: u64,
-    gate: u32,
-    seq: u64,
-    value: Bit,
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    values: Vec<Bit>,
+    /// Summary words below this one are zero.
+    hint: usize,
 }
 
-impl Ev {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.time, self.gate, self.seq)
+impl Tick {
+    fn new(gates: usize) -> Tick {
+        let words = gates.div_ceil(64);
+        Tick {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            values: vec![Bit::X; gates],
+            ..Tick::default()
+        }
+    }
+
+    fn set(&mut self, gate: usize, value: Bit) {
+        let w = gate / 64;
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.words[w] |= 1 << (gate % 64);
+        self.values[gate] = value;
+    }
+
+    /// Removes and returns the lowest scheduled gate and its value.
+    fn take_lowest(&mut self) -> Option<(u32, Bit)> {
+        while *self.summary.get(self.hint)? == 0 {
+            self.hint += 1;
+        }
+        let w = self.hint * 64 + self.summary[self.hint].trailing_zeros() as usize;
+        let gate = w * 64 + self.words[w].trailing_zeros() as usize;
+        self.words[w] &= self.words[w] - 1;
+        if self.words[w] == 0 {
+            self.summary[self.hint] &= self.summary[self.hint] - 1;
+        }
+        Some((gate as u32, self.values[gate]))
+    }
+
+    /// The scheduled `(time, gate, value)` updates, in gate order.
+    fn scheduled(&self) -> impl Iterator<Item = (u64, u32, Bit)> + '_ {
+        (0..self.values.len())
+            .filter(|&g| self.words[g / 64] >> (g % 64) & 1 == 1)
+            .map(|g| (self.time, g as u32, self.values[g]))
     }
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Ev) -> bool {
-        // `seq` is unique per entry, so key equality is entry identity.
-        self.key() == other.key()
-    }
+/// The pending-event queue. Updates apply in `(time, gate)` order, and
+/// updates scheduled for the same `(time, gate)` collapse into one
+/// carrying the most recently scheduled value ("exactly one update per
+/// gate per tick, final value wins"). A gate delay is at least one tick,
+/// so nothing is scheduled into the tick being drained, and the pending
+/// ticks are the few distinct `now + delay` values.
+#[derive(Debug, Default)]
+struct EventQueue {
+    gates: usize,
+    /// The tick being drained; its time is the current time.
+    current: Tick,
+    /// Later ticks with scheduled gates, in no particular order.
+    later: Vec<Tick>,
+    /// Drained ticks kept for reuse.
+    spare: Vec<Tick>,
 }
 
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Ev) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl EventQueue {
+    fn new(gates: usize) -> EventQueue {
+        // The default current tick has no gates: time 0 is never scheduled.
+        EventQueue {
+            gates,
+            ..EventQueue::default()
+        }
     }
-}
 
-impl Ord for Ev {
-    fn cmp(&self, other: &Ev) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+    fn is_empty(&self) -> bool {
+        let current = &self.current.summary[self.current.hint..];
+        self.later.is_empty() && current.iter().all(|&s| s == 0)
+    }
+
+    /// Schedules `gate` to take `value` at `time`, a tick after the one
+    /// being drained.
+    fn push(&mut self, time: u64, gate: u32, value: Bit) {
+        debug_assert!(time > self.current.time, "gate delay below one tick");
+        let i = match self.later.iter().position(|t| t.time == time) {
+            Some(i) => i,
+            None => {
+                let mut tick = self.spare.pop().unwrap_or_else(|| Tick::new(self.gates));
+                (tick.time, tick.hint) = (time, 0);
+                self.later.push(tick);
+                self.later.len() - 1
+            }
+        };
+        self.later[i].set(gate as usize, value);
+    }
+
+    /// Pops the next `(time, gate)` update: its time, gate and value.
+    fn pop(&mut self) -> Option<(u64, u32, Bit)> {
+        loop {
+            if let Some((gate, value)) = self.current.take_lowest() {
+                return Some((self.current.time, gate, value));
+            }
+            let next = (0..self.later.len()).min_by_key(|&i| self.later[i].time)?;
+            let drained = std::mem::replace(&mut self.current, self.later.swap_remove(next));
+            if drained.values.len() == self.gates {
+                self.spare.push(drained);
+            }
+        }
+    }
+
+    /// Every pending update as `(time, gate, value)`.
+    fn pending(&self) -> impl Iterator<Item = (u64, u32, Bit)> + '_ {
+        std::iter::once(&self.current)
+            .chain(&self.later)
+            .flat_map(Tick::scheduled)
     }
 }
 
@@ -134,10 +212,9 @@ pub struct Simulator<'a> {
     /// Flattened gate table (see [`FlatGate`]), indexed by gate id.
     gates: Vec<FlatGate>,
     values: Vec<Bit>,
-    /// Pending gate updates, values carried in the entries.
-    queue: BinaryHeap<Reverse<Ev>>,
-    /// Monotone schedule counter; makes heap entries totally ordered and
-    /// lets same-`(time, gate)` entries resolve to the newest value.
+    /// Pending gate updates.
+    queue: EventQueue,
+    /// Entries scheduled so far (the `sim.heap.pushes` counter).
     seq: u64,
     time: u64,
     rising: Vec<u64>,
@@ -149,10 +226,10 @@ pub struct Simulator<'a> {
     /// Shorted node pairs; disagreeing values resolve to [`Bit::X`].
     bridges: Vec<(usize, usize)>,
     /// Scratch buffer reused by every watchdog fingerprint
-    /// ([`Simulator::state_signature`]): `(dt, gate, seq, value)` rows
+    /// ([`Simulator::state_signature`]): `(dt, gate, value)` rows
     /// collected from the queue, sorted in place. Reuse keeps the
     /// periodic sampling allocation-free after the first fingerprint.
-    sig_scratch: Vec<(u64, u32, u64, u8)>,
+    sig_scratch: Vec<(u64, u32, u8)>,
     /// Metrics sink; defaults to the zero-cost noop. The hot loop never
     /// touches it — locals are flushed once per settle.
     recorder: &'a dyn Recorder,
@@ -200,7 +277,7 @@ impl<'a> Simulator<'a> {
             fanout: netlist.fanout_index(),
             gates,
             values: vec![Bit::X; netlist.node_count()],
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(netlist.gates().len()),
             seq: 0,
             time: 0,
             rising: vec![0; netlist.node_count()],
@@ -430,20 +507,10 @@ impl<'a> Simulator<'a> {
                     after_events: spent,
                 });
             }
-            while let Some(Reverse(ev)) = self.queue.pop() {
-                let (t, g) = (ev.time, ev.gate);
-                let mut new_value = ev.value;
-                // Entries for the same (time, gate) are adjacent in pop
-                // order with the newest schedule last; drain them so the
-                // value that stands is the final same-tick re-evaluation
-                // and exactly one update per gate per tick is applied.
-                while let Some(&Reverse(next)) = self.queue.peek() {
-                    if next.time != t || next.gate != g {
-                        break;
-                    }
-                    new_value = next.value;
-                    self.queue.pop();
-                }
+            // Each pop is one (time, gate) update: its value is the final
+            // same-tick re-evaluation, so exactly one update per gate per
+            // tick is applied.
+            while let Some((t, g, new_value)) = self.queue.pop() {
                 self.time = t;
                 spent += 1;
                 if spent > budget {
@@ -666,12 +733,7 @@ impl<'a> Simulator<'a> {
 
     fn schedule(&mut self, time: u64, gate: usize, value: Bit) {
         self.seq += 1;
-        self.queue.push(Reverse(Ev {
-            time,
-            gate: gate as u32,
-            seq: self.seq,
-            value,
-        }));
+        self.queue.push(time, gate as u32, value);
     }
 
     /// 128-bit FNV-1a fingerprint of the complete simulation state: node
@@ -679,19 +741,17 @@ impl<'a> Simulator<'a> {
     /// current tick. Two equal fingerprints (collisions aside) mean the
     /// deterministic simulation must repeat forever.
     ///
-    /// Pending rows are canonicalised before hashing: entries are sorted
-    /// into `(dt, gate, seq)` order in the reused scratch buffer and only
-    /// the newest entry per `(dt, gate)` — the value that will stand when
-    /// the group pops — contributes. The schedule counter itself never
-    /// enters the hash (it grows forever and would mask revisited
-    /// states).
+    /// Pending rows (one per `(dt, gate)`, carrying the value that will
+    /// stand) are sorted into `(dt, gate)` order in the reused scratch
+    /// buffer before hashing. The schedule counter never enters the hash
+    /// (it grows forever and would mask revisited states).
     fn state_signature(&mut self) -> (u64, u64) {
         let now = self.time;
         self.sig_scratch.clear();
         self.sig_scratch.extend(
             self.queue
-                .iter()
-                .map(|&Reverse(ev)| (ev.time.saturating_sub(now), ev.gate, ev.seq, ev.value as u8)),
+                .pending()
+                .map(|(t, g, v)| (t.saturating_sub(now), g, v as u8)),
         );
         self.sig_scratch.sort_unstable();
         let mut h1 = Fnv1a::new(0xcbf2_9ce4_8422_2325);
@@ -701,21 +761,12 @@ impl<'a> Simulator<'a> {
             h1.write_u8(byte);
             h2.write_u8(byte);
         }
-        let rows = &self.sig_scratch;
-        let mut i = 0;
-        while i < rows.len() {
-            let (dt, g, _, _) = rows[i];
-            // Skip to the newest same-(dt, gate) entry; its value stands.
-            while i + 1 < rows.len() && rows[i + 1].0 == dt && rows[i + 1].1 == g {
-                i += 1;
-            }
-            let v = rows[i].3;
+        for &(dt, g, v) in &self.sig_scratch {
             for h in [&mut h1, &mut h2] {
                 h.write_u64(dt);
                 h.write_u64(u64::from(g));
                 h.write_u8(v);
             }
-            i += 1;
         }
         (h1.finish(), h2.finish())
     }
@@ -726,8 +777,8 @@ impl<'a> Simulator<'a> {
     fn ringing_nodes(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .queue
-            .iter()
-            .filter_map(|&Reverse(ev)| self.gates.get(ev.gate as usize))
+            .pending()
+            .filter_map(|(_, g, _)| self.gates.get(g as usize))
             .map(|gate| self.netlist.node_name(gate.output).to_string())
             .collect();
         names.sort_unstable();
@@ -1176,5 +1227,81 @@ mod tests {
             sim.measure_activity(&mut src, &[], 2, 2),
             Err(CircuitError::InvalidStimulus { .. })
         ));
+    }
+
+    /// The event queue against the ordering it must reproduce: a binary
+    /// heap of `(time, gate, seq)` entries where each pop drains every
+    /// entry of the same `(time, gate)` and keeps the newest value.
+    /// Random interleavings of pushes (delays 1..=4 plus occasional long
+    /// ones, gates spread past one summary word) and pops must yield the
+    /// same updates in the same order, and the same pending set.
+    #[test]
+    fn event_queue_applies_updates_in_heap_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        const GATES: usize = 5000;
+        let bits = [Bit::Zero, Bit::One, Bit::X];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut queue = EventQueue::new(GATES);
+        let mut heap: BinaryHeap<Reverse<(u64, u32, u64, u8)>> = BinaryHeap::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        for step in 0..20_000 {
+            if next(3) > 0 {
+                let delay = match next(50) {
+                    0 => 70 + next(200),
+                    _ => 1 + next(4),
+                };
+                let gate = if next(4) == 0 {
+                    next(GATES as u64)
+                } else {
+                    next(40)
+                } as u32;
+                let value = bits[next(3) as usize];
+                seq += 1;
+                queue.push(now + delay, gate, value);
+                heap.push(Reverse((now + delay, gate, seq, value as u8)));
+            } else {
+                let expected = heap.pop().map(|Reverse((t, g, _, mut v))| {
+                    while let Some(&Reverse((t2, g2, _, v2))) = heap.peek() {
+                        if (t2, g2) != (t, g) {
+                            break;
+                        }
+                        v = v2;
+                        heap.pop();
+                    }
+                    (t, g, v)
+                });
+                let got = queue.pop().map(|(t, g, v)| (t, g, v as u8));
+                assert_eq!(got, expected, "pop at step {step}");
+                if let Some((t, _, _)) = got {
+                    now = t;
+                }
+            }
+            if step % 500 == 0 {
+                let mut pending: Vec<(u64, u32, u8)> =
+                    queue.pending().map(|(t, g, v)| (t, g, v as u8)).collect();
+                pending.sort_unstable();
+                let mut newest = std::collections::BTreeMap::new();
+                for &Reverse((t, g, s, v)) in heap.iter() {
+                    let e = newest.entry((t, g)).or_insert((s, v));
+                    if s > e.0 {
+                        *e = (s, v);
+                    }
+                }
+                let expected: Vec<(u64, u32, u8)> = newest
+                    .into_iter()
+                    .map(|((t, g), (_, v))| (t, g, v))
+                    .collect();
+                assert_eq!(pending, expected, "pending at step {step}");
+                assert_eq!(queue.is_empty(), heap.is_empty());
+            }
+        }
     }
 }

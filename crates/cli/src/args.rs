@@ -29,19 +29,22 @@ impl Parsed {
         self.options.contains_key(key)
     }
 
-    /// Parses an option as `f64`.
+    /// Parses an option as a finite `f64`, the numbers the daemon's
+    /// JSON decoder accepts: `inf`, `nan` and overflowing values such
+    /// as `1e400` are rejected.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the flag if the value is missing or not a
-    /// number.
+    /// Returns a message naming the flag if the value is missing, not a
+    /// number, or not finite.
     pub fn get_f64(&self, key: &str) -> Result<Option<f64>, String> {
         match self.get(key) {
             None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{key} expects a number, got `{v}`")),
+            Some(v) => match v.parse::<f64>() {
+                Ok(n) if n.is_finite() => Ok(Some(n)),
+                Ok(_) => Err(format!("--{key} expects a finite number, got `{v}`")),
+                Err(_) => Err(format!("--{key} expects a number, got `{v}`")),
+            },
         }
     }
 
@@ -139,6 +142,17 @@ mod tests {
         let err = p.get_f64("vt").unwrap_err();
         assert!(err.contains("--vt"));
         assert!(err.contains("abc"));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for v in ["inf", "-inf", "Infinity", "nan", "NaN", "1e400", "-1e400"] {
+            let p = parse_strs(&["x", "--vdd", v]);
+            let err = p.get_f64("vdd").unwrap_err();
+            assert_eq!(err, format!("--vdd expects a finite number, got `{v}`"));
+        }
+        let p = parse_strs(&["x", "--vdd", "1e-400"]);
+        assert_eq!(p.get_f64("vdd").unwrap(), Some(0.0), "underflow is finite");
     }
 
     #[test]

@@ -23,12 +23,12 @@ use lowvolt_device::units::{Hertz, Volts};
 use lowvolt_exec::{ByteCache, ExecPolicy};
 use lowvolt_io::ImportedCircuit;
 use lowvolt_lint::{standard_lint_targets, Rule, UnknownRule};
+use lowvolt_obs::json::Json;
 use lowvolt_obs::{MetricsRegistry, Recorder};
 use lowvolt_serve::client::{self, Event as SubmitEvent};
 use lowvolt_serve::jobs::{
     self, CampaignPersist, Engine, JobError, NullSink, ProgramSource, RunMode, SourceSpec,
 };
-use lowvolt_serve::json::Json;
 use lowvolt_serve::server::Server;
 
 /// A command failed: carries the message shown to the user.
@@ -907,6 +907,47 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
+    fn parse_json(json: &str) -> Json {
+        Json::parse(json).unwrap_or_else(|e| panic!("{e}: {json}"))
+    }
+
+    /// A counter of a parsed `--metrics-json` report, which always
+    /// carries the full catalog.
+    fn counter(m: &Json, name: &str) -> u64 {
+        let value = m.get("counters").and_then(|c| c.get(name));
+        value.and_then(Json::as_u64).expect("catalog counter")
+    }
+
+    /// How often the span `name` completed, if it did.
+    fn span_count(m: &Json, name: &str) -> Option<u64> {
+        let spans = m.get("spans").and_then(Json::as_array)?;
+        let span = spans
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))?;
+        span.get("count").and_then(Json::as_u64)
+    }
+
+    /// A parsed metrics report without its wall-clock values: counters,
+    /// span names and span counts, all deterministic.
+    fn without_timings(json: &str) -> Json {
+        let Json::Obj(mut fields) = parse_json(json) else {
+            panic!("metrics report is an object: {json}")
+        };
+        fields.retain(|(k, _)| k != "derived");
+        for (_, spans) in fields.iter_mut().filter(|(k, _)| k == "spans") {
+            let Json::Arr(spans) = spans else {
+                panic!("span list")
+            };
+            for span in spans {
+                let Json::Obj(f) = span else {
+                    panic!("span object")
+                };
+                f.retain(|(k, _)| k != "wall_ms");
+            }
+        }
+        Json::Obj(fields)
+    }
+
     fn run(args: &[&str]) -> Result<String, CliError> {
         // Collapse the failure kinds: these tests assert on message
         // content; stdout/stderr routing is covered by
@@ -1058,8 +1099,16 @@ mod tests {
     fn sta_json_and_threads_are_stable() {
         let json = run(&["sta", "--json"]).unwrap();
         assert!(json.starts_with('['), "{json}");
-        assert!(json.contains("\"critical_ps\""), "{json}");
-        assert!(json.contains("\"node_slack\""), "{json}");
+        let reports = parse_json(&json);
+        let reports = reports.as_array().unwrap();
+        assert_eq!(reports.len(), 5, "one report per standard target");
+        for r in reports {
+            assert!(r.get("critical_ps").and_then(Json::as_f64).is_some(), "{r}");
+            assert!(
+                r.get("node_slack").and_then(Json::as_array).is_some(),
+                "{r}"
+            );
+        }
         let t1 = run(&["sta", "--threads", "1"]).unwrap();
         let t2 = run(&["sta", "--threads", "2"]).unwrap();
         let t8 = run(&["sta", "--threads", "8"]).unwrap();
@@ -1079,9 +1128,10 @@ mod tests {
     #[test]
     fn sta_metrics_json_records_the_analysis() {
         let json = run(&["sta", "--circuit", "adder", "--metrics-json", "-"]).unwrap();
-        assert!(json.contains("\"sta.nodes\""), "{json}");
-        assert!(json.contains("\"sta.critical_ps\""), "{json}");
-        assert!(json.contains("\"sta.analyze\""), "{json}");
+        let m = parse_json(&json);
+        assert!(counter(&m, "sta.nodes") > 0, "{json}");
+        assert!(counter(&m, "sta.critical_ps") > 0, "{json}");
+        assert_eq!(span_count(&m, "sta.analyze"), Some(1), "{json}");
     }
 
     #[test]
@@ -1139,27 +1189,31 @@ mod tests {
             .unwrap()
         };
         let json = run_sim("1");
-        // The metrics JSON replaces the report and carries the ISSUE's
-        // headline metrics plus per-stage wall-clock spans.
+        // The metrics JSON replaces the report and carries the headline
+        // simulation counters plus per-stage wall-clock spans.
         assert!(json.trim_start().starts_with('{'), "{json}");
-        for key in [
-            "\"sim.events.processed\"",
-            "\"sim.settle.iterations\"",
-            "\"sim.heap.pushes\"",
-            "\"sim.alpha.nodes\"",
-            "\"sim.settle\"",
-            "\"sim.measure_activity\"",
-            "\"wall_ms\"",
+        let m = parse_json(&json);
+        for name in [
+            "sim.events.processed",
+            "sim.settle.iterations",
+            "sim.heap.pushes",
+            "sim.alpha.nodes",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(counter(&m, name) > 0, "{name} in {json}");
         }
-        // Byte-identical across thread counts once wall-clock fields are
-        // masked (the sim pipeline is single-threaded; counters are
+        for name in ["sim.settle", "sim.measure_activity"] {
+            assert!(span_count(&m, name).is_some(), "{name} in {json}");
+        }
+        let spans = m.get("spans").and_then(Json::as_array).unwrap();
+        assert!(spans.iter().all(|s| s.get("wall_ms").is_some()), "{json}");
+        // Equal across thread counts once wall-clock fields are removed
+        // (the sim pipeline is single-threaded; counters are
         // deterministic by construction).
-        let masked: Vec<String> = ["1", "2", "8"]
+        let masked: Vec<Json> = ["1", "2", "8"]
             .iter()
-            .map(|t| lowvolt_obs::normalize_timings(&run_sim(t)))
+            .map(|t| without_timings(&run_sim(t)))
             .collect();
+        assert_eq!(masked[0], without_timings(&json));
         assert_eq!(masked[0], masked[1]);
         assert_eq!(masked[0], masked[2]);
     }
@@ -1182,22 +1236,26 @@ mod tests {
         // The normal report still goes to stdout; metrics land in the file.
         assert!(out.contains("coverage"));
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"campaign.injections\""));
-        assert!(json.contains("\"campaign.run\""));
-        assert!(json.contains("\"exec.items\""));
+        let m = parse_json(&json);
+        assert!(counter(&m, "campaign.injections") > 0, "{json}");
+        assert!(counter(&m, "exec.items") > 0, "{json}");
+        // One campaign per standard datapath.
+        assert_eq!(span_count(&m, "campaign.run"), Some(5), "{json}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn lint_and_profile_accept_metrics_json() {
         let json = run(&["lint", "--circuit", "adder", "--metrics-json", "-"]).unwrap();
-        assert!(json.contains("\"lint.passes\": 5"), "{json}");
-        assert!(json.contains("lint.pass.structural"), "{json}");
-        assert!(json.contains("lint.pass.timing"), "{json}");
+        let m = parse_json(&json);
+        assert_eq!(counter(&m, "lint.passes"), 5, "{json}");
+        assert!(span_count(&m, "lint.pass.structural").is_some(), "{json}");
+        assert!(span_count(&m, "lint.pass.timing").is_some(), "{json}");
 
         let json = run(&["profile", "--example", "fir", "--metrics-json", "-"]).unwrap();
-        assert!(json.contains("\"profile.instructions\""), "{json}");
-        assert!(json.contains("\"profile.run\""), "{json}");
+        let m = parse_json(&json);
+        assert!(counter(&m, "profile.instructions") > 0, "{json}");
+        assert!(span_count(&m, "profile.run").is_some(), "{json}");
 
         let err = run(&["sim", "--metrics-json", "--cycles"]).unwrap_err();
         assert!(err.0.contains("--metrics-json"), "{}", err.0);

@@ -43,6 +43,29 @@ fn campaign_with_unbounded_vectors_exits_2_instead_of_aborting() {
 }
 
 #[test]
+fn non_finite_float_flags_exit_2() {
+    // JSON has no infinity or NaN, and the daemon's decoder rejects
+    // them, so the CLI refuses them too rather than printing `inf`.
+    for (flag, value) in [
+        ("--vdd", "inf"),
+        ("--vt", "NaN"),
+        ("--required-ps", "1e400"),
+    ] {
+        let out = lowvolt()
+            .args(["sta", "--circuit", "adder", "--json", flag, value])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} expects a finite number, got `{value}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value}");
+    }
+}
+
+#[test]
 fn lint_gate_failure_prints_report_to_stdout_with_exit_1() {
     let out = lowvolt()
         .args(["lint", "--fixture", "sleep", "--json"])

@@ -58,7 +58,7 @@ pub mod exec {
 /// The observability layer (re-exported from `lowvolt-obs`): the
 /// [`obs::Recorder`] trait with its zero-cost [`obs::NoopRecorder`]
 /// default, the [`obs::MetricsRegistry`] counter/timer store, and the
-/// hand-rolled JSON metrics report. Subsystems across the workspace
+/// JSON metrics report and codec. Subsystems across the workspace
 /// accept a `&dyn Recorder` via their `*_recorded` entry points.
 pub mod obs {
     pub use lowvolt_obs::*;

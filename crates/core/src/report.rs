@@ -1,6 +1,8 @@
 //! Plain-text tables and CSV emission for the experiment harness.
 
+use lowvolt_obs::json::quote;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -70,33 +72,12 @@ impl Table {
     /// compare this form verbatim.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(out: &mut String, s: &str) {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
         let mut out = String::from("[\n");
         for (r, row) in self.rows.iter().enumerate() {
             out.push_str("  {");
             for (i, (h, cell)) in self.headers.iter().zip(row).enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                esc(&mut out, h);
-                out.push_str(": ");
-                esc(&mut out, cell);
+                let sep = if i > 0 { ", " } else { "" };
+                let _ = write!(out, "{sep}{}: {}", quote(h), quote(cell));
             }
             out.push('}');
             if r + 1 < self.rows.len() {
@@ -157,6 +138,7 @@ pub fn fmt_sig(value: f64, digits: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvolt_obs::json::Json;
 
     #[test]
     fn table_aligns_columns() {
@@ -202,6 +184,34 @@ mod tests {
         assert!(json.contains("a\\nb"));
         // Empty tables are a valid, empty array.
         assert_eq!(Table::new(["a"]).to_json(), "[\n]\n");
+    }
+
+    #[test]
+    fn json_round_trips_hostile_headers_and_cells() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let hostile = [
+            "q\"uote",
+            "back\\slash",
+            controls.as_str(),
+            "ünïcödé",
+            "astral 𝄞😀\u{10FFFF}",
+        ];
+        let mut t = Table::new(hostile);
+        t.push_row(hostile.map(|s| format!("{s}{s}")));
+        t.push_row(hostile.map(|s| format!("<{s}>")));
+        let v = Json::parse(&t.to_json()).unwrap();
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        let rows = v.as_array().unwrap();
+        assert_eq!(rows.len(), t.row_count());
+        for (row, decoded) in t.rows.iter().zip(rows) {
+            let Json::Obj(fields) = decoded else {
+                panic!("row object")
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, hostile, "keys in header order");
+            let cells: Vec<&str> = fields.iter().filter_map(|(_, c)| c.as_str()).collect();
+            assert_eq!(cells, *row);
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! netlist locations, and the [`LintReport`] container with human-text
 //! and JSON rendering.
 
+use lowvolt_obs::json::quote;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// How serious a finding is. Ordered so that `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -421,37 +423,30 @@ impl LintReport {
         self.errors() == 0 && (!deny_warnings || self.warnings() == 0)
     }
 
-    /// Renders the report as a JSON object (no external serializer; the
-    /// toolkit has none).
+    /// Renders the report as a compact JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.diagnostics.len() * 192);
-        out.push_str("{\"target\":");
-        push_json_str(&mut out, &self.target);
-        out.push_str(&format!(
-            ",\"errors\":{},\"warnings\":{},\"diagnostics\":[",
+        let _ = write!(
+            out,
+            "{{\"target\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
+            quote(&self.target),
             self.errors(),
             self.warnings()
-        ));
+        );
         for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            push_json_str(&mut out, d.rule.id());
-            out.push_str(",\"name\":");
-            push_json_str(&mut out, d.rule.name());
-            out.push_str(",\"pass\":");
-            push_json_str(&mut out, d.rule.pass().name());
-            out.push_str(",\"severity\":");
-            push_json_str(&mut out, d.severity.label());
-            out.push_str(",\"location\":");
-            push_json_str(&mut out, &d.location.to_string());
-            out.push_str(",\"message\":");
-            push_json_str(&mut out, &d.message);
-            out.push_str(",\"hint\":");
-            push_json_str(&mut out, &d.hint);
-            out.push('}');
+            let _ = write!(
+                out,
+                "{}{{\"rule\":{},\"name\":{},\"pass\":{},\"severity\":{},\"location\":{},\"message\":{},\"hint\":{}}}",
+                if i > 0 { "," } else { "" },
+                quote(d.rule.id()),
+                quote(d.rule.name()),
+                quote(d.rule.pass().name()),
+                quote(d.severity.label()),
+                quote(&d.location.to_string()),
+                quote(&d.message),
+                quote(&d.hint)
+            );
         }
         out.push_str("]}");
         out
@@ -480,26 +475,10 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvolt_obs::json::Json;
 
     #[test]
     fn rule_ids_are_unique_and_parse_round_trip() {
@@ -553,24 +532,40 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-        let rep = LintReport {
-            target: "quo\"te".into(),
-            diagnostics: vec![Diagnostic::new(
-                Rule::LeakageBudget,
-                Location::Domain {
-                    name: "core".into(),
-                },
-                "over budget".into(),
-                "raise V_T".into(),
-            )],
-        };
-        let json = rep.to_json();
-        assert!(json.contains("\"quo\\\"te\""));
-        assert!(json.contains("\"rule\":\"LV030\""));
-        assert!(json.contains("\"pass\":\"leakage\""));
-        assert!(json.contains("\"errors\":1"));
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for hostile in [
+            "quo\"te",
+            "back\\slash",
+            controls.as_str(),
+            "ünïcödé",
+            "astral 𝄞😀\u{10FFFF}",
+        ] {
+            let rep = LintReport {
+                target: hostile.into(),
+                diagnostics: vec![Diagnostic::new(
+                    Rule::LeakageBudget,
+                    Location::Domain {
+                        name: hostile.into(),
+                    },
+                    format!("over budget {hostile}"),
+                    hostile.into(),
+                )],
+            };
+            let json = rep.to_json();
+            let v = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+            assert_eq!(v.get("target").and_then(Json::as_str), Some(hostile));
+            assert_eq!(v.get("errors").and_then(Json::as_u64), Some(1));
+            assert_eq!(v.get("warnings").and_then(Json::as_u64), Some(0));
+            let d = &v.get("diagnostics").and_then(Json::as_array).unwrap()[0];
+            let field = |k: &str| d.get(k).and_then(Json::as_str).unwrap().to_string();
+            assert_eq!(field("rule"), "LV030");
+            assert_eq!(field("name"), Rule::LeakageBudget.name());
+            assert_eq!(field("pass"), "leakage");
+            assert_eq!(field("severity"), rep.diagnostics[0].severity.label());
+            assert_eq!(field("location"), rep.diagnostics[0].location.to_string());
+            assert_eq!(field("message"), format!("over budget {hostile}"));
+            assert_eq!(field("hint"), hostile);
+        }
     }
 }

@@ -6,6 +6,7 @@
 use lowvolt_circuit::netlist::GateKind;
 use lowvolt_exec::ExecPolicy;
 use lowvolt_lint::{seeded_defect, standard_lint_targets, Defect, LintConfig, Linter, Rule};
+use lowvolt_obs::json::Json;
 
 fn rules_of(report: &lowvolt_lint::LintReport) -> Vec<Rule> {
     report.diagnostics.iter().map(|d| d.rule).collect()
@@ -171,18 +172,33 @@ fn deny_warnings_gates_warning_only_reports() {
 #[test]
 fn json_rendering_is_structured() {
     let target = seeded_defect(Defect::IncompleteSleep).expect("fixture");
-    let json = Linter::with_defaults().lint(&target).to_json();
+    let report = Linter::with_defaults().lint(&target);
+    let json = report.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
-    for needle in [
-        "\"target\":\"adder8+sleep\"",
-        "\"rule\":\"LV020\"",
-        "\"rule\":\"LV026\"",
-        "\"pass\":\"power-intent\"",
-        "\"severity\":\"error\"",
-        "\"hint\":",
-    ] {
-        assert!(json.contains(needle), "missing {needle} in {json}");
+    let v = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert_eq!(v.get("target").and_then(Json::as_str), Some("adder8+sleep"));
+    let diagnostics = v.get("diagnostics").and_then(Json::as_array).expect("list");
+    let field = |d: &Json, key: &str| d.get(key).and_then(Json::as_str).map(str::to_string);
+    let rules: Vec<String> = diagnostics
+        .iter()
+        .filter_map(|d| field(d, "rule"))
+        .collect();
+    let expected: Vec<&str> = rules_of(&report).iter().map(|r| r.id()).collect();
+    assert_eq!(rules, expected, "one object per finding, in order");
+    for id in ["LV020", "LV026"] {
+        assert!(rules.iter().any(|r| r == id), "missing {id} in {json}");
     }
+    let has = |key: &str, value: &str| {
+        diagnostics
+            .iter()
+            .any(|d| field(d, key).as_deref() == Some(value))
+    };
+    assert!(has("pass", "power-intent"), "{json}");
+    assert!(has("severity", "error"), "{json}");
+    assert!(
+        diagnostics.iter().all(|d| field(d, "hint").is_some()),
+        "{json}"
+    );
 }
 
 #[test]

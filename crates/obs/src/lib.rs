@@ -3,9 +3,11 @@
 //! # lowvolt-obs
 //!
 //! The observability layer under the whole toolkit: lock-free counters,
-//! histogram-style timers, and a hand-rolled JSON metrics report, behind
-//! a [`Recorder`] trait whose default implementation ([`NoopRecorder`])
-//! compiles to nothing.
+//! histogram-style timers, and a JSON metrics report, behind a
+//! [`Recorder`] trait whose default implementation ([`NoopRecorder`])
+//! compiles to nothing. It also holds the workspace's one JSON codec,
+//! [`json`]: every report and the `lowvolt serve` wire protocol write
+//! through its escaper and number rule and read through its parser.
 //!
 //! Design rules, in the order they matter:
 //!
@@ -17,9 +19,9 @@
 //! 2. **Deterministic counters.** Counter totals are sums of per-boundary
 //!    deltas via relaxed atomic adds, which commute: totals are identical
 //!    for 1, 2, or N worker threads. Span *counts* are deterministic too;
-//!    only wall-clock durations vary run to run, and
-//!    [`normalize_timings`] masks exactly those fields for byte
-//!    comparisons.
+//!    only wall-clock durations vary run to run (`wall_ms`,
+//!    `tasks_per_sec`, `busy_workers`), so tests compare parsed reports
+//!    with those fields left out.
 //! 3. **Stable names.** Every counter lives in the [`names::COUNTERS`]
 //!    catalog (sorted, dotted, `subsystem.noun.verb`); the JSON report
 //!    always emits the full catalog in catalog order, so consumers can
@@ -38,12 +40,13 @@
 //! assert!(report.to_json().contains("\"sim.events.processed\": 42"));
 //! ```
 
+pub mod json;
 pub mod names;
 mod registry;
 mod report;
 
 pub use registry::{MetricsRegistry, TimerStat, TIMER_BUCKETS};
-pub use report::{normalize_timings, MetricsReport, SpanStat};
+pub use report::{MetricsReport, SpanStat};
 
 use std::borrow::Cow;
 use std::time::Instant;

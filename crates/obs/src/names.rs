@@ -10,7 +10,7 @@
 
 /// Events popped and applied by the gate-level event simulator.
 pub const SIM_EVENTS_PROCESSED: &str = "sim.events.processed";
-/// Events pushed onto the simulator's binary heap (including those later
+/// Gate updates scheduled by the event simulator (including those later
 /// superseded by same-tick coalescing).
 pub const SIM_HEAP_PUSHES: &str = "sim.heap.pushes";
 /// Calls into the simulator's settle loop (one per input vector applied).

@@ -1,7 +1,8 @@
-//! The immutable metrics snapshot and its hand-rolled JSON rendering
-//! (same no-serde discipline as the lint report).
+//! The immutable metrics snapshot and its JSON rendering.
 
+use crate::json::{fixed, quote};
 use crate::names;
+use std::fmt::Write as _;
 
 /// Aggregated wall-clock stats for one span name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,33 +68,26 @@ impl MetricsReport {
     /// counter catalog (catalog order), then spans (name order) with
     /// `count` and `wall_ms`, then derived throughput figures when an
     /// `exec.region` span exists. All numeric noise lives in `wall_ms`,
-    /// `tasks_per_sec`, and `busy_workers` — [`normalize_timings`] masks
-    /// exactly those, making the rest byte-comparable across runs and
-    /// thread counts.
+    /// `tasks_per_sec`, and `busy_workers`; everything else is equal
+    /// across runs and thread counts of a deterministic workload.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_str(&mut out, name);
-            out.push_str(&format!(": {value}"));
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}\n    {}: {value}", quote(name));
         }
         out.push_str("\n  },\n  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            push_json_str(&mut out, &s.name);
-            out.push_str(&format!(
-                ", \"count\": {}, \"wall_ms\": {:.3}}}",
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(
+                out,
+                "{sep}\n    {{\"name\": {}, \"count\": {}, \"wall_ms\": {}}}",
+                quote(&s.name),
                 s.count,
-                s.wall_ms()
-            ));
+                fixed(s.wall_ms(), 3)
+            );
         }
         if self.spans.is_empty() {
             out.push(']');
@@ -113,82 +107,63 @@ impl MetricsReport {
             } else {
                 0.0
             };
-            out.push_str(&format!(
-                ",\n  \"derived\": {{\"tasks_per_sec\": {tasks_per_sec:.3}, \"busy_workers\": {busy_workers:.3}}}"
-            ));
+            let _ = write!(
+                out,
+                ",\n  \"derived\": {{\"tasks_per_sec\": {}, \"busy_workers\": {}}}",
+                fixed(tasks_per_sec, 3),
+                fixed(busy_workers, 3)
+            );
         }
         out.push_str("\n}\n");
         out
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Masks every wall-clock-dependent number in a metrics JSON report
-/// (`wall_ms`, `tasks_per_sec`, `busy_workers` values become `0`),
-/// leaving counters and span counts untouched. Two reports from the
-/// same deterministic workload are byte-identical after normalization,
-/// whatever the thread count — this is the comparison the CI
-/// metrics-gate and the CLI tests perform.
-#[must_use]
-pub fn normalize_timings(json: &str) -> String {
-    let mut out = json.to_string();
-    for key in ["\"wall_ms\": ", "\"tasks_per_sec\": ", "\"busy_workers\": "] {
-        let mut result = String::with_capacity(out.len());
-        let mut rest = out.as_str();
-        while let Some(pos) = rest.find(key) {
-            let after = pos + key.len();
-            result.push_str(&rest[..after]);
-            result.push('0');
-            let tail = &rest[after..];
-            let end = tail
-                .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-                .unwrap_or(tail.len());
-            rest = &tail[end..];
-        }
-        result.push_str(rest);
-        out = result;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{quote, Json};
     use crate::{span, MetricsRegistry, Recorder};
+
+    /// The parsed report with its wall-clock values removed: what two
+    /// runs of one deterministic workload must agree on.
+    fn without_timings(json: &str) -> Json {
+        let mut v = Json::parse(json).unwrap();
+        if let Json::Obj(fields) = &mut v {
+            fields.retain(|(k, _)| k != "derived");
+            for (_, spans) in fields.iter_mut().filter(|(k, _)| k == "spans") {
+                let Json::Arr(spans) = spans else {
+                    panic!("spans")
+                };
+                for span in spans {
+                    let Json::Obj(f) = span else { panic!("span") };
+                    f.retain(|(k, _)| k != "wall_ms");
+                }
+            }
+        }
+        v
+    }
 
     #[test]
     fn json_contains_full_catalog_and_parses_shape() {
         let reg = MetricsRegistry::new();
         reg.add(names::SIM_EVENTS_PROCESSED, 11);
         let json = reg.snapshot().to_json();
-        for name in names::COUNTERS {
-            assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
-        }
         assert!(json.contains("\"sim.events.processed\": 11"));
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
-        // Balanced braces/brackets — a cheap structural sanity check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v = Json::parse(&json).unwrap();
+        let Some(Json::Obj(counters)) = v.get("counters") else {
+            panic!("counters object in {json}")
+        };
+        let keys: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, names::COUNTERS, "full catalog, catalog order");
+        for (name, value) in counters {
+            let expected = u64::from(name == names::SIM_EVENTS_PROCESSED) * 11;
+            assert_eq!(value.as_u64(), Some(expected), "{name}");
+        }
+        assert_eq!(v.get("spans").and_then(Json::as_array), Some(&[][..]));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]
@@ -225,33 +200,87 @@ mod tests {
         reg.record_nanos("sim.settle", 123_456_789);
         reg.record_nanos(names::SPAN_EXEC_REGION, 55_000);
         reg.record_nanos(names::SPAN_EXEC_WORKER, 44_000);
-        let json = reg.snapshot().to_json();
-        let masked = normalize_timings(&json);
-        assert!(masked.contains("\"wall_ms\": 0}"));
-        assert!(masked.contains("\"tasks_per_sec\": 0,"));
-        assert!(masked.contains("\"busy_workers\": 0}"));
-        assert!(masked.contains("\"sim.heap.pushes\": 42"), "counters kept");
-        assert!(masked.contains("\"count\": 1"), "span counts kept");
-        assert!(!masked.contains("123"), "raw duration gone");
+        let masked = without_timings(&reg.snapshot().to_json());
+        let counters = masked.get("counters").unwrap();
+        assert_eq!(
+            counters.get("sim.heap.pushes").and_then(Json::as_u64),
+            Some(42),
+            "counters kept"
+        );
+        let spans = masked.get("spans").and_then(Json::as_array).unwrap();
+        assert_eq!(spans.len(), 3, "every span kept");
+        for s in spans {
+            assert_eq!(
+                s.get("count").and_then(Json::as_u64),
+                Some(1),
+                "span counts kept"
+            );
+            assert!(s.get("wall_ms").is_none(), "wall clock masked");
+        }
+        assert!(masked.get("derived").is_none());
+        assert!(!masked.to_string().contains("123"), "raw duration gone");
     }
 
     #[test]
     fn normalized_reports_are_byte_identical_across_runs() {
-        let run = || {
+        let run = |nanos: u64| {
             let reg = MetricsRegistry::new();
             reg.add(names::SIM_EVENTS_PROCESSED, 1000);
-            let _s = span(&reg, "sim.settle");
-            drop(_s);
-            normalize_timings(&reg.snapshot().to_json())
+            reg.record_nanos("sim.settle", nanos);
+            reg.record_nanos(names::SPAN_EXEC_REGION, nanos / 2);
+            reg.record_nanos(names::SPAN_EXEC_WORKER, nanos / 3);
+            reg.snapshot().to_json()
         };
-        assert_eq!(run(), run());
+        let (slow, fast) = (run(123_456_789), run(55_000));
+        assert_ne!(slow, fast);
+        assert_eq!(
+            without_timings(&slow).to_string(),
+            without_timings(&fast).to_string()
+        );
+    }
+
+    #[test]
+    fn reports_round_trip_with_hostile_span_names() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let hostile = [
+            "q\"uote",
+            "back\\slash",
+            controls.as_str(),
+            "ünïcödé",
+            "astral 𝄞😀\u{10FFFF}",
+        ];
+        let reg = MetricsRegistry::new();
+        for (i, name) in hostile.iter().enumerate() {
+            reg.record_nanos(name, 1_000 * (i as u64 + 1));
+            let _s = span(&reg, "sim.settle");
+        }
+        reg.record_nanos(names::SPAN_EXEC_REGION, 0);
+        let report = reg.snapshot();
+        let v = Json::parse(&report.to_json()).unwrap();
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        let spans = v.get("spans").and_then(Json::as_array).unwrap();
+        let decoded: Vec<&str> = spans
+            .iter()
+            .map(|s| s.get("name").and_then(Json::as_str).unwrap())
+            .collect();
+        let expected: Vec<&str> = report.spans().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(decoded, expected);
+        for name in hostile {
+            assert!(decoded.contains(&name), "{name:?}");
+        }
+        let derived = v.get("derived").unwrap();
+        assert_eq!(
+            derived.get("tasks_per_sec").and_then(Json::as_f64),
+            Some(0.0)
+        );
     }
 
     #[test]
     fn json_string_escaping() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        assert_eq!(
+            quote("a\"b\\c\nd\te\u{1}").to_string(),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use lowvolt_obs::json::{quote, Json};
+
 use crate::jobs::JobError;
-use crate::json::Json;
 
 /// Everything a finished job reported.
 #[derive(Debug, Clone)]
@@ -167,7 +168,7 @@ pub fn control(addr: &str, cmd: &str) -> Result<String, JobError> {
         .read_line(&mut hello)
         .map_err(|e| JobError(format!("connection lost reading hello: {e}")))?;
     writer
-        .write_all(format!("{{\"cmd\":\"{cmd}\"}}\n").as_bytes())
+        .write_all(format!("{{\"cmd\":{}}}\n", quote(cmd)).as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| JobError(format!("cannot send command: {e}")))?;
     let mut answer = String::new();

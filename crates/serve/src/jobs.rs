@@ -33,9 +33,11 @@ use lowvolt_io::{generate, parse_path, GeneratorConfig, ImportedCircuit, IoError
 use lowvolt_isa::bblocks::BlockProfile;
 use lowvolt_isa::cpu::Cpu;
 use lowvolt_isa::profile::Profiler;
-use lowvolt_lint::{seeded_defect, standard_lint_targets, Defect, LintConfig, LintTarget, Linter};
+use lowvolt_lint::{
+    seeded_defect, standard_lint_targets, Defect, LintConfig, LintReport, LintTarget, Linter,
+};
 use lowvolt_obs::{names, span, Recorder};
-use lowvolt_sta::{analyze, load_profile, StaConfig, NOMINAL_VDD, NOMINAL_VT};
+use lowvolt_sta::{analyze, load_profile, StaConfig, StaReport, NOMINAL_VDD, NOMINAL_VT};
 
 /// A job failed: carries the user-facing message (identical to the
 /// message the CLI would print for the same failure).
@@ -706,15 +708,7 @@ pub fn run_lint_job(
         .count();
 
     let out = if spec.json {
-        let mut s = String::from("[");
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push(']');
-        s
+        json_array(&reports, LintReport::to_json)
     } else {
         let mut s = String::new();
         for r in &reports {
@@ -736,6 +730,13 @@ pub fn run_lint_job(
         payload: out,
         gate_failed: failed > 0,
     })
+}
+
+/// The `--json` payload of a multi-target job: each target's JSON
+/// document, in order, as one array.
+fn json_array<T>(reports: &[T], to_json: impl Fn(&T) -> String) -> String {
+    let docs: Vec<String> = reports.iter().map(to_json).collect();
+    format!("[{}]", docs.join(","))
 }
 
 /// What a static-timing job analyzes.
@@ -807,15 +808,7 @@ pub fn run_sta_job(
         );
     }
     let out = if spec.json {
-        let mut s = String::from("[");
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push(']');
-        s
+        json_array(&reports, StaReport::to_json)
     } else {
         let mut s = String::new();
         for r in &reports {

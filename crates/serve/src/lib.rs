@@ -16,13 +16,14 @@
 //!    max over the engine's class precedence
 //!    ([`lowvolt_circuit::faults::FaultOutcome::merge`]).
 //!
-//! Module map: [`json`] (dependency-free JSON), [`proto`] (wire
-//! format), [`jobs`] (shared job execution, also used by the CLI),
+//! Module map: [`proto`] (wire format, read and written with the
+//! workspace's one JSON codec, `lowvolt_obs::json`, re-exported here as
+//! [`json`]), [`jobs`] (shared job execution, also used by the CLI),
 //! [`server`] (daemon), [`client`] (blocking client for
 //! `lowvolt submit` and tests).
 
 pub mod client;
 pub mod jobs;
-pub mod json;
+pub use lowvolt_obs::json;
 pub mod proto;
 pub mod server;

@@ -10,12 +10,12 @@
 //! server answers with a structured `error` event and keeps reading.
 
 use lowvolt_exec::fnv64;
+use lowvolt_obs::json::{quote, Json};
 
 use crate::jobs::{
     CampaignSpec, Engine, JobError, LintSpec, OptimizeSpec, OptimizeStaTarget, ProfileSpec,
     ProgramSource, SourceSpec, StaSpec,
 };
-use crate::json::{escape, Json};
 
 /// Hard cap on one protocol line (request or event), newline excluded.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -378,7 +378,10 @@ pub fn hello_event() -> String {
 /// The `accepted` event acknowledging a job line.
 #[must_use]
 pub fn accepted_event(id: u64, kind: &str) -> String {
-    format!("{{\"event\":\"accepted\",\"id\":\"{id:016x}\",\"kind\":\"{kind}\"}}")
+    format!(
+        "{{\"event\":\"accepted\",\"id\":\"{id:016x}\",\"kind\":{}}}",
+        quote(kind)
+    )
 }
 
 /// A `progress` event: shard rounds done/total plus a counter
@@ -394,8 +397,8 @@ pub fn progress_event(id: u64, done: u64, total: u64, counters: &str) -> String 
 #[must_use]
 pub fn warning_event(id: u64, message: &str) -> String {
     format!(
-        "{{\"event\":\"warning\",\"id\":\"{id:016x}\",\"message\":\"{}\"}}",
-        escape(message)
+        "{{\"event\":\"warning\",\"id\":\"{id:016x}\",\"message\":{}}}",
+        quote(message)
     )
 }
 
@@ -413,18 +416,16 @@ pub fn result_event(
     metrics: &str,
 ) -> String {
     format!(
-        "{{\"event\":\"result\",\"id\":\"{id:016x}\",\"status\":\"{status}\",\"replayed\":{replayed},\"computed\":{computed},\"journal_records\":{journal_records},\"payload\":\"{}\",\"metrics\":{metrics}}}",
-        escape(payload)
+        "{{\"event\":\"result\",\"id\":\"{id:016x}\",\"status\":{},\"replayed\":{replayed},\"computed\":{computed},\"journal_records\":{journal_records},\"payload\":{},\"metrics\":{metrics}}}",
+        quote(status),
+        quote(payload)
     )
 }
 
 /// An `error` event for a rejected request line.
 #[must_use]
 pub fn error_event(message: &str) -> String {
-    format!(
-        "{{\"event\":\"error\",\"message\":\"{}\"}}",
-        escape(message)
-    )
+    format!("{{\"event\":\"error\",\"message\":{}}}", quote(message))
 }
 
 #[cfg(test)]
@@ -535,19 +536,175 @@ mod tests {
         assert_ne!(a, c, "thread count changes the payload header");
     }
 
+    /// Quote, backslash, every C0 control, non-ASCII and astral text.
+    fn hostile() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        vec![
+            String::new(),
+            "tail \"quoted\"\ndiscarded".into(),
+            "back\\slash".into(),
+            controls,
+            "ünïcödé 𝄞😀\u{10FFFF}".into(),
+        ]
+    }
+
     #[test]
     fn events_are_single_line_parsable_json() {
-        for line in [
-            hello_event(),
-            accepted_event(7, "campaign"),
-            progress_event(7, 3, 10, "{}"),
-            warning_event(7, "tail \"quoted\"\ndiscarded"),
-            result_event(7, "ok", 1, 2, 3, "table\nrows", "{\"counters\":{}}"),
-            error_event("bad\nline"),
-        ] {
-            assert!(!line.contains('\n'), "events must be single lines: {line}");
-            let v = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert!(v.get("event").is_some(), "{line}");
+        let metrics = {
+            let reg = lowvolt_obs::MetricsRegistry::new();
+            lowvolt_obs::Recorder::record_nanos(&reg, "job.\"run\"\n", 1_234);
+            reg.snapshot().to_json().replace('\n', "")
+        };
+        for s in hostile() {
+            let events = [
+                (accepted_event(7, &s), "kind"),
+                (warning_event(7, &s), "message"),
+                (result_event(7, &s, 1, 2, 3, &s, &metrics), "status"),
+                (result_event(7, "ok", 1, 2, 3, &s, &metrics), "payload"),
+                (error_event(&s), "message"),
+            ];
+            for (line, field) in events {
+                assert!(!line.contains('\n'), "events must be single lines: {line}");
+                let v = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+                assert!(v.get("event").is_some(), "{line}");
+                assert_eq!(
+                    v.get(field).and_then(Json::as_str),
+                    Some(s.as_str()),
+                    "{line}"
+                );
+            }
+        }
+        let result = Json::parse(&result_event(9, "ok", 1, 2, 3, "p", &metrics)).unwrap();
+        assert_eq!(
+            result.get("id").and_then(Json::as_str),
+            Some("0000000000000009")
+        );
+        for (key, n) in [("replayed", 1), ("computed", 2), ("journal_records", 3)] {
+            assert_eq!(result.get(key).and_then(Json::as_u64), Some(n), "{key}");
+        }
+        let spans = result.get("metrics").and_then(|m| m.get("spans")).unwrap();
+        let name = spans.as_array().unwrap()[0]
+            .get("name")
+            .and_then(Json::as_str);
+        assert_eq!(name, Some("job.\"run\"\n"));
+        assert!(!hello_event().contains('\n'));
+        assert!(!progress_event(7, 3, 10, "{}").contains('\n'));
+        let hello = Json::parse(&hello_event()).unwrap();
+        assert_eq!(
+            hello.get("proto").and_then(Json::as_u64),
+            Some(PROTO_VERSION)
+        );
+        let progress = Json::parse(&progress_event(7, 3, 10, "{\"exec.items\":4}")).unwrap();
+        assert_eq!(progress.get("done").and_then(Json::as_u64), Some(3));
+        let items = progress.get("counters").and_then(|c| c.get("exec.items"));
+        assert_eq!(items.and_then(Json::as_u64), Some(4));
+    }
+
+    #[test]
+    fn a_max_size_request_line_decodes_in_linear_time() {
+        // A profile job whose program text fills the whole line, mixing
+        // plain ASCII, multi-byte UTF-8 and escapes.
+        let unit = "mov r1, r2 ; é𝄞 \\n\\t\\u00e9\\\"";
+        let head = "{\"job\":\"profile\",\"text\":\"";
+        let fill = (MAX_LINE_BYTES - head.len() - 2) / unit.len();
+        let mut line = format!("{head}{}", unit.repeat(fill));
+        line.push_str(&" ".repeat(MAX_LINE_BYTES - 2 - line.len()));
+        line.push_str("\"}");
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        let start = std::time::Instant::now();
+        let request = parse_request(&line).unwrap();
+        let elapsed = start.elapsed();
+        let Request::Job(job) = request else {
+            panic!("expected job")
+        };
+        let JobKind::Profile(spec) = &job.kind else {
+            panic!("expected profile")
+        };
+        let ProgramSource::Text(text) = &spec.source else {
+            panic!("expected program text")
+        };
+        assert!(
+            text.starts_with("mov r1, r2 ; é𝄞 \n\té\"mov"),
+            "{:?}",
+            &text[..40]
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB request took {elapsed:?}"
+        );
+    }
+
+    /// Characters that steer a decoder into its edge cases.
+    const NASTY: &[char] = &[
+        '{', '}', '[', ']', '"', '\\', ':', ',', 'u', 'd', '8', 'e', '-', '.', '0', '9', 'n', 't',
+        'f', ' ', '\n', '\u{1}', 'é', '😀',
+    ];
+
+    const VALID_LINES: &[&str] = &[
+        "{\"job\":\"campaign\",\"width\":2,\"vectors\":4,\"engine\":\"compiled\",\"threads\":2}",
+        "{\"job\":\"sta\",\"source\":{\"kind\":\"generate\",\"gates\":100,\"seed\":7},\"vdd\":0.9,\"json\":true}",
+        "{\"job\":\"lint\",\"fixture\":\"sleep\",\"allow\":\"LV040\",\"leakage_budget_uw\":1.5e1}",
+        "{\"job\":\"optimize\",\"delay_ps\":150,\"sta\":true,\"circuit\":\"adder\"}",
+        "{\"job\":\"profile\",\"text\":\"a\\u00e9\\ud83d\\ude00\\n\",\"duty\":null}",
+        "{\"cmd\":\"ping\"}",
+    ];
+
+    /// The decoder's contract on one line: no panic, a typed error
+    /// inside the input, and a value that survives re-encoding.
+    fn check_decoder(line: &str) -> Result<(), proptest::TestCaseError> {
+        let request = parse_request(line);
+        match Json::parse(line) {
+            Ok(v) => prop_assert_eq!(Json::parse(&v.to_string()), Ok(v)),
+            Err(e) => {
+                prop_assert!(e.at <= line.len(), "{e} past the end of {line:?}");
+                prop_assert_eq!(request.unwrap_err().0, e.to_string());
+            }
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_strings_never_panic_the_decoder(
+            picks in prop::collection::vec(any::<u64>(), 0..48)
+        ) {
+            // Three in four characters come from the syntax pool, the
+            // rest are any Unicode scalar.
+            let line: String = picks
+                .iter()
+                .map(|&r| match r % 4 {
+                    0 => char::from_u32((r >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => NASTY[(r >> 2) as usize % NASTY.len()],
+                })
+                .collect();
+            check_decoder(&line)?;
+        }
+
+        #[test]
+        fn mutated_request_lines_never_panic_the_decoder(
+            base in 0usize..VALID_LINES.len(),
+            edits in prop::collection::vec(any::<u64>(), 1..6)
+        ) {
+            let mut chars: Vec<char> = VALID_LINES[base].chars().collect();
+            for r in edits {
+                let at = (r >> 16) as usize % (chars.len() + 1);
+                let c = NASTY[(r >> 2) as usize % NASTY.len()];
+                match r % 3 {
+                    0 => chars.insert(at, c),
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    _ if at < chars.len() => chars[at] = c,
+                    _ => chars.push(c),
+                }
+            }
+            let line: String = chars.into_iter().collect();
+            check_decoder(&line)?;
         }
     }
 }

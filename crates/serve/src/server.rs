@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lowvolt_exec::{ByteCache, ExecPolicy};
+use lowvolt_obs::json::quote;
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
 
 use crate::jobs::{
@@ -155,14 +156,14 @@ fn counters_json(registry: &MetricsRegistry) -> String {
             out.push(',');
         }
         first = false;
-        out.push_str(&format!("\"{name}\":{value}"));
+        out.push_str(&format!("{}:{value}", quote(name)));
     }
     out.push('}');
     out
 }
 
 /// The full metrics report as a single-line JSON object (the obs JSON
-/// is pretty-printed; names and values never contain newlines, so
+/// is pretty-printed; escaped strings never contain a raw newline, so
 /// stripping them keeps it valid).
 fn metrics_json(registry: &MetricsRegistry) -> String {
     registry.snapshot().to_json().replace('\n', "")

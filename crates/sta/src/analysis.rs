@@ -290,6 +290,7 @@ fn backtrace(pred: &[u32], driver: &[u32], n: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use lowvolt_circuit::netlist::GateKind;
+    use lowvolt_obs::json::Json;
     use lowvolt_obs::noop;
 
     /// `a -> not -> x -> not -> y` plus a direct `a -> not -> z` side
@@ -369,7 +370,14 @@ mod tests {
         assert!(report.critical.0.is_infinite());
         assert!(report.worst_slack.0 == f64::NEG_INFINITY);
         assert!(report.node_slacks.is_empty());
-        assert!(report.to_json().contains("\"critical_ps\": null"));
+        let json = Json::parse(&report.to_json()).unwrap();
+        assert_eq!(json.get("critical_ps"), Some(&Json::Null));
+        assert_eq!(json.get("worst_slack_ps"), Some(&Json::Null));
+        assert_eq!(json.get("feasible").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            json.get("node_slack").and_then(Json::as_array),
+            Some(&[][..])
+        );
     }
 
     #[test]

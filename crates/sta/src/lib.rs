@@ -14,9 +14,9 @@
 //!
 //! The result is a [`StaReport`]: the critical path as a named gate
 //! chain, per-node slack (`slack = required − arrival`), and per-endpoint
-//! summaries, renderable as text or hand-rolled JSON. Endpoint analysis
-//! parallelises through [`lowvolt_exec`] with input-ordered,
-//! thread-count-invariant output.
+//! summaries, renderable as text or JSON (through `lowvolt_obs::json`).
+//! Endpoint analysis parallelises through [`lowvolt_exec`] with
+//! input-ordered, thread-count-invariant output.
 //!
 //! Operating points with `V_DD ≤ V_T` are reported as **infeasible**
 //! (the devices never turn on): arrivals are infinite, the report flags

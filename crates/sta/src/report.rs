@@ -2,9 +2,10 @@
 //!
 //! Both renderers are fully deterministic functions of the report
 //! contents — CI diffs them byte-for-byte across thread counts — and the
-//! JSON is hand-rolled like every other emitter in the workspace.
+//! JSON goes through the workspace's one codec, `lowvolt_obs::json`.
 
 use lowvolt_device::units::{Seconds, Volts};
+use lowvolt_obs::json::{num, quote, Num};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -129,33 +130,9 @@ fn fmt_ps(s: Seconds) -> String {
     }
 }
 
-/// JSON number in picoseconds, or `null` for non-finite values.
-fn json_ps(s: Seconds) -> String {
-    if s.0.is_finite() {
-        format!("{}", s.0 * 1e12)
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Minimal JSON string escaper (node names are identifiers, but the
-/// emitter must stay correct for any input).
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A JSON number in picoseconds (`null` when not finite).
+fn ps(s: Seconds) -> Num {
+    num(s.0 * 1e12)
 }
 
 impl StaReport {
@@ -165,43 +142,41 @@ impl StaReport {
         self.critical_path.iter().map(|s| s.gate.as_str()).collect()
     }
 
-    /// The hand-rolled JSON rendering.
+    /// The JSON rendering. Non-finite values (an infeasible point's
+    /// delays, a non-finite operating point) are `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"target\": ");
-        json_str(&mut out, &self.target);
         let _ = write!(
             out,
-            ",\n  \"vdd\": {},\n  \"vt\": {},\n  \"feasible\": {},\n  \
+            "{{\n  \"target\": {},\n  \"vdd\": {},\n  \"vt\": {},\n  \"feasible\": {},\n  \
              \"nodes\": {},\n  \"gates\": {},\n  \"levels\": {},\n  \
              \"registers\": {},\n  \"critical_ps\": {},\n  \
              \"required_ps\": {},\n  \"worst_slack_ps\": {},\n",
-            self.vdd.0,
-            self.vt.0,
+            quote(&self.target),
+            num(self.vdd.0),
+            num(self.vt.0),
             self.feasible,
             self.nodes,
             self.gates,
             self.levels,
             self.registers,
-            json_ps(self.critical),
-            json_ps(self.required),
-            json_ps(self.worst_slack),
+            ps(self.critical),
+            ps(self.required),
+            ps(self.worst_slack),
         );
         out.push_str("  \"critical_path\": [");
         for (i, step) in self.critical_path.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"gate\": ");
-            json_str(&mut out, &step.gate);
-            out.push_str(", \"output\": ");
-            json_str(&mut out, &step.output);
             let _ = write!(
                 out,
-                ", \"level\": {}, \"fanout\": {}, \"delay_ps\": {}, \"arrival_ps\": {}}}",
+                "{}    {{\"gate\": {}, \"output\": {}, \"level\": {}, \"fanout\": {}, \"delay_ps\": {}, \"arrival_ps\": {}}}",
+                if i == 0 { "\n" } else { ",\n" },
+                quote(&step.gate),
+                quote(&step.output),
                 step.level,
                 step.fanout,
-                json_ps(step.delay),
-                json_ps(step.arrival),
+                ps(step.delay),
+                ps(step.arrival),
             );
         }
         out.push_str(if self.critical_path.is_empty() {
@@ -211,20 +186,18 @@ impl StaReport {
         });
         out.push_str("  \"endpoints\": [");
         for (i, ep) in self.endpoints.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"node\": ");
-            json_str(&mut out, &ep.node);
-            let _ = write!(out, ", \"kind\": \"{}\"", ep.kind.label());
             let _ = write!(
                 out,
-                ", \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}, \"depth\": {}, \"startpoint\": ",
-                json_ps(ep.arrival),
-                json_ps(ep.required),
-                json_ps(ep.slack),
+                "{}    {{\"node\": {}, \"kind\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}, \"depth\": {}, \"startpoint\": {}}}",
+                if i == 0 { "\n" } else { ",\n" },
+                quote(&ep.node),
+                quote(ep.kind.label()),
+                ps(ep.arrival),
+                ps(ep.required),
+                ps(ep.slack),
                 ep.depth,
+                quote(&ep.startpoint),
             );
-            json_str(&mut out, &ep.startpoint);
-            out.push('}');
         }
         out.push_str(if self.endpoints.is_empty() {
             "],\n"
@@ -233,16 +206,15 @@ impl StaReport {
         });
         out.push_str("  \"node_slack\": [");
         for (i, ns) in self.node_slacks.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"node\": ");
-            json_str(&mut out, &ns.node);
             let _ = write!(
                 out,
-                ", \"level\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}}}",
+                "{}    {{\"node\": {}, \"level\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}}}",
+                if i == 0 { "\n" } else { ",\n" },
+                quote(&ns.node),
                 ns.level,
-                json_ps(ns.arrival),
-                json_ps(ns.required),
-                json_ps(ns.slack),
+                ps(ns.arrival),
+                ps(ns.required),
+                ps(ns.slack),
             );
         }
         out.push_str(if self.node_slacks.is_empty() {
@@ -334,6 +306,7 @@ impl fmt::Display for StaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvolt_obs::json::Json;
 
     fn tiny_report() -> StaReport {
         StaReport {
@@ -385,6 +358,10 @@ mod tests {
         assert!(text.contains("critical delay 10.000 ps"));
     }
 
+    fn ps_field(v: &Json, key: &str) -> Option<f64> {
+        v.get(key).and_then(Json::as_f64)
+    }
+
     #[test]
     fn json_is_parseable_shape_and_nulls_non_finite() {
         let mut r = tiny_report();
@@ -392,17 +369,77 @@ mod tests {
         r.critical = Seconds(f64::INFINITY);
         let json = r.to_json();
         assert!(json.contains("\"critical_ps\": null"));
-        assert!(json.contains("\"feasible\": false"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = json.matches('{').count() + json.matches('[').count();
-        let closes = json.matches('}').count() + json.matches(']').count();
-        assert_eq!(opens, closes);
+        let v = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(v.get("critical_ps"), Some(&Json::Null));
+        assert_eq!(v.get("feasible").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("target").and_then(Json::as_str), Some("t"));
+        assert_eq!(ps_field(&v, "vdd"), Some(1.0));
+        assert_eq!(ps_field(&v, "vt"), Some(0.2));
+        assert_eq!(ps_field(&v, "required_ps"), Some(10e-12 * 1e12));
+        for (key, n) in [("nodes", 3), ("gates", 1), ("levels", 1), ("registers", 0)] {
+            assert_eq!(v.get(key).and_then(Json::as_u64), Some(n), "{key}");
+        }
+        for (key, len) in [("critical_path", 1), ("endpoints", 1), ("node_slack", 1)] {
+            assert_eq!(
+                v.get(key).and_then(Json::as_array).map(<[Json]>::len),
+                Some(len)
+            );
+        }
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]
     fn json_escapes_hostile_names() {
-        let mut out = String::new();
-        json_str(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for name in [
+            "a\"b\\c\nd",
+            controls.as_str(),
+            "ünïcödé",
+            "astral 𝄞😀\u{10FFFF}",
+        ] {
+            let mut r = tiny_report();
+            r.target = name.to_owned();
+            r.critical_path[0].gate = format!("g{name}");
+            r.critical_path[0].output = format!("o{name}");
+            r.endpoints[0].node = format!("e{name}");
+            r.endpoints[0].startpoint = format!("s{name}");
+            r.node_slacks[0].node = format!("n{name}");
+            let v = Json::parse(&r.to_json()).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+            let text = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).unwrap().to_owned();
+            let first = |key: &str| v.get(key).and_then(Json::as_array).unwrap()[0].clone();
+            assert_eq!(text(&v, "target"), name);
+            assert_eq!(text(&first("critical_path"), "gate"), format!("g{name}"));
+            assert_eq!(text(&first("critical_path"), "output"), format!("o{name}"));
+            assert_eq!(text(&first("endpoints"), "node"), format!("e{name}"));
+            assert_eq!(text(&first("endpoints"), "kind"), "output");
+            assert_eq!(text(&first("endpoints"), "startpoint"), format!("s{name}"));
+            assert_eq!(text(&first("node_slack"), "node"), format!("n{name}"));
+        }
+    }
+
+    #[test]
+    fn non_finite_operating_points_and_delays_render_as_null() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut r = tiny_report();
+            r.vdd = Volts(bad);
+            r.vt = Volts(bad);
+            r.critical = Seconds(bad);
+            r.worst_slack = Seconds(-bad);
+            r.critical_path[0].delay = Seconds(bad);
+            r.endpoints[0].slack = Seconds(bad);
+            r.node_slacks[0].required = Seconds(bad);
+            let json = r.to_json();
+            let v = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+            for key in ["vdd", "vt", "critical_ps", "worst_slack_ps"] {
+                assert_eq!(v.get(key), Some(&Json::Null), "{key} in {json}");
+            }
+            let first = |key: &str| v.get(key).and_then(Json::as_array).unwrap()[0].clone();
+            assert!(first("critical_path").get("delay_ps").unwrap().is_null());
+            assert!(first("endpoints").get("slack_ps").unwrap().is_null());
+            assert!(first("node_slack").get("required_ps").unwrap().is_null());
+            assert_eq!(ps_field(&first("node_slack"), "arrival_ps"), Some(0.0));
+        }
     }
 }
