@@ -145,3 +145,68 @@ fn sim_metrics_json_through_the_binary() {
     assert!(stdout.contains("\"sim.settle.iterations\""), "{stdout}");
     assert!(stdout.contains("\"wall_ms\""), "{stdout}");
 }
+
+/// Pins the exact bytes `lowvolt sta` prints, text and `--json`, for the
+/// five standard datapaths and three seeded 20k-gate generated
+/// netlists. Each entry is the FNV-1a 64 digest of the whole stdout
+/// (one report followed by a newline for text, a one-element array for
+/// JSON), so any change to arrival, slack, endpoint or path rendering
+/// shows up here.
+#[test]
+fn sta_report_bytes_are_pinned() {
+    let cases: [(&[&str], u64, u64); 8] = [
+        (
+            &["--circuit", "adder"],
+            0x24e7_0e94_75be_32d9,
+            0xc9f8_d284_168e_a7a1,
+        ),
+        (
+            &["--circuit", "shifter"],
+            0xdacc_ec15_5720_04fa,
+            0xa034_7cf5_1fa1_3aa5,
+        ),
+        (
+            &["--circuit", "multiplier"],
+            0xc073_05f0_45a2_abe1,
+            0xb738_b7f6_ef9f_628e,
+        ),
+        (
+            &["--circuit", "alu"],
+            0xcae7_8f64_c764_d15b,
+            0x473f_3758_47a5_2367,
+        ),
+        (
+            &["--circuit", "registers"],
+            0xc114_7e2f_4d1a_2669,
+            0x41ba_7ba3_8a8a_3744,
+        ),
+        (
+            &["--generate", "20000", "--seed", "1"],
+            0x8de6_a795_2323_13eb,
+            0x7742_30ec_35a2_c42a,
+        ),
+        (
+            &["--generate", "20000", "--seed", "42"],
+            0x3218_148b_8a5e_e073,
+            0x2778_b370_3e70_a90d,
+        ),
+        (
+            &["--generate", "20000", "--seed", "7"],
+            0x7acf_9006_7ce4_73a9,
+            0x7a28_7f62_acad_f17f,
+        ),
+    ];
+    for (args, text_digest, json_digest) in cases {
+        for (json, want) in [(false, text_digest), (true, json_digest)] {
+            let mut cmd = lowvolt();
+            cmd.arg("sta").args(args);
+            if json {
+                cmd.arg("--json");
+            }
+            let out = cmd.output().expect("runs");
+            assert!(out.status.success(), "{args:?} json={json}");
+            let got = lowvolt_exec::fnv64(&out.stdout);
+            assert_eq!(got, want, "{args:?} json={json}: digest {got:#018x}");
+        }
+    }
+}
