@@ -213,8 +213,9 @@ fn optimize_leg(policy: &ExecPolicy, quick: bool) -> Result<String, String> {
 }
 
 /// The STA stage: full text reports (critical path, endpoints, node
-/// slack) for every standard datapath at the nominal operating point —
-/// the endpoint summaries parallelise through the policy.
+/// slack) for every standard datapath at the nominal operating point.
+/// The analysis is two serial passes that ignore the policy, so this
+/// row is a baseline, not a speedup measurement.
 fn sta_leg(policy: &ExecPolicy, rec: &dyn Recorder, width: usize) -> Result<String, String> {
     let targets = standard_targets(width).map_err(|e| e.to_string())?;
     let config = StaConfig::at(NOMINAL_VDD, NOMINAL_VT);

@@ -1372,7 +1372,6 @@ mod tests {
         let options = CampaignOptions {
             fault: FaultPolicy {
                 item_timeout_ms: Some(0),
-                backoff_base_ms: 0,
                 ..FaultPolicy::default()
             },
             ..CampaignOptions::default()

@@ -204,7 +204,6 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
             policy: ExecPolicy::with_threads(2),
             fault: FaultPolicy {
                 item_timeout_ms: Some(0),
-                backoff_base_ms: 0,
                 ..FaultPolicy::default()
             },
             checkpoint: Some(CheckpointSpec {

@@ -138,7 +138,7 @@ USAGE:
                    [--threads N] [--sta [--circuit NAME | SOURCE] [--width N]]
   lowvolt sta      [--circuit adder|shifter|multiplier|alu|registers|all | SOURCE]
                    [--width N] [--vdd V] [--vt V] [--required-ps PS]
-                   [--json] [--threads N] [--metrics-json PATH]
+                   [--json] [--metrics-json PATH]
   lowvolt campaign [--width N | SOURCE] [--vectors N] [--seed N] [--threads N]
                    [--engine event|compiled]
                    [--checkpoint PATH [--resume] [--interrupt-after N]]
@@ -546,10 +546,10 @@ fn activity(parsed: &Parsed) -> Result<String, CliError> {
 }
 
 /// Static timing analysis over the standard datapaths: named critical
-/// path, per-endpoint arrival/required/slack, text or JSON.
+/// path, per-endpoint arrival/required/slack, text or JSON. The analysis
+/// is serial, so `--threads` is not read.
 fn sta(parsed: &Parsed) -> Result<String, CliError> {
     let metrics = Metrics::from_args(parsed)?;
-    let policy = exec_policy(parsed)?;
     let mut spec = jobs::StaSpec::new(source_spec(parsed)?);
     spec.circuit = parsed.get("circuit").unwrap_or("all").to_string();
     spec.width = parsed.get_u64("width")?.unwrap_or(8) as usize;
@@ -557,7 +557,7 @@ fn sta(parsed: &Parsed) -> Result<String, CliError> {
     spec.vt = parsed.get_f64("vt")?;
     spec.required_ps = parsed.get_f64("required-ps")?;
     spec.json = parsed.has("json");
-    let out = jobs::run_sta_job(&policy, metrics.recorder(), &spec)?;
+    let out = jobs::run_sta_job(&ExecPolicy::serial(), metrics.recorder(), &spec)?;
     metrics.finish(out)
 }
 

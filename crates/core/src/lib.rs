@@ -50,8 +50,8 @@ pub mod error;
 /// [`exec::ExecPolicy`] selects a worker count
 /// (`LOWVOLT_THREADS`-aware), [`exec::parallel_map`] runs a chunked
 /// scoped-thread map with deterministic, input-ordered results. The
-/// optimizer grid, sensitivity analysis, and tradeoff surface all accept
-/// a policy via their `*_with` constructors.
+/// optimizer grid and sensitivity analysis accept a policy via their
+/// `*_with` constructors.
 pub mod exec {
     pub use lowvolt_exec::*;
 }

@@ -10,7 +10,6 @@ use crate::activity::ActivityVars;
 use crate::energy::{BlockParams, BurstEnergyModel};
 use crate::error::CoreError;
 use lowvolt_device::technology::Technology;
-use lowvolt_exec::{parallel_map_isolated, ExecPolicy, FaultPolicy, ItemStatus};
 
 /// A named application operating point placed on the surface.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +36,7 @@ pub struct TradeoffSurface {
 
 impl TradeoffSurface {
     /// Evaluates the surface for technology `a` versus baseline `b`,
-    /// serially. See [`TradeoffSurface::evaluate_with`] for the parallel
-    /// variant.
+    /// row by row; the first (lowest-`fga`-index) error wins.
     ///
     /// Axes are log-spaced over `[fga_range.0, fga_range.1]` ×
     /// `[bga_range.0, bga_range.1]`; infeasible cells (`bga > fga`) hold
@@ -50,40 +48,6 @@ impl TradeoffSurface {
     /// ranges or fewer than 2 points per axis.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate(
-        model: &BurstEnergyModel,
-        tech_a: &Technology,
-        tech_b: &Technology,
-        block: &BlockParams,
-        alpha: f64,
-        fga_range: (f64, f64),
-        bga_range: (f64, f64),
-        points: usize,
-    ) -> Result<TradeoffSurface, CoreError> {
-        TradeoffSurface::evaluate_with(
-            &ExecPolicy::serial(),
-            model,
-            tech_a,
-            tech_b,
-            block,
-            alpha,
-            fga_range,
-            bga_range,
-            points,
-        )
-    }
-
-    /// [`TradeoffSurface::evaluate`] with the `fga` rows fanned out over
-    /// `policy`'s worker threads. Rows are independent; results land in
-    /// row order and the first (lowest-`fga`-index) error wins, so the
-    /// surface — and any error — is identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] for empty or inverted
-    /// ranges or fewer than 2 points per axis.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_with(
-        policy: &ExecPolicy,
         model: &BurstEnergyModel,
         tech_a: &Technology,
         tech_b: &Technology,
@@ -117,30 +81,18 @@ impl TradeoffSurface {
         };
         let fga_axis = log_axis(fga_range);
         let bga_axis = log_axis(bga_range);
-        let slots = parallel_map_isolated(
-            policy,
-            &FaultPolicy::default(),
-            lowvolt_obs::noop(),
-            &fga_axis,
-            |_, &fga, _| {
-                let mut row = Vec::with_capacity(points);
-                for &bga in &bga_axis {
-                    if bga > fga {
-                        row.push(f64::NAN);
-                        continue;
-                    }
-                    let activity = match ActivityVars::new(fga, bga, alpha) {
-                        Ok(a) => a,
-                        Err(e) => return ItemStatus::Done(Err(e)),
-                    };
-                    row.push(model.log_energy_ratio(tech_a, tech_b, block, activity));
+        let mut values = Vec::with_capacity(points);
+        for &fga in &fga_axis {
+            let mut row = Vec::with_capacity(points);
+            for &bga in &bga_axis {
+                if bga > fga {
+                    row.push(f64::NAN);
+                    continue;
                 }
-                ItemStatus::Done(Ok::<Vec<f64>, CoreError>(row))
-            },
-        );
-        let mut values = Vec::with_capacity(slots.len());
-        for slot in slots {
-            values.push(slot.map_err(CoreError::from)??);
+                let activity = ActivityVars::new(fga, bga, alpha)?;
+                row.push(model.log_energy_ratio(tech_a, tech_b, block, activity));
+            }
+            values.push(row);
         }
         Ok(TradeoffSurface {
             fga_axis,

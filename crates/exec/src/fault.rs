@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use lowvolt_obs::{names, Recorder};
 
-use crate::{parallel_map_recorded, ExecPolicy};
+use crate::{parallel_map, ExecPolicy};
 
 /// Cooperative cancellation handle checked by long-running work items.
 ///
@@ -125,45 +125,32 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Retry and deadline policy for [`parallel_map_isolated`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Backoff before the first retry, in milliseconds; each further retry
+/// doubles it.
+const BACKOFF_BASE_MS: u64 = 1;
+/// Upper bound on any single backoff sleep, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 100;
+
+/// Retry and deadline policy for [`parallel_map_isolated`]. The default
+/// (no retries, no deadline) behaves like [`crate::parallel_map`] except
+/// that panics become [`ExecError::ItemPanicked`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Retries allowed after the first attempt (`0` = fail fast).
     pub max_retries: u32,
-    /// Backoff before retry `n` is `backoff_base_ms << (n - 1)` ms.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff sleep, in milliseconds.
-    pub backoff_cap_ms: u64,
     /// Per-attempt cooperative deadline (`None` = unbounded).
     pub item_timeout_ms: Option<u64>,
 }
 
-impl Default for FaultPolicy {
-    /// No retries, no deadline: identical behaviour to the plain map
-    /// except that panics become [`ExecError::ItemPanicked`].
-    fn default() -> FaultPolicy {
-        FaultPolicy {
-            max_retries: 0,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 100,
-            item_timeout_ms: None,
-        }
-    }
-}
-
 impl FaultPolicy {
     /// Deterministic backoff before (1-based) retry number `retry`:
-    /// `base << (retry - 1)` milliseconds, capped at
-    /// [`FaultPolicy::backoff_cap_ms`]. No jitter — retry schedules are
-    /// reproducible like everything else in the engine.
+    /// `1 << (retry - 1)` milliseconds, capped at 100 ms. No jitter —
+    /// retry schedules are reproducible like everything else in the
+    /// engine.
     #[must_use]
     pub fn backoff(&self, retry: u32) -> Duration {
         let shift = retry.saturating_sub(1).min(16);
-        let ms = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_cap_ms);
-        Duration::from_millis(ms)
+        Duration::from_millis((BACKOFF_BASE_MS << shift).min(BACKOFF_CAP_MS))
     }
 
     /// A fresh per-attempt token: deadline-armed when
@@ -211,7 +198,7 @@ where
     R: Send,
     F: Fn(usize, &T, &CancelToken) -> ItemStatus<R> + Sync,
 {
-    parallel_map_recorded(policy, rec, items, |i, item| {
+    parallel_map(policy, rec, items, |i, item| {
         run_isolated(fault, rec, i, item, &f)
     })
 }
@@ -351,7 +338,6 @@ mod tests {
         let items: Vec<usize> = (0..6).collect();
         let fault = FaultPolicy {
             max_retries: 2,
-            backoff_base_ms: 0,
             ..FaultPolicy::default()
         };
         let reg = MetricsRegistry::new();
@@ -373,7 +359,6 @@ mod tests {
         let items = [1u8];
         let fault = FaultPolicy {
             max_retries: 3,
-            backoff_base_ms: 0,
             ..FaultPolicy::default()
         };
         let reg = MetricsRegistry::new();
@@ -445,15 +430,18 @@ mod tests {
     fn backoff_is_exponential_and_capped() {
         let fault = FaultPolicy {
             max_retries: 10,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 9,
             item_timeout_ms: None,
         };
-        assert_eq!(fault.backoff(1), Duration::from_millis(2));
-        assert_eq!(fault.backoff(2), Duration::from_millis(4));
-        assert_eq!(fault.backoff(3), Duration::from_millis(8));
-        assert_eq!(fault.backoff(4), Duration::from_millis(9), "capped");
-        assert_eq!(fault.backoff(60), Duration::from_millis(9), "shift clamped");
+        assert_eq!(fault.backoff(1), Duration::from_millis(1));
+        assert_eq!(fault.backoff(2), Duration::from_millis(2));
+        assert_eq!(fault.backoff(3), Duration::from_millis(4));
+        assert_eq!(fault.backoff(7), Duration::from_millis(64));
+        assert_eq!(fault.backoff(8), Duration::from_millis(100), "capped");
+        assert_eq!(
+            fault.backoff(60),
+            Duration::from_millis(100),
+            "shift clamped"
+        );
     }
 
     #[test]

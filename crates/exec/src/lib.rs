@@ -11,14 +11,17 @@
 //! items are claimed in chunks from an atomic cursor and every result is
 //! returned **at its input index**, so the output of [`parallel_map`] is
 //! byte-for-byte identical for 1, 2, or N worker threads. Parallelism
-//! changes wall-clock time, never results.
+//! changes wall-clock time, never results. [`parallel_map`] is the one
+//! region function; [`parallel_map_isolated`] and [`run_checkpointed`]
+//! build on it.
 //!
 //! ```
 //! use lowvolt_exec::{parallel_map, ExecPolicy};
+//! use lowvolt_obs::noop;
 //!
 //! let items: Vec<u64> = (0..100).collect();
-//! let serial = parallel_map(&ExecPolicy::serial(), &items, |_, &x| x * x);
-//! let parallel = parallel_map(&ExecPolicy::with_threads(4), &items, |_, &x| x * x);
+//! let serial = parallel_map(&ExecPolicy::serial(), noop(), &items, |_, &x| x * x);
+//! let parallel = parallel_map(&ExecPolicy::with_threads(4), noop(), &items, |_, &x| x * x);
 //! assert_eq!(serial, parallel);
 //! ```
 
@@ -152,32 +155,18 @@ fn chunk_size(items: usize, workers: usize) -> usize {
 /// A panic inside `f` on a worker thread is re-raised on the calling
 /// thread (the standard [`std::thread::scope`] contract); the library's
 /// own closures are panic-free and surface failures as values.
-pub fn parallel_map<T, R, F>(policy: &ExecPolicy, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_recorded(policy, lowvolt_obs::noop(), items, f)
-}
-
-/// [`parallel_map`] with execution-engine metrics flushed to `rec`:
-/// `exec.regions` / `exec.items` / `exec.chunks` counters plus
-/// `exec.region`, `exec.worker` (per-worker busy time) and `exec.chunk`
-/// (per-chunk wall time) spans. With a disabled recorder this is
-/// byte-for-byte the uninstrumented engine — the clock is never read
-/// and no per-item work is added either way (counters flush once per
-/// chunk, not per item).
+///
+/// Execution-engine metrics are flushed to `rec`: `exec.regions` /
+/// `exec.items` / `exec.chunks` counters plus `exec.region`,
+/// `exec.worker` (per-worker busy time) and `exec.chunk` (per-chunk
+/// wall time) spans. With a disabled recorder (`lowvolt_obs::noop()`)
+/// the clock is never read, and no per-item work is added either way
+/// (counters flush once per chunk, not per item).
 ///
 /// `exec.items` and `exec.regions` are thread-count invariant;
 /// `exec.chunks` deliberately is not (it reports how the pool actually
 /// carved the work).
-pub fn parallel_map_recorded<T, R, F>(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
-    items: &[T],
-    f: F,
-) -> Vec<R>
+pub fn parallel_map<T, R, F>(policy: &ExecPolicy, rec: &dyn Recorder, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -274,40 +263,23 @@ fn elapsed_nanos(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// [`parallel_map`] for fallible work: applies `f` to every item and
-/// collects into a single `Result`, keeping the **first** (lowest-index)
-/// error — the same error a serial loop with `?` would have returned.
-///
-/// # Errors
-///
-/// Returns the lowest-index `Err` produced by `f`, if any.
-pub fn try_parallel_map<T, R, E, F>(policy: &ExecPolicy, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for r in parallel_map(policy, items, f) {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvolt_obs::noop;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn serial_and_parallel_agree_in_order() {
         let items: Vec<usize> = (0..1000).collect();
-        let serial = parallel_map(&ExecPolicy::serial(), &items, |i, &x| (i, x * 3));
+        let serial = parallel_map(&ExecPolicy::serial(), noop(), &items, |i, &x| (i, x * 3));
         for threads in [2, 3, 4, 16] {
-            let par = parallel_map(&ExecPolicy::with_threads(threads), &items, |i, &x| {
-                (i, x * 3)
-            });
+            let par = parallel_map(
+                &ExecPolicy::with_threads(threads),
+                noop(),
+                &items,
+                |i, &x| (i, x * 3),
+            );
             assert_eq!(serial, par, "threads = {threads}");
         }
     }
@@ -315,10 +287,10 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let none: Vec<u8> = Vec::new();
-        assert!(parallel_map(&ExecPolicy::with_threads(4), &none, |_, &x| x).is_empty());
+        assert!(parallel_map(&ExecPolicy::with_threads(4), noop(), &none, |_, &x| x).is_empty());
         let one = [7u8];
         assert_eq!(
-            parallel_map(&ExecPolicy::with_threads(4), &one, |_, &x| x + 1),
+            parallel_map(&ExecPolicy::with_threads(4), noop(), &one, |_, &x| x + 1),
             vec![8]
         );
     }
@@ -327,7 +299,7 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let items: Vec<usize> = (0..313).collect(); // not a multiple of any chunk
         let calls = AtomicUsize::new(0);
-        let out = parallel_map(&ExecPolicy::with_threads(5), &items, |_, &x| {
+        let out = parallel_map(&ExecPolicy::with_threads(5), noop(), &items, |_, &x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -338,25 +310,10 @@ mod tests {
     #[test]
     fn more_threads_than_items() {
         let items = [1u32, 2, 3];
-        let out = parallel_map(&ExecPolicy::with_threads(64), &items, |_, &x| x * 10);
+        let out = parallel_map(&ExecPolicy::with_threads(64), noop(), &items, |_, &x| {
+            x * 10
+        });
         assert_eq!(out, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn try_map_keeps_first_error() {
-        let items: Vec<usize> = (0..100).collect();
-        let res: Result<Vec<usize>, usize> =
-            try_parallel_map(&ExecPolicy::with_threads(4), &items, |_, &x| {
-                if x % 30 == 29 {
-                    Err(x)
-                } else {
-                    Ok(x)
-                }
-            });
-        assert_eq!(res.unwrap_err(), 29, "lowest-index error wins");
-        let ok: Result<Vec<usize>, usize> =
-            try_parallel_map(&ExecPolicy::serial(), &items[..20], |_, &x| Ok(x));
-        assert_eq!(ok.unwrap().len(), 20);
     }
 
     #[test]
@@ -374,7 +331,7 @@ mod tests {
         use lowvolt_obs::MetricsRegistry;
         let items: Vec<usize> = (0..500).collect();
         let reg = MetricsRegistry::new();
-        let out = parallel_map_recorded(&ExecPolicy::with_threads(4), &reg, &items, |_, &x| x + 1);
+        let out = parallel_map(&ExecPolicy::with_threads(4), &reg, &items, |_, &x| x + 1);
         assert_eq!(out.len(), 500);
         assert_eq!(reg.counter(names::EXEC_ITEMS), 500);
         assert_eq!(reg.counter(names::EXEC_REGIONS), 1);
@@ -396,12 +353,12 @@ mod tests {
         use lowvolt_obs::MetricsRegistry;
         let reg = MetricsRegistry::new();
         let items = [10u32, 20];
-        let out = parallel_map_recorded(&ExecPolicy::serial(), &reg, &items, |_, &x| x);
+        let out = parallel_map(&ExecPolicy::serial(), &reg, &items, |_, &x| x);
         assert_eq!(out, vec![10, 20]);
         assert_eq!(reg.counter(names::EXEC_ITEMS), 2);
         assert_eq!(reg.counter(names::EXEC_CHUNKS), 1);
         let none: Vec<u8> = Vec::new();
-        let out = parallel_map_recorded(&ExecPolicy::serial(), &reg, &none, |_, &x| x);
+        let out = parallel_map(&ExecPolicy::serial(), &reg, &none, |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(reg.counter(names::EXEC_REGIONS), 2);
         assert_eq!(
@@ -412,23 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn recorded_and_plain_map_agree() {
-        use lowvolt_obs::MetricsRegistry;
-        let items: Vec<u64> = (0..257).collect();
-        let plain = parallel_map(&ExecPolicy::with_threads(3), &items, |i, &x| x * i as u64);
-        let reg = MetricsRegistry::new();
-        let rec = parallel_map_recorded(&ExecPolicy::with_threads(3), &reg, &items, |i, &x| {
-            x * i as u64
-        });
-        assert_eq!(plain, rec);
-    }
-
-    #[test]
     fn empty_input_returns_without_spawning() {
         use lowvolt_obs::MetricsRegistry;
         let reg = MetricsRegistry::new();
         let none: Vec<u64> = Vec::new();
-        let out = parallel_map_recorded(&ExecPolicy::with_threads(8), &reg, &none, |_, &x| x);
+        let out = parallel_map(&ExecPolicy::with_threads(8), &reg, &none, |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(reg.counter(names::EXEC_REGIONS), 1);
         assert_eq!(reg.counter(names::EXEC_ITEMS), 0);
@@ -448,12 +393,12 @@ mod tests {
         // chunk, and tiny inputs never spawn more workers than items.
         let reg = MetricsRegistry::new();
         let one = [99u32];
-        let out = parallel_map_recorded(&ExecPolicy::with_threads(64), &reg, &one, |_, &x| x + 1);
+        let out = parallel_map(&ExecPolicy::with_threads(64), &reg, &one, |_, &x| x + 1);
         assert_eq!(out, vec![100]);
         assert_eq!(reg.counter(names::EXEC_CHUNKS), 1, "single inline chunk");
         for n in 1..6usize {
             let items: Vec<usize> = (0..n).collect();
-            let out = parallel_map(&ExecPolicy::with_threads(64), &items, |i, &x| {
+            let out = parallel_map(&ExecPolicy::with_threads(64), noop(), &items, |i, &x| {
                 assert_eq!(i, x);
                 x * 7
             });
@@ -465,7 +410,7 @@ mod tests {
     fn chunking_covers_all_sizes() {
         for n in [1usize, 2, 7, 8, 9, 63, 64, 65, 1000] {
             let items: Vec<usize> = (0..n).collect();
-            let out = parallel_map(&ExecPolicy::with_threads(4), &items, |_, &x| x);
+            let out = parallel_map(&ExecPolicy::with_threads(4), noop(), &items, |_, &x| x);
             assert_eq!(out, items, "n = {n}");
         }
         assert_eq!(chunk_size(1, 4), 1);

@@ -1,10 +1,10 @@
-//! The lint engine: fans the four pass families out over the
+//! The lint engine: fans the five pass families out over the
 //! deterministic execution engine, then applies the configured rule
 //! filters and a stable sort.
 
 use std::cmp::Reverse;
 
-use lowvolt_exec::{parallel_map_recorded, ExecPolicy};
+use lowvolt_exec::{parallel_map, ExecPolicy};
 use lowvolt_obs::{names, span, Recorder};
 
 use crate::config::LintConfig;
@@ -32,26 +32,21 @@ impl Linter {
         Linter::default()
     }
 
-    /// Lints one target with the environment's execution policy.
+    /// Lints one target with the environment's execution policy and no
+    /// metrics.
     #[must_use]
     pub fn lint(&self, target: &LintTarget) -> LintReport {
-        self.lint_with(&ExecPolicy::from_env(), target)
+        self.lint_recorded(&ExecPolicy::from_env(), lowvolt_obs::noop(), target)
     }
 
-    /// Lints one target, running the four passes in parallel under
-    /// `policy`. Results are deterministic regardless of thread count:
-    /// `parallel_map` returns pass outputs in input order and the final
-    /// sort is total.
-    #[must_use]
-    pub fn lint_with(&self, policy: &ExecPolicy, target: &LintTarget) -> LintReport {
-        self.lint_recorded(policy, lowvolt_obs::noop(), target)
-    }
-
-    /// [`Linter::lint_with`] with lint metrics flushed to `rec`: one
+    /// Lints one target, running the five pass families in parallel under
+    /// `policy`, with lint metrics flushed to `rec`: one
     /// `lint.pass.<name>` span per pass family, plus the `lint.targets`,
     /// `lint.passes`, and `lint.diagnostics` counters (diagnostics are
     /// counted after allow/deny filtering, matching what the report
-    /// carries). Counter totals are thread-invariant; only span
+    /// carries). Results are deterministic regardless of thread count:
+    /// `parallel_map` returns pass outputs in input order and the final
+    /// sort is total. Counter totals are thread-invariant; only span
     /// durations vary.
     #[must_use]
     pub fn lint_recorded(
@@ -60,14 +55,13 @@ impl Linter {
         rec: &dyn Recorder,
         target: &LintTarget,
     ) -> LintReport {
-        let per_pass: Vec<Vec<Diagnostic>> =
-            parallel_map_recorded(policy, rec, &Pass::ALL, |_, &pass| {
-                let _timer = span(
-                    rec,
-                    format!("{}.{}", names::SPAN_LINT_PASS_PREFIX, pass.name()),
-                );
-                run_pass(pass, target, &self.config)
-            });
+        let per_pass: Vec<Vec<Diagnostic>> = parallel_map(policy, rec, &Pass::ALL, |_, &pass| {
+            let _timer = span(
+                rec,
+                format!("{}.{}", names::SPAN_LINT_PASS_PREFIX, pass.name()),
+            );
+            run_pass(pass, target, &self.config)
+        });
         let mut diagnostics: Vec<Diagnostic> = per_pass
             .into_iter()
             .flatten()
@@ -100,15 +94,9 @@ impl Linter {
 
     /// Lints many targets, parallelising across targets (each target's
     /// passes then run serially — the outer fan-out already saturates
-    /// the policy's workers).
-    #[must_use]
-    pub fn lint_all(&self, policy: &ExecPolicy, targets: &[LintTarget]) -> Vec<LintReport> {
-        self.lint_all_recorded(policy, lowvolt_obs::noop(), targets)
-    }
-
-    /// [`Linter::lint_all`] with metrics: the outer target fan-out goes
-    /// through the recorded execution engine and every inner
-    /// (serial-policy) lint run flushes its own pass spans and counters.
+    /// the policy's workers). The outer fan-out goes through the
+    /// execution engine's metrics and every inner (serial-policy) lint
+    /// run flushes its own pass spans and counters to `rec`.
     #[must_use]
     pub fn lint_all_recorded(
         &self,
@@ -116,7 +104,7 @@ impl Linter {
         rec: &dyn Recorder,
         targets: &[LintTarget],
     ) -> Vec<LintReport> {
-        parallel_map_recorded(policy, rec, targets, |_, t| {
+        parallel_map(policy, rec, targets, |_, t| {
             self.lint_recorded(&ExecPolicy::serial(), rec, t)
         })
     }

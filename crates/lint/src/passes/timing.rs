@@ -18,7 +18,6 @@
 
 use lowvolt_core::mtcmos::MtcmosSizer;
 use lowvolt_device::units::Seconds;
-use lowvolt_exec::ExecPolicy;
 use lowvolt_sta::{
     analyze_priced, DelayPricer, StaConfig, StaError, StaReport, NOMINAL_VDD, NOMINAL_VT,
 };
@@ -169,7 +168,6 @@ fn analyze(
     price: &dyn Fn(usize, usize) -> Result<Seconds, StaError>,
 ) -> Option<StaReport> {
     analyze_priced(
-        &ExecPolicy::serial(),
         lowvolt_obs::noop(),
         &target.name,
         &target.netlist,

@@ -7,6 +7,7 @@ use lowvolt_circuit::netlist::GateKind;
 use lowvolt_exec::ExecPolicy;
 use lowvolt_lint::{seeded_defect, standard_lint_targets, Defect, LintConfig, Linter, Rule};
 use lowvolt_obs::json::Json;
+use lowvolt_obs::noop;
 
 fn rules_of(report: &lowvolt_lint::LintReport) -> Vec<Rule> {
     report.diagnostics.iter().map(|d| d.rule).collect()
@@ -206,9 +207,10 @@ fn reports_are_identical_across_thread_counts() {
     let linter = Linter::with_defaults();
     for defect in Defect::ALL {
         let target = seeded_defect(defect).expect("fixture");
-        let serial = linter.lint_with(&ExecPolicy::serial(), &target);
+        let serial = linter.lint_recorded(&ExecPolicy::serial(), noop(), &target);
         for threads in [2, 4, 8] {
-            let parallel = linter.lint_with(&ExecPolicy::with_threads(threads), &target);
+            let parallel =
+                linter.lint_recorded(&ExecPolicy::with_threads(threads), noop(), &target);
             assert_eq!(serial, parallel, "divergence at {threads} threads");
         }
     }
@@ -217,7 +219,8 @@ fn reports_are_identical_across_thread_counts() {
 #[test]
 fn lint_all_covers_every_target_in_order() {
     let targets = standard_lint_targets(8).expect("targets");
-    let reports = Linter::with_defaults().lint_all(&ExecPolicy::with_threads(4), &targets);
+    let reports =
+        Linter::with_defaults().lint_all_recorded(&ExecPolicy::with_threads(4), noop(), &targets);
     assert_eq!(reports.len(), targets.len());
     for (t, r) in targets.iter().zip(&reports) {
         assert_eq!(t.name, r.target);

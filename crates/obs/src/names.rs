@@ -80,7 +80,8 @@ pub const CAMPAIGN_PROPAGATED_X: &str = "campaign.propagated_x";
 /// Injections classified `Masked`.
 pub const CAMPAIGN_MASKED: &str = "campaign.masked";
 
-/// Work items submitted to `parallel_map` regions.
+/// Work items submitted to `lowvolt_exec::parallel_map` regions (isolated
+/// and checkpointed runs included).
 pub const EXEC_ITEMS: &str = "exec.items";
 /// Chunks claimed from the work-pool cursor (varies with thread count —
 /// the one deliberately thread-dependent counter in the catalog).
@@ -203,7 +204,8 @@ pub const SPAN_CAMPAIGN_FAULTS: &str = "campaign.run.faults";
 /// Span name for levelizing a netlist into the compiled engine's tables
 /// (opened before, not inside, [`SPAN_CAMPAIGN_RUN`]).
 pub const SPAN_COMPILED_COMPILE: &str = "compiled.compile";
-/// Span name for a whole `parallel_map` region (serial or parallel).
+/// Span name for a whole `lowvolt_exec::parallel_map` region (serial or
+/// parallel).
 pub const SPAN_EXEC_REGION: &str = "exec.region";
 /// Span name accumulating each worker's busy time inside a region;
 /// `Σ exec.worker / (threads × exec.region)` is the thread utilization.

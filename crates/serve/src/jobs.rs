@@ -430,7 +430,6 @@ pub fn run_campaign_job(
                 fault: FaultPolicy {
                     max_retries: spec.max_retries,
                     item_timeout_ms: spec.item_timeout_ms,
-                    ..FaultPolicy::default()
                 },
                 cache: persist.cache.map(|c| (c, target_seed)),
                 checkpoint: journal_state

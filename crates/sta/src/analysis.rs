@@ -6,7 +6,7 @@ use crate::StaError;
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::netlist::{Netlist, NodeId};
 use lowvolt_device::units::{Seconds, Volts};
-use lowvolt_exec::{parallel_map_recorded, ExecPolicy};
+use lowvolt_exec::ExecPolicy;
 use lowvolt_obs::{names, span, Recorder};
 
 /// Nominal operating supply used by defaults across the toolkit.
@@ -55,13 +55,17 @@ impl StaConfig {
 /// Runs static timing analysis with the paper-default delay pricing
 /// (ring-oscillator drive/load constants, load scaled by fanout).
 ///
+/// The [`ExecPolicy`] argument is ignored: the analysis is one forward
+/// and one backward pass with no parallel region. The parameter stays
+/// only so existing callers keep compiling.
+///
 /// # Errors
 ///
 /// Returns [`StaError::Circuit`] when the netlist cannot be levelized
 /// (every offending structure named) and [`StaError::NoEndpoints`] when
 /// `outputs` is empty and the netlist holds no registers.
 pub fn analyze(
-    policy: &ExecPolicy,
+    _policy: &ExecPolicy,
     rec: &dyn Recorder,
     target_name: &str,
     netlist: &Netlist,
@@ -69,15 +73,9 @@ pub fn analyze(
     config: StaConfig,
 ) -> Result<StaReport, StaError> {
     let pricer = DelayPricer::paper_default();
-    analyze_priced(
-        policy,
-        rec,
-        target_name,
-        netlist,
-        outputs,
-        config,
-        &|_, fanout| pricer.delay(config.vdd, config.vt, fanout),
-    )
+    analyze_priced(rec, target_name, netlist, outputs, config, &|_, fanout| {
+        pricer.delay(config.vdd, config.vt, fanout)
+    })
 }
 
 /// [`analyze`] with caller-supplied delay pricing.
@@ -95,7 +93,6 @@ pub fn analyze(
 /// Propagates [`StaError::Circuit`] from levelization, pricing errors
 /// from `price`, and [`StaError::NoEndpoints`].
 pub fn analyze_priced(
-    policy: &ExecPolicy,
     rec: &dyn Recorder,
     target_name: &str,
     netlist: &Netlist,
@@ -117,11 +114,15 @@ pub fn analyze_priced(
     }
 
     // Forward pass: latest arrival per node, with the worst-input
-    // predecessor recorded for path backtracing. Ties keep the first
-    // (lowest-slot) input, which makes the trace thread-invariant.
+    // predecessor recorded for the critical-path chain. Ties keep the
+    // first (lowest-slot) input. Each node's worst-path gate count and
+    // startpoint ride along, so endpoint summaries need no walk back up
+    // the chain; an undriven node is its own zero-depth startpoint.
     let mut arrival = vec![0.0f64; nodes];
     let mut pred = vec![u32::MAX; nodes];
     let mut driver = vec![u32::MAX; nodes];
+    let mut depth = vec![0u32; nodes];
+    let mut start: Vec<u32> = (0..nodes as u32).collect();
     for (p, &gate_delay) in delay.iter().enumerate() {
         let ins = comp.gate_inputs(p);
         let arity = comp.gate_kind(p).arity();
@@ -137,6 +138,8 @@ pub fn analyze_priced(
         arrival[out] = worst_t + gate_delay;
         pred[out] = worst as u32;
         driver[out] = p as u32;
+        depth[out] = depth[worst] + 1;
+        start[out] = start[worst];
     }
 
     // Endpoints: declared primary outputs first, then register data
@@ -205,26 +208,27 @@ pub fn analyze_priced(
         }
     }
 
-    // Per-endpoint worst-path summaries, one work item per endpoint.
-    // Results come back input-ordered regardless of thread count.
-    let summaries = parallel_map_recorded(policy, rec, &endpoints, |_, &(n, kind)| {
-        let (depth, start) = backtrace(&pred, &driver, n);
+    // Per-endpoint worst-path summaries, O(1) each.
+    let mut summaries = Vec::with_capacity(endpoints.len());
+    for &(n, kind) in &endpoints {
         let slack = if arrival[n].is_finite() {
             required_t - arrival[n]
         } else {
             f64::NEG_INFINITY
         };
-        EndpointSummary {
+        summaries.push(EndpointSummary {
             node: netlist.node_name(NodeId::from_index(n)).to_owned(),
             node_index: n,
             kind,
             arrival: Seconds(arrival[n]),
             required: Seconds(required_t),
             slack: Seconds(slack),
-            depth,
-            startpoint: netlist.node_name(NodeId::from_index(start)).to_owned(),
-        }
-    });
+            depth: depth[n] as usize,
+            startpoint: netlist
+                .node_name(NodeId::from_index(start[n] as usize))
+                .to_owned(),
+        });
+    }
     let worst_slack = summaries
         .iter()
         .map(|s| s.slack.0)
@@ -272,18 +276,6 @@ pub fn analyze_priced(
         endpoints: summaries,
         node_slacks,
     })
-}
-
-/// Walks the worst-input chain from `n` back to its startpoint.
-/// Gate levels strictly decrease along the chain, so this terminates.
-fn backtrace(pred: &[u32], driver: &[u32], n: usize) -> (usize, usize) {
-    let mut depth = 0usize;
-    let mut cur = n;
-    while driver[cur] != u32::MAX {
-        depth += 1;
-        cur = pred[cur] as usize;
-    }
-    (depth, cur)
 }
 
 #[cfg(test)]
@@ -460,15 +452,9 @@ mod tests {
     fn custom_pricing_sees_original_gate_indices_and_fanout() {
         let (n, outs) = chain();
         // Constant unit delay: critical delay == deepest level count.
-        let report = analyze_priced(
-            &ExecPolicy::serial(),
-            noop(),
-            "c",
-            &n,
-            &outs,
-            StaConfig::nominal(),
-            &|_, _| Ok(Seconds(1e-12)),
-        )
+        let report = analyze_priced(noop(), "c", &n, &outs, StaConfig::nominal(), &|_, _| {
+            Ok(Seconds(1e-12))
+        })
         .unwrap();
         assert!((report.critical.0 - report.levels as f64 * 1e-12).abs() < 1e-24);
         assert_eq!(report.critical_path.len(), report.levels);

@@ -12,11 +12,13 @@
 //! constants as the ring-oscillator proxy, so STA-backed and
 //! ring-oscillator optimizations are physically comparable.
 //!
+//! The forward pass also carries each node's worst-path gate count and
+//! startpoint, so every endpoint summary is O(1) and the whole analysis
+//! is O(nodes + edges), serial, with no parallel region.
+//!
 //! The result is a [`StaReport`]: the critical path as a named gate
 //! chain, per-node slack (`slack = required − arrival`), and per-endpoint
 //! summaries, renderable as text or JSON (through `lowvolt_obs::json`).
-//! Endpoint analysis parallelises through [`lowvolt_exec`] with
-//! input-ordered, thread-count-invariant output.
 //!
 //! Operating points with `V_DD ≤ V_T` are reported as **infeasible**
 //! (the devices never turn on): arrivals are infinite, the report flags

@@ -1,40 +1,53 @@
 //! Differential tests pinning the analyzer against independent oracles:
 //! under constant unit pricing the critical path must be exactly the
-//! levelizer's deepest level on every standard datapath, and reports
-//! must be byte-identical across thread counts.
+//! levelizer's deepest level on every standard datapath and seeded
+//! generated netlist, and reports must be byte-identical across thread
+//! counts.
+
+use std::collections::HashSet;
 
 use lowvolt_circuit::faults::standard_targets;
+use lowvolt_circuit::netlist::{Netlist, NodeId};
 use lowvolt_device::units::Seconds;
 use lowvolt_exec::ExecPolicy;
+use lowvolt_io::{generate, GeneratorConfig};
 use lowvolt_sta::{analyze, analyze_priced, StaConfig};
 
 /// With every gate priced at the same constant delay, the worst path is
 /// purely structural: the critical delay collapses to `levels × unit`
-/// and the traced chain holds one gate per level. The levelizer is an
-/// independent oracle — it never looks at delays.
+/// and the traced chain holds one gate per level. Every endpoint's
+/// worst path likewise has one gate per level of its node and starts at
+/// a level-0 node. The levelizer is an independent oracle — it never
+/// looks at delays.
 #[test]
 fn constant_pricing_reduces_sta_to_levelization() {
-    for target in standard_targets(8).expect("standard targets build") {
+    let mut circuits: Vec<(String, Netlist, Vec<NodeId>)> = standard_targets(8)
+        .expect("standard targets build")
+        .into_iter()
+        .map(|t| (t.name, t.netlist, t.outputs))
+        .collect();
+    for seed in [1, 42, 7] {
+        let c = generate(&GeneratorConfig::new(2000, seed)).expect("generator config is valid");
+        circuits.push((c.name, c.netlist, c.outputs));
+    }
+    for (name, netlist, outputs) in &circuits {
         let report = analyze_priced(
-            &ExecPolicy::serial(),
             lowvolt_obs::noop(),
-            &target.name,
-            &target.netlist,
-            &target.outputs,
+            name,
+            netlist,
+            outputs,
             StaConfig::nominal(),
             &|_, _| Ok(Seconds(1e-12)),
         )
-        .expect("standard targets are analyzable");
+        .expect("targets are analyzable");
         assert_eq!(
             report.critical_path.len(),
             report.levels,
-            "{}: critical path must visit one gate per level",
-            target.name
+            "{name}: critical path must visit one gate per level"
         );
         assert!(
             (report.critical.0 - report.levels as f64 * 1e-12).abs() < 1e-24,
-            "{}: critical delay {} != levels {} x 1 ps",
-            target.name,
+            "{name}: critical delay {} != levels {} x 1 ps",
             report.critical.0,
             report.levels
         );
@@ -44,12 +57,31 @@ fn constant_pricing_reduces_sta_to_levelization() {
             .iter()
             .max_by(|a, b| a.arrival.0.total_cmp(&b.arrival.0))
             .expect("at least one endpoint");
-        assert_eq!(worst.depth, report.levels, "{}", target.name);
+        assert_eq!(worst.depth, report.levels, "{name}");
+        let level_zero: HashSet<&str> = report
+            .node_slacks
+            .iter()
+            .filter(|n| n.level == 0)
+            .map(|n| n.node.as_str())
+            .collect();
+        for ep in &report.endpoints {
+            assert_eq!(
+                ep.depth, report.node_slacks[ep.node_index].level,
+                "{name}: endpoint {} depth",
+                ep.node
+            );
+            assert!(
+                level_zero.contains(ep.startpoint.as_str()),
+                "{name}: endpoint {} starts at {}, not a level-0 node",
+                ep.node,
+                ep.startpoint
+            );
+        }
     }
 }
 
-/// Endpoint summaries parallelise; the rendered text and JSON must not
-/// depend on the worker count.
+/// The analysis ignores its execution policy; the rendered text and JSON
+/// must not depend on the worker count it is handed.
 #[test]
 fn reports_are_byte_identical_across_thread_counts() {
     for target in standard_targets(8).expect("standard targets build") {

@@ -61,27 +61,15 @@ impl BurstSchedule {
 /// profiler's clock but uses no functional block — exactly how a
 /// shut-down stretch looks to the activity variables.
 ///
+/// Profiler metrics are flushed to `rec` (`lowvolt_obs::noop()` for
+/// none): the whole run is timed under a `profile.run` span and the
+/// finished profiler's aggregate counters (`profile.instructions`, unit
+/// uses/runs, and the `fga`/`bga` extraction ticks) are flushed once at
+/// the end — the per-instruction hot loop never touches the recorder.
+///
 /// # Errors
 ///
 /// Returns an error string if assembly or execution fails.
-pub fn profile_bursty(
-    source: &str,
-    schedule: BurstSchedule,
-    budget: u64,
-    hysteresis: u64,
-) -> Result<ProfileReport, String> {
-    profile_bursty_recorded(source, schedule, budget, hysteresis, lowvolt_obs::noop())
-}
-
-/// [`profile_bursty`] with profiler metrics flushed to `rec`: the whole
-/// run is timed under a `profile.run` span and the finished profiler's
-/// aggregate counters (`profile.instructions`, unit uses/runs, and the
-/// `fga`/`bga` extraction ticks) are flushed once at the end — the
-/// per-instruction hot loop never touches the recorder.
-///
-/// # Errors
-///
-/// Exactly the [`profile_bursty`] contract.
 pub fn profile_bursty_recorded(
     source: &str,
     schedule: BurstSchedule,
@@ -123,6 +111,7 @@ mod tests {
     use super::*;
     use crate::idea;
     use lowvolt_isa::FunctionalUnit;
+    use lowvolt_obs::noop;
 
     #[test]
     fn schedule_duty_roundtrip() {
@@ -174,18 +163,20 @@ mod tests {
         // The analytic rule fga_system = duty · fga_active, checked on a
         // real instruction stream.
         let src = idea::program(20);
-        let full = profile_bursty(
+        let full = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(500, 1.0).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs");
-        let fifth = profile_bursty(
+        let fifth = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(500, 0.2).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs");
         for unit in FunctionalUnit::ALL {
@@ -206,18 +197,20 @@ mod tests {
         // bga scales with duty as well (runs can't span idle gaps), while
         // within-burst structure is preserved.
         let src = idea::program(20);
-        let full = profile_bursty(
+        let full = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(500, 1.0).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs");
-        let fifth = profile_bursty(
+        let fifth = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(500, 0.2).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs");
         let a_full = full.unit(FunctionalUnit::Adder);
@@ -232,19 +225,21 @@ mod tests {
         // The instruction-accurate harness and the xserver Markov trace
         // generator must tell the same duty-scaling story.
         let src = idea::program(20);
-        let active = profile_bursty(
+        let active = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(500, 1.0).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs")
         .unit(FunctionalUnit::Adder);
-        let measured = profile_bursty(
+        let measured = profile_bursty_recorded(
             &src,
             BurstSchedule::with_duty(2_000, 0.2).unwrap(),
             50_000_000,
             1,
+            noop(),
         )
         .expect("runs")
         .unit(FunctionalUnit::Adder);
