@@ -1,71 +1,111 @@
-//! `perf` — the persisted benchmark baseline for the parallel engine.
+//! `perf` — the workspace's one benchmark harness; writes
+//! `BENCH_sim.json`.
 //!
 //! Times the parallelised hot paths — fault campaign, experiment
 //! regeneration, the (V_DD, V_T) optimisation sweep, and the static
-//! timing sweep over the standard datapaths — once under the serial
-//! policy and once under the requested thread count, verifies the
-//! outputs are identical, and writes `BENCH_sim.json`. Three further
-//! stages exercise the netlist-interchange subsystem at scale: a BLIF
-//! round-trip parse, a packed fault campaign on a seeded generated
-//! netlist, and static timing analysis of a 10⁵-gate generated netlist.
+//! timing sweep over the standard datapaths — plus three
+//! netlist-interchange stages at scale (a BLIF round-trip parse, a
+//! packed fault campaign on a seeded generated netlist, static timing
+//! analysis of a 10⁵-gate generated netlist) and the three kernels under
+//! the paper's tool flow: gate-level activity extraction, the profiled
+//! guest-program interpreter and the device model.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf                      # full run, BENCH_sim.json in the cwd
-//! perf --quick              # smaller workloads (CI smoke)
-//! perf --threads 4          # explicit worker count for the parallel leg
+//! perf                      # BENCH_sim.json in the cwd
 //! perf --out path/to.json   # alternative output path
 //! ```
 //!
-//! The workloads are fixed-seed and deterministic, so successive runs
-//! measure the same work; `identical: true` in every stage certifies
-//! that the parallel leg reproduced the serial output bit for bit.
+//! `LOWVOLT_THREADS` sets the parallel leg's worker count, as for every
+//! other binary. Every stage runs three legs, interleaved, [`REPEATS`]
+//! times each: `recorded` (serial policy, live metrics registry — its
+//! counters become the row's counters), `serial` (serial policy, no
+//! recorder) and `parallel` (the environment's policy, no recorder).
+//! Each leg reports its median and minimum wall time, so `recorded`
+//! beside `serial` is the recorder's cost and `serial` beside
+//! `parallel` is the speedup. The workloads are fixed-seed and
+//! deterministic; `identical: true` in every stage certifies that every
+//! repeat of every leg reproduced the first output bit for bit.
 
 use lowvolt_bench::{all_experiments, run_experiments_with, BenchError};
+use lowvolt_circuit::activity::ActivityReport;
+use lowvolt_circuit::adder::ripple_carry_adder;
 use lowvolt_circuit::faults::{
     run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultTarget,
 };
+use lowvolt_circuit::multiplier::array_multiplier;
+use lowvolt_circuit::netlist::{Netlist, NodeId};
+use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_core::optimizer::FixedThroughputOptimizer;
 use lowvolt_core::sensitivity::{analyse_with, DesignPoint};
-use lowvolt_device::units::Seconds;
+use lowvolt_device::mosfet::Mosfet;
+use lowvolt_device::units::{Seconds, Volts};
 use lowvolt_exec::ExecPolicy;
 use lowvolt_io::{
     circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig, ImportedCircuit,
 };
+use lowvolt_isa::asm::Program;
+use lowvolt_isa::profile::ProfileReport;
+use lowvolt_isa::{assemble, Cpu, Profiler};
 use lowvolt_obs::json::{fixed, quote};
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
 use lowvolt_serve::jobs::imported_fault_target;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
+use lowvolt_workloads::idea;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-/// One stage's measurements. Counters come from the serial leg's
+/// Timed runs of each leg per stage. A constant, not a flag: the
+/// committed baseline and CI's smoke run measure the same workload, so
+/// their counters compare exactly.
+const REPEATS: usize = 5;
+
+/// One leg's wall time over [`REPEATS`] runs.
+#[derive(Debug, Clone, Copy)]
+struct LegTiming {
+    median_ms: f64,
+    min_ms: f64,
+}
+
+impl LegTiming {
+    fn of(mut samples: Vec<f64>) -> LegTiming {
+        samples.sort_by(f64::total_cmp);
+        LegTiming {
+            median_ms: samples[samples.len() / 2],
+            min_ms: samples[0],
+        }
+    }
+}
+
+/// One stage's measurements. Counters come from the recorded leg's
 /// metrics registry — the same `lowvolt_obs::names` catalog the CLI's
 /// `--metrics-json` emits, so the two outputs cannot drift apart.
 struct StageResult {
     name: &'static str,
     /// Which simulation engine the stage exercised; `None` for stages
-    /// that are not engine-selectable (regen, optimize).
+    /// that are not engine-selectable.
     engine: Option<&'static str>,
-    serial_wall_ms: f64,
-    parallel_wall_ms: f64,
+    recorded: LegTiming,
+    serial: LegTiming,
+    parallel: LegTiming,
     identical: bool,
     counters: Vec<(&'static str, u64)>,
 }
 
 impl StageResult {
     fn speedup(&self) -> f64 {
-        if self.parallel_wall_ms > 0.0 {
-            self.serial_wall_ms / self.parallel_wall_ms
+        if self.parallel.median_ms > 0.0 {
+            self.serial.median_ms / self.parallel.median_ms
         } else {
             1.0
         }
     }
 
-    /// Campaign throughput: completed injections per second of serial
-    /// wall clock (the engine-to-engine comparison, independent of
+    /// Campaign throughput: completed injections per second of the
+    /// serial median (the engine-to-engine comparison, independent of
     /// thread count). `None` when the stage recorded no injections.
     fn injections_per_sec(&self) -> Option<f64> {
         let injections = self
@@ -73,8 +113,8 @@ impl StageResult {
             .iter()
             .find(|(name, _)| *name == names::CAMPAIGN_INJECTIONS)
             .map(|&(_, v)| v)?;
-        if self.serial_wall_ms > 0.0 {
-            Some(injections as f64 / (self.serial_wall_ms / 1e3))
+        if self.serial.median_ms > 0.0 {
+            Some(injections as f64 / (self.serial.median_ms / 1e3))
         } else {
             None
         }
@@ -88,10 +128,10 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Runs both legs of a stage and compares their outputs. The serial leg
-/// carries a metrics registry; its nonzero counters become the stage's
-/// counter columns. The parallel leg runs unrecorded, so the timing
-/// comparison is not skewed by collection overhead on one side only.
+/// Runs the three legs of a stage [`REPEATS`] times each and compares
+/// every output with the first. The legs interleave, and the leg that
+/// runs first rotates from repeat to repeat, so cache warm-up and
+/// frequency drift fall on every leg alike.
 fn stage<R: PartialEq>(
     name: &'static str,
     engine: Option<&'static str>,
@@ -99,22 +139,41 @@ fn stage<R: PartialEq>(
     run: impl Fn(&ExecPolicy, &dyn Recorder) -> Result<R, String>,
 ) -> Result<StageResult, String> {
     let serial = ExecPolicy::serial();
-    let registry = MetricsRegistry::new();
-    let (serial_out, serial_wall_ms) = timed(|| run(&serial, &registry));
-    let (parallel_out, parallel_wall_ms) = timed(|| run(policy, lowvolt_obs::noop()));
-    let identical = serial_out? == parallel_out?;
-    let counters = registry
-        .snapshot()
-        .counters()
-        .iter()
-        .filter(|&&(_, v)| v > 0)
-        .copied()
-        .collect();
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    let mut first: Option<R> = None;
+    let mut identical = true;
+    let mut counters = Vec::new();
+    for rep in 0..REPEATS {
+        let registry = MetricsRegistry::new();
+        for k in 0..3 {
+            let leg = (rep + k) % 3;
+            let (out, ms) = match leg {
+                0 => timed(|| run(&serial, &registry)),
+                1 => timed(|| run(&serial, lowvolt_obs::noop())),
+                _ => timed(|| run(policy, lowvolt_obs::noop())),
+            };
+            samples[leg].push(ms);
+            let out = out?;
+            match &first {
+                None => first = Some(out),
+                Some(f) => identical &= *f == out,
+            }
+        }
+        counters = registry
+            .snapshot()
+            .counters()
+            .iter()
+            .filter(|&&(_, v)| v > 0)
+            .copied()
+            .collect();
+    }
+    let [recorded, serial, parallel] = samples.map(LegTiming::of);
     Ok(StageResult {
         name,
         engine,
-        serial_wall_ms,
-        parallel_wall_ms,
+        recorded,
+        serial,
+        parallel,
         identical,
         counters,
     })
@@ -125,33 +184,24 @@ fn stage<R: PartialEq>(
 /// reports are byte-identical between the two engines, so the
 /// event/compiled rows in `BENCH_sim.json` time the same classification
 /// work.
-fn campaign_leg(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
-    width: usize,
-    vectors: usize,
-    engine: Engine,
-) -> Result<String, String> {
-    let targets = standard_targets(width).map_err(|e| e.to_string())?;
+fn campaign_leg(policy: &ExecPolicy, rec: &dyn Recorder, engine: Engine) -> Result<String, String> {
+    let targets = standard_targets(8).map_err(|e| e.to_string())?;
     let mut out = String::new();
     for (i, target) in targets.iter().enumerate() {
         let stimulus = PatternSource::random(target.inputs.len(), 0xC0FFEE + i as u64)
             .map_err(|e| e.to_string())?;
-        out.push_str(&campaign_report(
-            policy, rec, target, stimulus, vectors, engine,
-        )?);
+        out.push_str(&campaign_report(policy, rec, target, stimulus, engine)?);
     }
     Ok(out)
 }
 
-/// One campaign over `target`'s full stuck-at universe, rendered as
-/// its report text.
+/// One 32-vector campaign over `target`'s full stuck-at universe,
+/// rendered as its report text.
 fn campaign_report(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
     target: &FaultTarget,
     mut stimulus: PatternSource,
-    vectors: usize,
     engine: Engine,
 ) -> Result<String, String> {
     let faults = stuck_at_universe(&target.netlist);
@@ -161,30 +211,18 @@ fn campaign_report(
         recorder: rec,
         ..CampaignOptions::default()
     };
-    let res = run_campaign(target, &faults, &mut stimulus, vectors, options)
-        .map_err(|e| e.to_string())?;
+    let res =
+        run_campaign(target, &faults, &mut stimulus, 32, options).map_err(|e| e.to_string())?;
     Ok(res
         .report()
         .ok_or("campaign left injections unresolved")?
         .to_string())
 }
 
-/// The regen stage: a fixed slice of the experiment registry, one
-/// experiment per work item.
-fn regen_leg(policy: &ExecPolicy, ids: &[&str]) -> Result<String, String> {
-    let registry = all_experiments();
-    let selected: Vec<_> = registry
-        .into_iter()
-        .filter(|e| ids.contains(&e.id))
-        .collect();
-    if selected.len() != ids.len() {
-        return Err(format!(
-            "regen stage resolved {}/{} ids",
-            selected.len(),
-            ids.len()
-        ));
-    }
-    let outputs: Result<Vec<String>, BenchError> = run_experiments_with(policy, &selected)
+/// The regen stage: the whole experiment registry, one experiment per
+/// work item — what the `regen` binary prints.
+fn regen_leg(policy: &ExecPolicy) -> Result<String, String> {
+    let outputs: Result<Vec<String>, BenchError> = run_experiments_with(policy, &all_experiments())
         .into_iter()
         .collect();
     Ok(outputs.map_err(|e| e.to_string())?.join("\n"))
@@ -192,22 +230,20 @@ fn regen_leg(policy: &ExecPolicy, ids: &[&str]) -> Result<String, String> {
 
 /// The optimize stage: the Fig. 4 coarse grid + refinement, plus the
 /// sensitivity analysis (seven further optimisations).
-fn optimize_leg(policy: &ExecPolicy, quick: bool) -> Result<String, String> {
+fn optimize_leg(policy: &ExecPolicy) -> Result<String, String> {
     let opt = FixedThroughputOptimizer::paper_ring(Seconds::from_nanos(2.0))
         .map_err(|e| e.to_string())?;
     let best = opt
         .optimum_with(policy, Seconds(1e-6))
         .map_err(|e| e.to_string())?;
     let mut out = format!("optimum vt={:.6} vdd={:.6}\n", best.vt.0, best.vdd.0);
-    if !quick {
-        let point = DesignPoint::paper_nominal().map_err(|e| e.to_string())?;
-        let report = analyse_with(policy, point, 0.2).map_err(|e| e.to_string())?;
-        for e in &report.entries {
-            out.push_str(&format!(
-                "sensitivity {} swing={:.6}\n",
-                e.parameter, e.energy_swing
-            ));
-        }
+    let point = DesignPoint::paper_nominal().map_err(|e| e.to_string())?;
+    let report = analyse_with(policy, point, 0.2).map_err(|e| e.to_string())?;
+    for e in &report.entries {
+        out.push_str(&format!(
+            "sensitivity {} swing={:.6}\n",
+            e.parameter, e.energy_swing
+        ));
     }
     Ok(out)
 }
@@ -216,8 +252,8 @@ fn optimize_leg(policy: &ExecPolicy, quick: bool) -> Result<String, String> {
 /// slack) for every standard datapath at the nominal operating point.
 /// The analysis is two serial passes that ignore the policy, so this
 /// row is a baseline, not a speedup measurement.
-fn sta_leg(policy: &ExecPolicy, rec: &dyn Recorder, width: usize) -> Result<String, String> {
-    let targets = standard_targets(width).map_err(|e| e.to_string())?;
+fn sta_leg(policy: &ExecPolicy, rec: &dyn Recorder) -> Result<String, String> {
+    let targets = standard_targets(8).map_err(|e| e.to_string())?;
     let config = StaConfig::at(NOMINAL_VDD, NOMINAL_VT);
     let mut out = String::new();
     for target in &targets {
@@ -259,11 +295,10 @@ fn generated_campaign_leg(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
     target: &FaultTarget,
-    vectors: usize,
 ) -> Result<String, String> {
     let stimulus =
         PatternSource::wide_random(target.inputs.len(), 0xD1CE).map_err(|e| e.to_string())?;
-    campaign_report(policy, rec, target, stimulus, vectors, Engine::Compiled)
+    campaign_report(policy, rec, target, stimulus, Engine::Compiled)
 }
 
 /// The generated-STA stage: one full static timing report over a
@@ -279,9 +314,61 @@ fn generated_sta_leg(
     Ok(report.to_string())
 }
 
-fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageResult]) -> String {
+/// The activity-extraction kernel behind Figs. 8–9: event-driven
+/// `measure_activity` over 200 random vectors (8 of them warm-up) on
+/// each of `circuits`.
+fn sim_activity_leg(
+    rec: &dyn Recorder,
+    circuits: &[(Netlist, Vec<NodeId>)],
+) -> Result<Vec<ActivityReport>, String> {
+    circuits
+        .iter()
+        .map(|(netlist, inputs)| {
+            let mut sim = Simulator::new(netlist);
+            sim.set_recorder(rec);
+            let mut src = PatternSource::random(inputs.len(), 3).map_err(|e| e.to_string())?;
+            sim.measure_activity(&mut src, inputs, 200, 8)
+                .map_err(|e| e.to_string())
+        })
+        .collect()
+}
+
+/// The interpreter kernel behind Tables 1–3: the IDEA guest program run
+/// once raw and once under the ATOM-style profiler.
+fn interpreter_leg(rec: &dyn Recorder, program: &Program) -> Result<(u64, ProfileReport), String> {
+    const BUDGET: u64 = 100_000_000;
+    let mut raw = Cpu::new(program.clone());
+    raw.run(BUDGET).map_err(|e| e.to_string())?;
+    let mut cpu = Cpu::new(program.clone());
+    let mut profiler = Profiler::standard();
+    cpu.run_profiled(BUDGET, &mut profiler)
+        .map_err(|e| e.to_string())?;
+    profiler.flush_metrics(rec);
+    Ok((raw.steps(), profiler.report()))
+}
+
+/// The device-model kernel behind Figs. 2 and 6: a 1000-point EKV
+/// drain-current sweep of V_gs at V_ds = 1 V.
+fn device_iv_leg(m: &Mosfet) -> f64 {
+    (0..1000)
+        .map(|i| {
+            let vgs = Volts(black_box(f64::from(i) * 0.003));
+            m.drain_current(vgs, Volts(1.0)).0
+        })
+        .sum()
+}
+
+fn leg_json(t: LegTiming) -> String {
+    format!(
+        "{{\"median_ms\": {}, \"min_ms\": {}}}",
+        fixed(t.median_ms, 3),
+        fixed(t.min_ms, 3)
+    )
+}
+
+fn render_json(threads: usize, parallelism: usize, stages: &[StageResult]) -> String {
     let mut out = format!(
-        "{{\n  \"threads\": {threads},\n  \"parallelism_available\": {parallelism},\n  \"quick\": {quick},\n  \"stages\": [\n"
+        "{{\n  \"threads\": {threads},\n  \"parallelism_available\": {parallelism},\n  \"repeats\": {REPEATS},\n  \"stages\": [\n"
     );
     for (i, s) in stages.iter().enumerate() {
         let _ = write!(out, "    {{\"name\": {}, ", quote(s.name));
@@ -290,9 +377,10 @@ fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageR
         }
         let _ = write!(
             out,
-            "\"serial_wall_ms\": {}, \"parallel_wall_ms\": {}, \"speedup\": {}, ",
-            fixed(s.serial_wall_ms, 3),
-            fixed(s.parallel_wall_ms, 3),
+            "\"recorded\": {}, \"serial\": {}, \"parallel\": {}, \"speedup\": {}, ",
+            leg_json(s.recorded),
+            leg_json(s.serial),
+            leg_json(s.parallel),
             fixed(s.speedup(), 3)
         );
         if let Some(r) = s.injections_per_sec() {
@@ -311,87 +399,59 @@ fn render_json(threads: usize, parallelism: usize, quick: bool, stages: &[StageR
 }
 
 fn run() -> Result<(), String> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    if let Some(pos) = args.iter().position(|a| a == "--quick") {
-        args.remove(pos);
-        quick = true;
-    }
-    let mut take_value = |flag: &str| -> Result<Option<String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(pos) if pos + 1 < args.len() => {
-                let v = args.remove(pos + 1);
-                args.remove(pos);
-                Ok(Some(v))
-            }
-            Some(_) => Err(format!("{flag} needs a value")),
+    let mut out_path = "BENCH_sim.json".to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out_path = args.next().ok_or("--out needs a value")?,
+            _ => return Err(format!("unknown argument `{arg}`")),
         }
-    };
-    let out_path = take_value("--out")?.unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let policy = match take_value("--threads")? {
-        None => ExecPolicy::from_env(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => ExecPolicy::with_threads(n),
-            Err(_) => return Err(format!("--threads needs a number, got `{v}`")),
-        },
-    };
-    if let Some(unknown) = args.first() {
-        return Err(format!("unknown argument `{unknown}`"));
     }
 
+    let policy = ExecPolicy::from_env();
     let parallelism = ExecPolicy::max_parallel().threads();
     eprintln!(
-        "perf: {} worker thread(s), {} available, {} workload",
+        "perf: {} worker thread(s), {} available, {REPEATS} repeats per leg",
         policy.threads(),
         parallelism,
-        if quick { "quick" } else { "full" }
     );
-
-    let (width, vectors) = if quick { (4, 8) } else { (8, 32) };
-    let regen_ids: &[&str] = if quick {
-        &["fig1", "fig2", "fig6"]
-    } else {
-        &[
-            "fig1", "fig2", "fig3", "fig6", "fig7", "table1", "table2", "table3",
-        ]
-    };
 
     // Generated-netlist workloads, seeded so every run measures the
     // same circuits. The campaign and STA sizes mirror the CLI
     // acceptance invocations (`--generate N --seed 42`).
-    let (parse_gates, gen_gates, gen_vectors, sta_gates) = if quick {
-        (2_000, 1_500, 8, 10_000)
-    } else {
-        (20_000, 10_000, 32, 100_000)
-    };
     let parse_circuit =
-        generate(&GeneratorConfig::new(parse_gates, 0xB11F)).map_err(|e| e.to_string())?;
+        generate(&GeneratorConfig::new(20_000, 0xB11F)).map_err(|e| e.to_string())?;
     let parse_text = write_blif(&parse_circuit).map_err(|e| e.to_string())?;
     let gen_target = imported_fault_target(
-        &generate(&GeneratorConfig::new(gen_gates, 42)).map_err(|e| e.to_string())?,
+        &generate(&GeneratorConfig::new(10_000, 42)).map_err(|e| e.to_string())?,
     );
-    let sta_circuit = generate(&GeneratorConfig::new(sta_gates, 42)).map_err(|e| e.to_string())?;
+    let sta_circuit = generate(&GeneratorConfig::new(100_000, 42)).map_err(|e| e.to_string())?;
+
+    let mut rca = Netlist::new();
+    let rca_inputs = ripple_carry_adder(&mut rca, 8)
+        .map_err(|e| e.to_string())?
+        .input_nodes();
+    let mut mult = Netlist::new();
+    let mult_inputs = array_multiplier(&mut mult, 8)
+        .map_err(|e| e.to_string())?
+        .input_nodes();
+    let activity_circuits = [(rca, rca_inputs), (mult, mult_inputs)];
+    let idea_program = assemble(&idea::program(10)).map_err(|e| e.to_string())?;
+    let nmos = Mosfet::nmos_with_vt(Volts(0.25));
 
     let stages = vec![
         stage(names::STAGE_CAMPAIGN, Some("event"), &policy, |p, rec| {
-            campaign_leg(p, rec, width, vectors, Engine::Event)
+            campaign_leg(p, rec, Engine::Event)
         })?,
         stage(
             names::STAGE_CAMPAIGN,
             Some("compiled"),
             &policy,
-            |p, rec| campaign_leg(p, rec, width, vectors, Engine::Compiled),
+            |p, rec| campaign_leg(p, rec, Engine::Compiled),
         )?,
-        stage(names::STAGE_REGEN, None, &policy, |p, _| {
-            regen_leg(p, regen_ids)
-        })?,
-        stage(names::STAGE_OPTIMIZE, None, &policy, |p, _| {
-            optimize_leg(p, quick)
-        })?,
-        stage(names::STAGE_STA, None, &policy, |p, rec| {
-            sta_leg(p, rec, width)
-        })?,
+        stage(names::STAGE_REGEN, None, &policy, |p, _| regen_leg(p))?,
+        stage(names::STAGE_OPTIMIZE, None, &policy, |p, _| optimize_leg(p))?,
+        stage(names::STAGE_STA, None, &policy, sta_leg)?,
         stage(names::STAGE_PARSE, None, &policy, |_, _| {
             parse_leg(&parse_circuit, &parse_text)
         })?,
@@ -399,10 +459,22 @@ fn run() -> Result<(), String> {
             names::STAGE_CAMPAIGN_GENERATED,
             Some("compiled"),
             &policy,
-            |p, rec| generated_campaign_leg(p, rec, &gen_target, gen_vectors),
+            |p, rec| generated_campaign_leg(p, rec, &gen_target),
         )?,
         stage(names::STAGE_STA_GENERATED, None, &policy, |p, rec| {
             generated_sta_leg(p, rec, &sta_circuit)
+        })?,
+        stage(
+            names::STAGE_SIM_ACTIVITY,
+            Some("event"),
+            &policy,
+            |_, rec| sim_activity_leg(rec, &activity_circuits),
+        )?,
+        stage(names::STAGE_INTERPRETER, None, &policy, |_, rec| {
+            interpreter_leg(rec, &idea_program)
+        })?,
+        stage(names::STAGE_DEVICE_IV, None, &policy, |_, _| {
+            Ok(device_iv_leg(&nmos))
         })?,
     ];
 
@@ -416,21 +488,22 @@ fn run() -> Result<(), String> {
             .map(|r| format!("  {r:.0} inj/s"))
             .unwrap_or_default();
         eprintln!(
-            "perf: {label:28} serial {:8.1} ms  parallel {:8.1} ms  speedup {:.2}x  identical {}{throughput}",
-            s.serial_wall_ms,
-            s.parallel_wall_ms,
+            "perf: {label:28} recorded {:9.3} ms  serial {:9.3} ms  parallel {:9.3} ms  speedup {:.2}x  identical {}{throughput}",
+            s.recorded.median_ms,
+            s.serial.median_ms,
+            s.parallel.median_ms,
             s.speedup(),
             s.identical
         );
     }
     if let Some(bad) = stages.iter().find(|s| !s.identical) {
         return Err(format!(
-            "stage `{}` parallel output diverged from serial",
+            "stage `{}` output diverged between legs or repeats",
             bad.name
         ));
     }
 
-    let json = render_json(policy.threads(), parallelism, quick, &stages);
+    let json = render_json(policy.threads(), parallelism, &stages);
     std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("perf: wrote {out_path}");
     Ok(())
@@ -451,6 +524,10 @@ mod tests {
     /// A stage name with a quote, a backslash, the three named control
     /// escapes, two `\u00XX` ones and a non-ASCII letter.
     const AWKWARD: &str = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é";
+
+    fn leg(median_ms: f64, min_ms: f64) -> LegTiming {
+        LegTiming { median_ms, min_ms }
+    }
 
     #[test]
     fn escaped_strings_parse_back_to_the_original() {
@@ -474,14 +551,19 @@ mod tests {
             .map(|name| StageResult {
                 name,
                 engine: Some(name),
-                serial_wall_ms: 2.0,
-                parallel_wall_ms: 1.0,
+                recorded: leg(2.5, 2.25),
+                serial: leg(2.0, 1.75),
+                parallel: leg(1.0, 0.5),
                 identical: true,
                 counters: vec![(name, 3), (names::CAMPAIGN_INJECTIONS, 10)],
             })
             .collect();
-        let doc = Json::parse(&render_json(2, 2, true, &stages)).expect("valid JSON document");
+        let doc = Json::parse(&render_json(2, 2, &stages)).expect("valid JSON document");
         assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        assert_eq!(
+            doc.get("repeats").and_then(Json::as_u64),
+            Some(REPEATS as u64)
+        );
         let rows = doc.get("stages").and_then(Json::as_array).expect("stages");
         assert_eq!(rows.len(), stages.len());
         for (row, stage) in rows.iter().zip(&stages) {
@@ -493,6 +575,15 @@ mod tests {
                     .and_then(Json::as_u64),
                 Some(3)
             );
+            for (key, median, min) in [
+                ("recorded", 2.5, 2.25),
+                ("serial", 2.0, 1.75),
+                ("parallel", 1.0, 0.5),
+            ] {
+                let timing = row.get(key).expect(key);
+                assert_eq!(timing.get("median_ms").and_then(Json::as_f64), Some(median));
+                assert_eq!(timing.get("min_ms").and_then(Json::as_f64), Some(min));
+            }
             assert_eq!(row.get("speedup").and_then(Json::as_f64), Some(2.0));
             assert_eq!(
                 row.get("injections_per_sec").and_then(Json::as_f64),
@@ -506,16 +597,27 @@ mod tests {
         let stage = StageResult {
             name: "nan",
             engine: None,
-            serial_wall_ms: f64::NAN,
-            parallel_wall_ms: f64::INFINITY,
+            recorded: leg(f64::NAN, f64::NEG_INFINITY),
+            serial: leg(f64::NAN, f64::NAN),
+            parallel: leg(f64::INFINITY, f64::INFINITY),
             identical: false,
             counters: vec![],
         };
-        let doc = Json::parse(&render_json(1, 1, false, &[stage])).expect("valid JSON document");
+        let doc = Json::parse(&render_json(1, 1, &[stage])).expect("valid JSON document");
         let row = &doc.get("stages").and_then(Json::as_array).expect("stages")[0];
-        for key in ["serial_wall_ms", "parallel_wall_ms", "speedup"] {
-            assert!(row.get(key).is_some_and(Json::is_null), "{key}");
+        for leg in ["recorded", "serial", "parallel"] {
+            for key in ["median_ms", "min_ms"] {
+                let value = row.get(leg).and_then(|t| t.get(key));
+                assert!(value.is_some_and(Json::is_null), "{leg}.{key}");
+            }
         }
+        assert!(row.get("speedup").is_some_and(Json::is_null));
         assert!(row.get("engine").is_none());
+    }
+
+    #[test]
+    fn leg_timing_is_the_median_and_min_of_its_samples() {
+        let t = LegTiming::of(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((t.median_ms, t.min_ms), (3.0, 1.0));
     }
 }

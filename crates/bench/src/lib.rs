@@ -5,8 +5,8 @@
 //! rows/series the paper reports, plus ablation studies for the design
 //! choices called out in DESIGN.md.
 //!
-//! Consumed by the `regen` binary (prints everything) and the Criterion
-//! benches (measure each experiment's generation cost).
+//! Consumed by the `regen` binary (prints everything) and the `perf`
+//! benchmark harness (times the whole registry as its `regen` stage).
 //!
 //! [`Table`]: lowvolt_core::report::Table
 

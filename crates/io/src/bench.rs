@@ -275,10 +275,13 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
 /// keyword case-insensitively and only when followed by `(` or
 /// whitespace (so a signal named `INPUTx` still parses as a target).
 fn strip_keyword<'a>(stmt: &'a str, keyword: &str) -> Option<&'a str> {
-    if stmt.len() < keyword.len() || !stmt[..keyword.len()].eq_ignore_ascii_case(keyword) {
+    // `get` rather than indexing: a multi-byte character straddling the
+    // keyword's length is a mismatch, not a slicing panic.
+    let head = stmt.get(..keyword.len())?;
+    let rest = stmt.get(keyword.len()..)?;
+    if !head.eq_ignore_ascii_case(keyword) {
         return None;
     }
-    let rest = &stmt[keyword.len()..];
     let next = rest.trim_start();
     next.starts_with('(').then_some(rest)
 }

@@ -32,6 +32,9 @@ struct Line<'a> {
     line_no: usize,
     text: &'a str,
     joined: String,
+    /// For a joined line: where each continuation line's text starts in
+    /// `joined`, and that physical line's number.
+    folds: Vec<(usize, usize)>,
 }
 
 impl Line<'_> {
@@ -45,10 +48,23 @@ impl Line<'_> {
         }
     }
 
-    /// 1-based column of a token within this line (best effort for
-    /// joined lines: position within the folded text).
-    fn column_of(&self, token: &str) -> usize {
-        self.text().find(token).map_or(1, |p| p + 1)
+    /// Physical line and 1-based column where `token` first occurs in
+    /// this line (the start of the line if it does not occur).
+    fn position_of(&self, token: &str) -> (usize, usize) {
+        let at = self.text().find(token).unwrap_or(0);
+        let (line, start) = self
+            .folds
+            .iter()
+            .rev()
+            .find(|&&(start, _)| start <= at)
+            .map_or((self.line_no, 0), |&(start, line)| (line, start));
+        (line, at - start + 1)
+    }
+
+    /// A parse error anchored at `token`'s [`Line::position_of`].
+    fn error(&self, token: &str, message: impl Into<String>) -> IoError {
+        let (line, column) = self.position_of(token);
+        IoError::parse(line, column, message)
     }
 }
 
@@ -61,50 +77,49 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-/// Folds `\` continuations into logical lines, tracking the physical
-/// line each began on.
-fn logical_lines(text: &str) -> Vec<Line<'_>> {
-    let mut out: Vec<Line<'_>> = Vec::new();
-    let mut pending: Option<(usize, String)> = None;
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let stripped = strip_comment(raw);
-        let (content, continues) = match stripped.trim_end().strip_suffix('\\') {
-            Some(head) => (head, true),
-            None => (stripped, false),
-        };
-        match (&mut pending, continues) {
-            (Some((_, buf)), true) => {
-                buf.push(' ');
-                buf.push_str(content);
-            }
-            (Some((start, buf)), false) => {
-                buf.push(' ');
-                buf.push_str(content);
-                let (start, joined) = (*start, std::mem::take(buf));
-                pending = None;
-                out.push(Line {
-                    line_no: start,
-                    text: "",
-                    joined,
-                });
-            }
-            (None, true) => pending = Some((line_no, content.to_string())),
-            (None, false) => out.push(Line {
-                line_no,
-                text: stripped,
+/// The comment-stripped text of one physical line, without its trailing
+/// `\` and with whether it had one.
+fn split_continuation(raw: &str) -> (&str, bool) {
+    let stripped = strip_comment(raw);
+    match stripped.trim_end().strip_suffix('\\') {
+        Some(head) => (head, true),
+        None => (stripped, false),
+    }
+}
+
+/// Folds `\` continuations into logical lines, one at a time, tracking
+/// the physical line each began on and where each folded line starts.
+fn logical_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
+    let mut physical = text.lines().enumerate();
+    std::iter::from_fn(move || {
+        let (i, raw) = physical.next()?;
+        let (content, mut continues) = split_continuation(raw);
+        if !continues {
+            return Some(Line {
+                line_no: i + 1,
+                text: content,
                 joined: String::new(),
-            }),
+                folds: Vec::new(),
+            });
         }
-    }
-    if let Some((start, buf)) = pending {
-        out.push(Line {
-            line_no: start,
+        let mut line = Line {
+            line_no: i + 1,
             text: "",
-            joined: buf,
-        });
-    }
-    out
+            joined: content.to_string(),
+            folds: Vec::new(),
+        };
+        while continues {
+            let Some((j, raw)) = physical.next() else {
+                break;
+            };
+            let (content, more) = split_continuation(raw);
+            line.joined.push(' ');
+            line.folds.push((line.joined.len(), j + 1));
+            line.joined.push_str(content);
+            continues = more;
+        }
+        Some(line)
+    })
 }
 
 /// Builder state shared by both parsers: a netlist, the name → node
@@ -441,7 +456,6 @@ pub(crate) fn fold_chain(
 ///
 /// [`IoError::Parse`] anchored at the offending line and column.
 pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
-    let lines = logical_lines(text);
     let mut name: Option<String> = None;
     let mut b = NetBuilder::new();
     let mut input_names: Vec<String> = Vec::new();
@@ -455,30 +469,25 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
         None => Ok(()),
     };
 
-    for line in &lines {
+    let mut last_line = 1;
+    for line in logical_lines(text) {
+        last_line = line.line_no;
         let text = line.text().trim();
         if text.is_empty() {
             continue;
         }
         let tokens: Vec<&str> = text.split_whitespace().collect();
         let first = tokens[0];
-        let col = line.column_of(first);
         if saw_end && first.starts_with('.') {
-            return Err(IoError::parse(
-                line.line_no,
-                col,
-                format!("`{first}` after .end (one model per file)"),
-            ));
+            return Err(line.error(first, format!("`{first}` after .end (one model per file)")));
         }
         match first {
             ".model" => {
                 flush_cover(&mut b, &mut pending_cover)?;
                 if name.is_some() {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
-                        "second .model — multi-model files are not supported",
-                    ));
+                    return Err(
+                        line.error(first, "second .model — multi-model files are not supported")
+                    );
                 }
                 name = Some(
                     tokens
@@ -489,8 +498,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
             ".inputs" => {
                 flush_cover(&mut b, &mut pending_cover)?;
                 for t in &tokens[1..] {
-                    b.input(t)
-                        .map_err(|m| IoError::parse(line.line_no, line.column_of(t), m))?;
+                    b.input(t).map_err(|m| line.error(t, m))?;
                     input_names.push((*t).to_string());
                 }
             }
@@ -498,11 +506,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 flush_cover(&mut b, &mut pending_cover)?;
                 for t in &tokens[1..] {
                     if output_names.iter().any(|o| o == t) {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            line.column_of(t),
-                            format!("`{t}` is declared an output twice"),
-                        ));
+                        return Err(line.error(t, format!("`{t}` is declared an output twice")));
                     }
                     b.node(t);
                     output_names.push((*t).to_string());
@@ -511,20 +515,17 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
             ".names" => {
                 flush_cover(&mut b, &mut pending_cover)?;
                 if tokens.len() < 2 {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
-                        ".names needs at least an output signal",
-                    ));
+                    return Err(line.error(first, ".names needs at least an output signal"));
                 }
                 let output = tokens[tokens.len() - 1].to_string();
                 let inputs = tokens[1..tokens.len() - 1]
                     .iter()
                     .map(ToString::to_string)
                     .collect();
+                let (line_no, column) = line.position_of(first);
                 pending_cover = Some(Cover {
-                    line_no: line.line_no,
-                    column: col,
+                    line_no,
+                    column,
                     inputs,
                     output,
                     rows: Vec::new(),
@@ -535,20 +536,15 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 // .latch input output [type control] [init-val]
                 let rest = &tokens[1..];
                 if rest.len() < 2 {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
-                        ".latch needs an input and an output signal",
-                    ));
+                    return Err(line.error(first, ".latch needs an input and an output signal"));
                 }
                 let (d, q) = (rest[0].to_string(), rest[1].to_string());
                 let control = match rest.len() {
                     2 | 3 => None, // optional trailing init only
                     4 | 5 => Some((rest[2], rest[3])),
                     _ => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            col,
+                        return Err(line.error(
+                            first,
                             format!(".latch takes 2–5 fields, got {}", rest.len()),
                         ))
                     }
@@ -556,16 +552,14 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 let clk = match control {
                     Some(("re", clk)) => clk.to_string(),
                     Some((ty, _)) => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            line.column_of(ty),
+                        return Err(line.error(
+                            ty,
                             format!("latch type `{ty}` is not supported (only rising-edge `re`)"),
                         ))
                     }
                     None => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            col,
+                        return Err(line.error(
+                            first,
                             ".latch without a clock: declare `re <clock>` \
                              (the simulators drive one explicit clock)",
                         ))
@@ -575,9 +569,8 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                     None => clock_name = Some(clk.clone()),
                     Some(existing) if existing == clk => {}
                     Some(existing) => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            col,
+                        return Err(line.error(
+                            first,
                             format!(
                                 "latch clock `{clk}` conflicts with `{existing}` \
                                  — a single global clock is required"
@@ -589,55 +582,39 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 // order matches statement order.
                 let dn = b.node(&d);
                 let cn = b.node(&clk);
-                let qn = b
-                    .drive(&q)
-                    .map_err(|m| IoError::parse(line.line_no, col, m))?;
+                let qn = b.drive(&q).map_err(|m| line.error(first, m))?;
                 b.netlist
                     .gate_into(GateKind::Dff, &[cn, dn], qn)
-                    .map_err(|e| IoError::parse(line.line_no, col, e.to_string()))?;
+                    .map_err(|e| line.error(first, e.to_string()))?;
             }
             ".end" => {
                 flush_cover(&mut b, &mut pending_cover)?;
                 saw_end = true;
             }
             ".exdc" | ".subckt" | ".gate" | ".mlatch" | ".search" | ".clock" | ".attribute" => {
-                return Err(IoError::parse(
-                    line.line_no,
-                    col,
+                return Err(line.error(
+                    first,
                     format!("`{first}` is not supported (structural BLIF subset only)"),
                 ));
             }
             other if other.starts_with('.') => {
-                return Err(IoError::parse(
-                    line.line_no,
-                    col,
-                    format!("unknown directive `{other}`"),
-                ));
+                return Err(line.error(first, format!("unknown directive `{other}`")));
             }
             _ => {
                 // A cover row.
                 let Some(cover) = pending_cover.as_mut() else {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
-                        format!("`{first}` outside any .names cover"),
-                    ));
+                    return Err(line.error(first, format!("`{first}` outside any .names cover")));
                 };
                 let (plane, out) = match tokens.as_slice() {
                     [plane, out] => ((*plane).to_string(), *out),
                     [single] if cover.inputs.is_empty() => (String::new(), *single),
                     _ => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            col,
-                            "cover rows are `<input-plane> <output-bit>`",
-                        ))
+                        return Err(line.error(first, "cover rows are `<input-plane> <output-bit>`"))
                     }
                 };
                 if plane.len() != cover.inputs.len() {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
+                    return Err(line.error(
+                        first,
                         format!(
                             "cube width {} does not match the {} cover input(s)",
                             plane.len(),
@@ -649,17 +626,14 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                     "1" => '1',
                     "0" => '0',
                     other => {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            line.column_of(out),
-                            format!("cover output must be 0 or 1, got `{other}`"),
-                        ))
+                        return Err(
+                            line.error(out, format!("cover output must be 0 or 1, got `{other}`"))
+                        )
                     }
                 };
                 if let Some(bad) = plane.chars().find(|c| !matches!(c, '0' | '1' | '-')) {
-                    return Err(IoError::parse(
-                        line.line_no,
-                        col,
+                    return Err(line.error(
+                        first,
                         format!("invalid cube character `{bad}` (expected 0, 1, or -)"),
                     ));
                 }
@@ -675,7 +649,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
     let undriven = b.undriven();
     if let Some(wire) = undriven.first() {
         return Err(IoError::parse(
-            lines.last().map_or(1, |l| l.line_no),
+            last_line,
             1,
             format!(
                 "{} signal(s) referenced but never driven or declared as inputs \

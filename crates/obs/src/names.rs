@@ -234,6 +234,15 @@ pub const STAGE_PARSE: &str = "parse";
 pub const STAGE_CAMPAIGN_GENERATED: &str = "campaign-generated";
 /// `perf` stage: static timing analysis of a large generated netlist.
 pub const STAGE_STA_GENERATED: &str = "sta-generated";
+/// `perf` stage: event-driven activity extraction on the 8-bit adder and
+/// multiplier (the Figs. 8–9 kernel).
+pub const STAGE_SIM_ACTIVITY: &str = "sim-activity";
+/// `perf` stage: the IDEA guest program, interpreted raw and profiled
+/// (the Tables 1–3 kernel).
+pub const STAGE_INTERPRETER: &str = "interpreter";
+/// `perf` stage: a 1000-point drain-current sweep (the device-model
+/// kernel of Figs. 2 and 6).
+pub const STAGE_DEVICE_IV: &str = "device-iv";
 
 #[cfg(test)]
 mod tests {

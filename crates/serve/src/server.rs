@@ -357,7 +357,7 @@ fn run_job(state: &ServerState, writer: &mut TcpStream, job: &JobRequest) -> boo
             );
         }
     }
-    let _guard = ActiveGuard { state, id };
+    let guard = ActiveGuard { state, id };
     state.registry.add(names::SERVE_JOBS, 1);
     if !send(writer, &accepted_event(id, job.kind.name())) {
         // Client gone before the job even started: skip the work.
@@ -369,6 +369,9 @@ fn run_job(state: &ServerState, writer: &mut TcpStream, job: &JobRequest) -> boo
     };
     let registry = MetricsRegistry::new();
     let outcome = execute_kind(state, writer, job, id, &policy, &registry);
+    // Release the id before the final event: a client that resubmits as
+    // soon as it reads the result must find the job no longer running.
+    drop(guard);
     match outcome {
         Err(e) => send(writer, &error_event(&e.0)),
         Ok(done) => {

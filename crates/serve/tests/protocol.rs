@@ -261,3 +261,40 @@ fn resubmitted_campaign_replays_the_journal_and_leaves_no_temp_files() {
     shutdown(&addr, handle);
     std::fs::remove_dir_all(&state).ok();
 }
+
+#[test]
+fn a_job_resubmitted_the_moment_its_result_arrives_is_accepted() {
+    let (addr, state, handle) = start("result_then_resubmit");
+    let request = "{\"job\":\"sta\",\"source\":{\"kind\":\"generate\",\"gates\":100,\"seed\":7}}";
+    const ROUNDS: usize = 20;
+
+    // Two connections take turns: each submits the identical job as
+    // soon as the other has read its result, so the daemon must have
+    // released the job id before it sent that result.
+    let mut conns = [Conn::open(&addr), Conn::open(&addr)];
+    conns[0].send(request);
+    for round in 0..ROUNDS {
+        let conn = &mut conns[round % 2];
+        let accepted = conn.recv();
+        assert!(
+            accepted.contains("\"event\":\"accepted\""),
+            "round {round}: {accepted}"
+        );
+        loop {
+            let event = conn.recv();
+            assert!(
+                !event.contains("\"event\":\"error\""),
+                "round {round}: {event}"
+            );
+            if event.contains("\"event\":\"result\"") {
+                break;
+            }
+        }
+        if round + 1 < ROUNDS {
+            conns[(round + 1) % 2].send(request);
+        }
+    }
+
+    shutdown(&addr, handle);
+    std::fs::remove_dir_all(&state).ok();
+}
