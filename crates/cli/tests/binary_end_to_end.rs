@@ -210,3 +210,139 @@ fn sta_report_bytes_are_pinned() {
         }
     }
 }
+
+/// The circuit as ISCAS bench text: every primary input but the clock
+/// is an `INPUT`, flip-flops become `DFF(d)` on the implicit clock, and
+/// the one gate bench has no name for, `mux2`, is spelled out as
+/// `OR(AND(NOT(s), a), AND(s, b))` through helper signals.
+fn write_bench(c: &lowvolt_io::ImportedCircuit) -> String {
+    use lowvolt_circuit::netlist::GateKind;
+    let n = &c.netlist;
+    let mut out = format!("# {}\n", c.name);
+    for &i in n.primary_inputs() {
+        if Some(i) != c.clock {
+            out.push_str(&format!("INPUT({})\n", n.node_name(i)));
+        }
+    }
+    for &o in &c.outputs {
+        out.push_str(&format!("OUTPUT({})\n", n.node_name(o)));
+    }
+    for g in n.gates() {
+        let y = n.node_name(g.output);
+        let ins: Vec<&str> = g.inputs.iter().map(|&i| n.node_name(i)).collect();
+        match g.kind {
+            GateKind::Dff => out.push_str(&format!("{y} = DFF({})\n", ins[1])),
+            GateKind::Mux2 => out.push_str(&format!(
+                "{y}_ns = NOT({s})\n{y}_a = AND({y}_ns, {a})\n{y}_b = AND({s}, {b})\n\
+                 {y} = OR({y}_a, {y}_b)\n",
+                s = ins[0],
+                a = ins[1],
+                b = ins[2]
+            )),
+            kind => {
+                let func = match kind {
+                    GateKind::Buf => "BUFF".to_owned(),
+                    other => other.name().trim_end_matches(['2', '3']).to_uppercase(),
+                };
+                out.push_str(&format!("{y} = {func}({})\n", ins.join(", ")));
+            }
+        }
+    }
+    out
+}
+
+/// Pins the exact bytes the import path feeds into every analysis:
+/// generated netlists written as BLIF (20k gates at seeds 1/42/7, the
+/// `sta-import` shape, and 6k gates, the `campaign-import` shape) plus
+/// one ISCAS bench file are read back through `--netlist`, and the
+/// FNV-1a 64 digest of each command's whole stdout is compared. A
+/// change anywhere in lexing, name interning, cover matching or report
+/// rendering shows up here.
+#[test]
+fn import_path_bytes_are_pinned() {
+    use lowvolt_io::{generate, write_blif, GeneratorConfig};
+    let dir = std::env::temp_dir().join(format!("lowvolt-import-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let circuit = |gates, seed| generate(&GeneratorConfig::new(gates, seed)).expect("generates");
+    let mut files = Vec::new();
+    for (gates, seed) in [(20_000, 1), (20_000, 42), (20_000, 7), (6_000, 42)] {
+        let path = dir.join(format!("g{gates}s{seed}.blif"));
+        let text = write_blif(&circuit(gates, seed)).expect("writes");
+        std::fs::write(&path, text).expect("temp file writes");
+        files.push(path);
+    }
+    let path = dir.join("g6000s9.bench");
+    std::fs::write(&path, write_bench(&circuit(6_000, 9))).expect("temp file writes");
+    files.push(path);
+
+    let commands: [&[&str]; 4] = [
+        &["sta"],
+        &["sta", "--json"],
+        &["lint"],
+        // The campaign header names the worker count; pin it.
+        &["campaign", "--engine", "compiled", "--threads", "1"],
+    ];
+    // One row per file, one digest per command above.
+    let want: [[u64; 4]; 5] = [
+        [
+            0xc752_8a3d_4aeb_1297,
+            0x2bed_9a2c_3864_9ca8,
+            0x65a6_7356_c5e6_cb1c,
+            0x5044_df4f_2e23_0c9b,
+        ],
+        [
+            0x53e6_2a5f_c634_99e1,
+            0xc5c3_3122_8650_ba43,
+            0x6df3_3d38_10a9_8c20,
+            0x8672_4c01_8f5b_1ae0,
+        ],
+        [
+            0x5d55_cc09_200f_814b,
+            0x1162_af9b_4aa5_cd01,
+            0x8943_6d44_746e_c34d,
+            0xb4ab_3af0_b74d_b9c5,
+        ],
+        [
+            0xe7d9_a78c_63e6_771c,
+            0xf8f7_3ddf_8fc6_fa24,
+            0x1962_0291_40bf_9d00,
+            0x9704_cdb9_c264_b0e5,
+        ],
+        [
+            0xf1d9_5e30_61a8_00e3,
+            0x6d80_611d_b89e_c3aa,
+            0x849a_46ca_f043_c5e8,
+            0x523b_3fb5_3824_a9aa,
+        ],
+    ];
+    let mut mismatches = Vec::new();
+    for (path, want) in files.iter().zip(want) {
+        for (args, want) in commands.iter().zip(want) {
+            let out = lowvolt()
+                .arg(args[0])
+                .arg("--netlist")
+                .arg(path)
+                .args(&args[1..])
+                .output()
+                .expect("runs");
+            // `lint` exits 1 when a rule fires (LV040 on these deep
+            // netlists); its report is still the whole of stdout.
+            assert!(
+                matches!(out.status.code(), Some(0 | 1)) && out.stderr.is_empty(),
+                "{args:?} {}: {}",
+                path.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = lowvolt_exec::fnv64(&out.stdout);
+            if got != want {
+                mismatches.push(format!("{args:?} {}: {got:#018x}", path.display()));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        mismatches.is_empty(),
+        "digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
