@@ -51,7 +51,7 @@ use lowvolt_isa::profile::ProfileReport;
 use lowvolt_isa::{assemble, Cpu, Profiler};
 use lowvolt_obs::json::{fixed, quote};
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
-use lowvolt_serve::jobs::imported_fault_target;
+use lowvolt_serve::jobs::into_fault_target;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
 use lowvolt_workloads::idea;
 use std::fmt::Write as _;
@@ -422,9 +422,8 @@ fn run() -> Result<(), String> {
     let parse_circuit =
         generate(&GeneratorConfig::new(20_000, 0xB11F)).map_err(|e| e.to_string())?;
     let parse_text = write_blif(&parse_circuit).map_err(|e| e.to_string())?;
-    let gen_target = imported_fault_target(
-        &generate(&GeneratorConfig::new(10_000, 42)).map_err(|e| e.to_string())?,
-    );
+    let gen_target =
+        into_fault_target(generate(&GeneratorConfig::new(10_000, 42)).map_err(|e| e.to_string())?);
     let sta_circuit = generate(&GeneratorConfig::new(100_000, 42)).map_err(|e| e.to_string())?;
 
     let mut rca = Netlist::new();

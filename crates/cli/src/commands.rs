@@ -409,7 +409,7 @@ fn source_spec(parsed: &Parsed) -> Result<SourceSpec, CliError> {
 /// the binary routes that to stderr with exit 2, with no partial
 /// report on stdout.
 fn imported_source(parsed: &Parsed) -> Result<Option<ImportedCircuit>, CliError> {
-    Ok(source_spec(parsed)?.resolve()?)
+    Ok(source_spec(parsed)?.resolve(lowvolt_obs::noop())?)
 }
 
 /// `lowvolt circuits`: the catalog of circuit sources — built-in

@@ -156,3 +156,33 @@ fn netlist_and_generate_are_mutually_exclusive() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
+
+#[test]
+fn sta_metrics_name_the_import_analysis_and_render_spans() {
+    use lowvolt_obs::json::Json;
+    let out = lowvolt()
+        .args(["sta", "--netlist", &fixture("latch2.blif")])
+        .args(["--metrics-json", "-"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = Json::parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    let spans = report.get("spans").and_then(Json::as_array).expect("spans");
+    let names: Vec<&str> = spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(names, ["io.parse", "sta.analyze", "sta.render"], "{stdout}");
+    for span in spans {
+        assert_eq!(
+            span.get("count").and_then(Json::as_u64),
+            Some(1),
+            "{stdout}"
+        );
+    }
+}

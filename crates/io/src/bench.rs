@@ -11,7 +11,7 @@
 
 use lowvolt_circuit::netlist::{GateKind, NodeId};
 
-use crate::blif::{fold_chain, NetBuilder};
+use crate::builder::{fold_chain, strip_comment, NetBuilder};
 use crate::{ImportedCircuit, IoError};
 
 /// The implicit global clock every ISCAS-89 `DFF` is tied to. The '89
@@ -36,18 +36,23 @@ enum Func {
 
 impl Func {
     fn from_name(name: &str) -> Option<Func> {
-        match name.to_ascii_uppercase().as_str() {
-            "AND" => Some(Func::And),
-            "OR" => Some(Func::Or),
-            "NAND" => Some(Func::Nand),
-            "NOR" => Some(Func::Nor),
-            "XOR" => Some(Func::Xor),
-            "XNOR" => Some(Func::Xnor),
-            "NOT" | "INV" => Some(Func::Not),
-            "BUF" | "BUFF" => Some(Func::Buf),
-            "DFF" => Some(Func::Dff),
-            _ => None,
-        }
+        const NAMES: [(&str, Func); 11] = [
+            ("AND", Func::And),
+            ("OR", Func::Or),
+            ("NAND", Func::Nand),
+            ("NOR", Func::Nor),
+            ("XOR", Func::Xor),
+            ("XNOR", Func::Xnor),
+            ("NOT", Func::Not),
+            ("INV", Func::Not),
+            ("BUF", Func::Buf),
+            ("BUFF", Func::Buf),
+            ("DFF", Func::Dff),
+        ];
+        NAMES
+            .iter()
+            .find(|(known, _)| known.eq_ignore_ascii_case(name))
+            .map(|&(_, func)| func)
     }
 
     /// The exact-fit library gate for this function at fanin `n`, if
@@ -99,19 +104,18 @@ impl Func {
 /// [`IoError::Parse`] anchored at the offending line and column.
 pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
     let mut b = NetBuilder::new();
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
+    let mut inputs: Vec<NodeId> = Vec::new();
+    let mut outputs: Vec<NodeId> = Vec::new();
     let mut has_dff = false;
     let mut last_line = 1;
+    // Reused for every statement.
+    let mut args: Vec<&str> = Vec::new();
+    let mut operands: Vec<NodeId> = Vec::new();
 
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         last_line = line_no;
-        let content = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        };
-        let stmt = content.trim();
+        let stmt = strip_comment(raw).trim();
         if stmt.is_empty() {
             continue;
         }
@@ -129,19 +133,14 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
                     "`{IMPLICIT_CLOCK}` is reserved for the implicit DFF clock"
                 )));
             }
-            b.input(name).map_err(err)?;
-            input_names.push(name.to_string());
+            inputs.push(b.input(name).map_err(err)?);
             continue;
         }
         if let Some(rest) = strip_keyword(stmt, "OUTPUT") {
             let name = parse_parens(rest).ok_or_else(|| {
                 err("OUTPUT takes one parenthesised signal: OUTPUT(name)".to_string())
             })?;
-            if output_names.iter().any(|o| o == name) {
-                return Err(err(format!("`{name}` is declared an output twice")));
-            }
-            b.node(name);
-            output_names.push(name.to_string());
+            outputs.push(b.output(name).map_err(err)?);
             continue;
         }
 
@@ -169,11 +168,13 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
                 "unknown gate `{func_name}` (supported: AND OR NAND NOR XOR XNOR NOT BUF DFF)"
             )));
         };
-        let args: Vec<&str> = args_text
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .collect();
+        args.clear();
+        args.extend(
+            args_text
+                .split(',')
+                .map(str::trim)
+                .filter(|a| !a.is_empty()),
+        );
         if args_text.split(',').any(|a| a.trim().is_empty()) && !args_text.trim().is_empty() {
             return Err(err(format!("empty operand in `{func_name}({args_text})`")));
         }
@@ -217,7 +218,8 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
             )));
         }
 
-        let operands: Vec<NodeId> = args.iter().map(|a| b.node(a)).collect();
+        operands.clear();
+        operands.extend(args.iter().map(|a| b.node(a)));
         if let Some(kind) = func.library_kind(operands.len()) {
             let out = b.drive(target).map_err(err)?;
             b.netlist
@@ -239,19 +241,17 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
         }
     }
 
-    let undriven = b.undriven();
-    if let Some(wire) = undriven.first() {
+    if let Some((count, wire)) = b.undriven() {
         return Err(IoError::parse(
             last_line,
             1,
             format!(
-                "{} signal(s) referenced but never driven or declared INPUT \
-                 (first: `{wire}`)",
-                undriven.len()
+                "{count} signal(s) referenced but never driven or declared INPUT \
+                 (first: `{wire}`)"
             ),
         ));
     }
-    if output_names.is_empty() {
+    if outputs.is_empty() {
         return Err(IoError::parse(
             last_line,
             1,
@@ -259,8 +259,6 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
         ));
     }
 
-    let inputs: Vec<NodeId> = input_names.iter().map(|n| b.node(n)).collect();
-    let outputs: Vec<NodeId> = output_names.iter().map(|n| b.node(n)).collect();
     let clock = has_dff.then(|| b.node(IMPLICIT_CLOCK));
     Ok(ImportedCircuit {
         name: fallback_name.to_string(),
@@ -375,6 +373,20 @@ OUTPUT(23)
         let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(b)\n";
         let err = parse_bench("t", text).unwrap_err();
         assert!(err.to_string().contains("driven twice"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_output_deep_in_a_long_list_keeps_its_position() {
+        let mut text = String::from("INPUT(a)\n");
+        for i in 0..4999 {
+            text.push_str(&format!("OUTPUT(o{i})\n"));
+        }
+        text.push_str("  OUTPUT( o123 )\n");
+        let err = parse_bench("t", &text).unwrap_err();
+        assert_eq!(
+            err,
+            IoError::parse(5001, 3, "`o123` is declared an output twice")
+        );
     }
 
     #[test]

@@ -2,24 +2,23 @@
 //!
 //! The parser is streaming and line-oriented: `#` comments, `\`
 //! continuations, `.model`/`.inputs`/`.outputs`/`.names`/`.latch`/`.end`
-//! directives. Each `.names` single-output cover is mapped onto the
-//! [`lowvolt_circuit`] gate library — first by truth-table matching
-//! (fanin ≤ 3 covers that compute exactly a library function become one
-//! gate, input order preserved), then by sum-of-products decomposition
-//! (each cube an AND chain of literals, cubes OR-ed, off-set covers
-//! inverted). `.latch` becomes a [`GateKind::Dff`] clocked by the
-//! latch's `re` control signal.
+//! directives. Every token borrows from the source text; the netlist
+//! holds the one owned copy of each name. Each `.names` single-output
+//! cover is mapped onto the [`lowvolt_circuit`] gate library — first by
+//! truth-table matching (fanin ≤ 3 covers that compute exactly a library
+//! function become one gate, input order preserved), then by
+//! sum-of-products decomposition (each cube an AND chain of literals,
+//! cubes OR-ed, off-set covers inverted). `.latch` becomes a
+//! [`GateKind::Dff`] clocked by the latch's `re` control signal.
 //!
 //! The writer emits one canonical on-set cover per gate kind, so every
 //! library gate survives a write → parse cycle as itself, and nodes are
 //! created at first textual reference on both sides — the round-trip
 //! identity the fixture tests pin down.
 
-use std::collections::HashMap;
+use lowvolt_circuit::netlist::{GateKind, NodeId};
 
-use lowvolt_circuit::logic::Bit;
-use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
-
+use crate::builder::{fold_chain, strip_comment, NetBuilder};
 use crate::{ImportedCircuit, IoError};
 
 /// Maximum cover fanin the parser accepts. SOP decomposition is linear
@@ -27,53 +26,40 @@ use crate::{ImportedCircuit, IoError};
 /// input plane, and real BLIF from synthesis rarely exceeds this.
 const MAX_COVER_FANIN: usize = 24;
 
-/// One logical (continuation-joined) line and where it started.
+/// One logical line: a physical line plus the `\` continuation lines
+/// folded into it. A fold stands for whitespace, so no token straddles
+/// one and every token borrows from the source text.
 struct Line<'a> {
     line_no: usize,
-    text: &'a str,
-    joined: String,
-    /// For a joined line: where each continuation line's text starts in
-    /// `joined`, and that physical line's number.
-    folds: Vec<(usize, usize)>,
+    /// The first physical line, comment and trailing `\` stripped.
+    head: &'a str,
+    /// Each folded continuation line's number and stripped text.
+    folds: Vec<(usize, &'a str)>,
 }
 
-impl Line<'_> {
-    /// The effective text: the borrowed line, or the joined buffer when
-    /// continuations were folded in.
-    fn text(&self) -> &str {
-        if self.joined.is_empty() {
-            self.text
-        } else {
-            &self.joined
-        }
+impl<'a> Line<'a> {
+    /// `(physical line number, text)` of each piece, in order.
+    fn pieces(&self) -> impl Iterator<Item = (usize, &'a str)> + '_ {
+        std::iter::once((self.line_no, self.head)).chain(self.folds.iter().copied())
+    }
+
+    /// The whitespace-separated tokens, borrowed from the source.
+    fn tokens(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.pieces().flat_map(|(_, text)| text.split_whitespace())
     }
 
     /// Physical line and 1-based column where `token` first occurs in
     /// this line (the start of the line if it does not occur).
     fn position_of(&self, token: &str) -> (usize, usize) {
-        let at = self.text().find(token).unwrap_or(0);
-        let (line, start) = self
-            .folds
-            .iter()
-            .rev()
-            .find(|&&(start, _)| start <= at)
-            .map_or((self.line_no, 0), |&(start, line)| (line, start));
-        (line, at - start + 1)
+        self.pieces()
+            .find_map(|(line, text)| text.find(token).map(|at| (line, at + 1)))
+            .unwrap_or((self.line_no, 1))
     }
 
     /// A parse error anchored at `token`'s [`Line::position_of`].
     fn error(&self, token: &str, message: impl Into<String>) -> IoError {
         let (line, column) = self.position_of(token);
         IoError::parse(line, column, message)
-    }
-}
-
-/// Strips a `#` comment, honouring nothing fancier (BLIF has no
-/// strings).
-fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(p) => &line[..p],
-        None => line,
     }
 }
 
@@ -88,24 +74,15 @@ fn split_continuation(raw: &str) -> (&str, bool) {
 }
 
 /// Folds `\` continuations into logical lines, one at a time, tracking
-/// the physical line each began on and where each folded line starts.
+/// the physical line each piece came from.
 fn logical_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
     let mut physical = text.lines().enumerate();
     std::iter::from_fn(move || {
         let (i, raw) = physical.next()?;
-        let (content, mut continues) = split_continuation(raw);
-        if !continues {
-            return Some(Line {
-                line_no: i + 1,
-                text: content,
-                joined: String::new(),
-                folds: Vec::new(),
-            });
-        }
+        let (head, mut continues) = split_continuation(raw);
         let mut line = Line {
             line_no: i + 1,
-            text: "",
-            joined: content.to_string(),
+            head,
             folds: Vec::new(),
         };
         while continues {
@@ -113,329 +90,206 @@ fn logical_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
                 break;
             };
             let (content, more) = split_continuation(raw);
-            line.joined.push(' ');
-            line.folds.push((line.joined.len(), j + 1));
-            line.joined.push_str(content);
+            line.folds.push((j + 1, content));
             continues = more;
         }
         Some(line)
     })
 }
 
-/// Builder state shared by both parsers: a netlist, the name → node
-/// map (nodes created at first reference — the round-trip ordering
-/// contract), and the driven-signal set enforcing single drivers.
-pub(crate) struct NetBuilder {
-    pub netlist: Netlist,
-    nodes: HashMap<String, NodeId>,
-    driven: Vec<bool>,
-    declared_input: Vec<bool>,
-}
+/// Truth tables are bitmaps over input assignments: bit `idx` is the
+/// output for the assignment whose bit `i` is input `i`. `INPUT_BITS[i]`
+/// is input `i` itself, over three inputs.
+const INPUT_BITS: [u64; 3] = [0xAA, 0xCC, 0xF0];
+const A: u64 = INPUT_BITS[0];
+const B: u64 = INPUT_BITS[1];
+const C: u64 = INPUT_BITS[2];
 
-impl NetBuilder {
-    pub(crate) fn new() -> NetBuilder {
-        NetBuilder {
-            netlist: Netlist::new(),
-            nodes: HashMap::new(),
-            driven: Vec::new(),
-            declared_input: Vec::new(),
-        }
-    }
-
-    /// The node for `name`, created as a plain node on first reference.
-    pub(crate) fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.nodes.get(name) {
-            return id;
-        }
-        let id = self.netlist.node(name);
-        self.nodes.insert(name.to_string(), id);
-        self.driven.push(false);
-        self.declared_input.push(false);
-        id
-    }
-
-    /// Declares `name` a primary input. Errors if it is already driven
-    /// by a gate or already declared.
-    pub(crate) fn input(&mut self, name: &str) -> Result<NodeId, String> {
-        if let Some(&id) = self.nodes.get(name) {
-            if self.declared_input[id.index()] {
-                return Err(format!("`{name}` is declared an input twice"));
-            }
-            if self.driven[id.index()] {
-                return Err(format!("`{name}` is both a gate output and an input"));
-            }
-            // The node exists but was only referenced; netlists cannot
-            // retrofit the input flag, so forward references to a name
-            // later declared `.inputs` are rejected for determinism.
-            return Err(format!("`{name}` was used before its input declaration"));
-        }
-        let id = self.netlist.input(name);
-        self.nodes.insert(name.to_string(), id);
-        self.driven.push(false);
-        self.declared_input.push(false);
-        self.declared_input[id.index()] = true;
-        Ok(id)
-    }
-
-    /// Marks `name`'s node as gate-driven, enforcing one driver and no
-    /// drive fights with declared inputs. Returns the node.
-    pub(crate) fn drive(&mut self, name: &str) -> Result<NodeId, String> {
-        let id = self.node(name);
-        if self.declared_input[id.index()] {
-            return Err(format!("`{name}` is a declared input and cannot be driven"));
-        }
-        if self.driven[id.index()] {
-            return Err(format!("`{name}` is driven twice"));
-        }
-        self.driven[id.index()] = true;
-        Ok(id)
-    }
-
-    /// Adds an intermediate gate (auto-named output) during SOP or
-    /// wide-fanin decomposition; the auto-generated name is registered
-    /// so the written form re-parses to the identical structure.
-    pub(crate) fn synth_gate(
-        &mut self,
-        kind: GateKind,
-        inputs: &[NodeId],
-    ) -> Result<NodeId, String> {
-        let out = self.netlist.gate(kind, inputs).map_err(|e| e.to_string())?;
-        let name = self.netlist.node_name(out).to_string();
-        if self.nodes.contains_key(&name) {
-            return Err(format!(
-                "auto-generated name `{name}` collides with an existing signal"
-            ));
-        }
-        self.nodes.insert(name, out);
-        self.driven.push(true);
-        self.declared_input.push(false);
-        Ok(out)
-    }
-
-    /// Whether any signal with this name exists yet.
-    pub(crate) fn contains(&self, name: &str) -> bool {
-        self.nodes.contains_key(name)
-    }
-
-    /// Signals that are referenced somewhere but never driven, never
-    /// declared inputs: undriven wires the caller may want to report.
-    pub(crate) fn undriven(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for (name, &id) in &self.nodes {
-            if !self.driven[id.index()] && !self.declared_input[id.index()] {
-                out.push(name.clone());
-            }
-        }
-        out.sort();
-        out
-    }
-}
-
-/// A `.names` cover: input names, output name, and the cube rows.
-struct Cover {
-    line_no: usize,
-    column: usize,
-    inputs: Vec<String>,
-    output: String,
-    /// `(input plane, output bit)` rows; the plane uses `0`/`1`/`-`.
-    rows: Vec<(String, char)>,
-}
-
-/// Library gates eligible for truth-table matching, grouped by arity.
-/// Order is fixed: it decides which kind a matching cover becomes, and
-/// the writer's canonical covers land on these same entries.
-const MATCH_1: [GateKind; 2] = [GateKind::Buf, GateKind::Not];
-const MATCH_2: [GateKind; 6] = [
-    GateKind::And2,
-    GateKind::Or2,
-    GateKind::Nand2,
-    GateKind::Nor2,
-    GateKind::Xor2,
-    GateKind::Xnor2,
+/// Library gates eligible for truth-table matching, grouped by arity,
+/// with their truth tables. Order is fixed: it decides which kind a
+/// matching cover becomes, and the writer's canonical covers land on
+/// these same entries.
+const MATCH_1: [(GateKind, u64); 2] = [(GateKind::Buf, A & 0x3), (GateKind::Not, !A & 0x3)];
+const MATCH_2: [(GateKind, u64); 6] = [
+    (GateKind::And2, A & B & 0xF),
+    (GateKind::Or2, (A | B) & 0xF),
+    (GateKind::Nand2, !(A & B) & 0xF),
+    (GateKind::Nor2, !(A | B) & 0xF),
+    (GateKind::Xor2, (A ^ B) & 0xF),
+    (GateKind::Xnor2, !(A ^ B) & 0xF),
 ];
-const MATCH_3: [GateKind; 5] = [
-    GateKind::And3,
-    GateKind::Or3,
-    GateKind::Nand3,
-    GateKind::Nor3,
-    GateKind::Mux2,
+const MATCH_3: [(GateKind, u64); 5] = [
+    (GateKind::And3, A & B & C),
+    (GateKind::Or3, A | B | C),
+    (GateKind::Nand3, !(A & B & C) & 0xFF),
+    (GateKind::Nor3, !(A | B | C) & 0xFF),
+    // inputs [sel, a, b]: a when sel=0, b when sel=1.
+    (GateKind::Mux2, (!A & B | A & C) & 0xFF),
 ];
 
-/// The truth table of a cover over `n ≤ 6` inputs as a bitmap indexed
-/// by the input assignment (bit `i` of the index = input `i`).
-fn cover_truth_table(n: usize, rows: &[(String, char)], phase: bool) -> u64 {
-    let mut on = 0u64;
-    for idx in 0..(1u64 << n) {
-        let covered = rows.iter().any(|(plane, _)| {
-            plane.chars().enumerate().all(|(i, c)| match c {
-                '1' => idx >> i & 1 == 1,
-                '0' => idx >> i & 1 == 0,
-                _ => true,
-            })
-        });
-        if covered {
-            on |= 1 << idx;
-        }
-    }
+/// The truth table of a cover over `n ≤ 3` inputs.
+fn cover_truth_table(n: usize, planes: &[&str], phase: bool) -> u64 {
+    let all = (1u64 << (1u64 << n)) - 1;
+    let on = planes.iter().fold(0, |on, plane| {
+        let cube = plane
+            .bytes()
+            .zip(INPUT_BITS)
+            .fold(all, |cube, (c, bits)| match c {
+                b'1' => cube & bits,
+                b'0' => cube & !bits,
+                _ => cube,
+            });
+        on | cube
+    });
     if phase {
         on
     } else {
-        !on & ((1u64 << (1u64 << n)) - 1)
+        !on & all
     }
 }
 
-/// The truth table of a library gate over its arity.
-fn kind_truth_table(kind: GateKind) -> u64 {
-    let n = kind.arity();
-    let mut on = 0u64;
-    for idx in 0..(1u64 << n) {
-        let bits: Vec<Bit> = (0..n)
-            .map(|i| {
-                if idx >> i & 1 == 1 {
-                    Bit::One
-                } else {
-                    Bit::Zero
-                }
-            })
-            .collect();
-        if kind.evaluate(&bits) == Bit::One {
-            on |= 1 << idx;
-        }
-    }
-    on
+/// The `.names` cover being read: its signals and cube rows, borrowed
+/// from the source. One value is reused for every cover of a file.
+#[derive(Default)]
+struct Cover<'a> {
+    /// Line and column of the open cover's `.names`, `None` when no
+    /// cover is open.
+    at: Option<(usize, usize)>,
+    /// The input names, then the output name.
+    signals: Vec<&'a str>,
+    /// Input planes of the cube rows (validated `0`/`1`/`-`).
+    planes: Vec<&'a str>,
+    /// Output bit of the first row: `true` for an on-set cover.
+    phase: Option<bool>,
+    /// Whether a later row's output bit differs from the first's.
+    mixed: bool,
 }
 
-/// Builds the gates for one cover: a single library gate when the truth
-/// table matches, otherwise an SOP decomposition. `err` converts a
-/// message into a positioned parse error.
-fn build_cover(b: &mut NetBuilder, cover: &Cover) -> Result<(), IoError> {
-    let err = |msg: String| IoError::parse(cover.line_no, cover.column, msg);
-    let n = cover.inputs.len();
-    if n == 0 {
-        return Err(err(format!(
-            "constant cover for `{}` is not supported: the gate library has \
-             no constant driver (tie the signal to an input instead)",
-            cover.output
-        )));
-    }
-    if n > MAX_COVER_FANIN {
-        return Err(err(format!(
-            "cover fanin {n} exceeds the supported maximum {MAX_COVER_FANIN}"
-        )));
-    }
-    if cover.rows.is_empty() {
-        return Err(err(format!(
-            "cover for `{}` has inputs but no cubes",
-            cover.output
-        )));
-    }
-    let phase = cover.rows[0].1 == '1';
-    if cover.rows.iter().any(|&(_, out)| (out == '1') != phase) {
-        return Err(err("cover mixes on-set and off-set rows".to_string()));
+impl<'a> Cover<'a> {
+    /// The input names of the open cover.
+    fn inputs(&self) -> &[&'a str] {
+        self.signals.split_last().map_or(&[], |(_, inputs)| inputs)
     }
 
-    // Fast path: small covers that compute exactly a library function
-    // become one gate, preserving the cover's input order.
-    if n <= 3 {
-        let tt = cover_truth_table(n, &cover.rows, phase);
-        let candidates: &[GateKind] = match n {
-            1 => &MATCH_1,
-            2 => &MATCH_2,
-            _ => &MATCH_3,
-        };
-        if let Some(&kind) = candidates.iter().find(|&&k| kind_truth_table(k) == tt) {
-            let ins: Vec<NodeId> = cover.inputs.iter().map(|s| b.node(s)).collect();
-            let out = b.drive(&cover.output).map_err(err)?;
-            b.netlist
-                .gate_into(kind, &ins, out)
-                .map_err(|e| err(e.to_string()))?;
+    /// Builds the open cover, if any, and closes it.
+    fn flush(&mut self, b: &mut NetBuilder) -> Result<(), IoError> {
+        let Some((line_no, column)) = self.at.take() else {
             return Ok(());
-        }
+        };
+        let built = self.build(b, line_no, column);
+        self.signals.clear();
+        self.planes.clear();
+        self.phase = None;
+        self.mixed = false;
+        built
     }
 
-    // General path: SOP decomposition. Literals are resolved lazily so
-    // node-creation order is the sub-gate reference order — the same
-    // order a re-parse of the written form produces.
-    let mut inverters: HashMap<usize, NodeId> = HashMap::new();
-    let mut cube_nodes: Vec<NodeId> = Vec::with_capacity(cover.rows.len());
-    for (plane, _) in &cover.rows {
-        if plane.chars().all(|c| c == '-') {
+    /// Builds the gates for one cover: a single library gate when the
+    /// truth table matches, otherwise an SOP decomposition. Errors are
+    /// anchored at the cover's `.names`.
+    fn build(&self, b: &mut NetBuilder, line_no: usize, column: usize) -> Result<(), IoError> {
+        let err = |msg: String| IoError::parse(line_no, column, msg);
+        let Some((&output, inputs)) = self.signals.split_last() else {
+            return Err(err(".names needs at least an output signal".to_string()));
+        };
+        let n = inputs.len();
+        if n == 0 {
             return Err(err(format!(
-                "cube `{plane}` covers every assignment, making `{}` constant \
-                 — constants are not supported",
-                cover.output
+                "constant cover for `{output}` is not supported: the gate library has \
+                 no constant driver (tie the signal to an input instead)"
             )));
         }
-        let mut literals: Vec<NodeId> = Vec::new();
-        for (i, c) in plane.chars().enumerate() {
-            match c {
-                '-' => {}
-                '1' => literals.push(b.node(&cover.inputs[i])),
-                '0' => {
-                    let lit = match inverters.get(&i) {
-                        Some(&inv) => inv,
-                        None => {
-                            let base = b.node(&cover.inputs[i]);
-                            let inv = b.synth_gate(GateKind::Not, &[base]).map_err(err)?;
-                            inverters.insert(i, inv);
-                            inv
-                        }
-                    };
-                    literals.push(lit);
-                }
-                other => {
-                    return Err(err(format!("invalid cube character `{other}`")));
-                }
-            }
+        if n > MAX_COVER_FANIN {
+            return Err(err(format!(
+                "cover fanin {n} exceeds the supported maximum {MAX_COVER_FANIN}"
+            )));
         }
-        let cube = fold_chain(b, GateKind::And2, &literals).map_err(err)?;
-        cube_nodes.push(cube);
-    }
-    // OR the cubes; invert for off-set covers; the last gate drives the
-    // declared output node directly.
-    let out = b.drive(&cover.output).map_err(err)?;
-    let sum = if cube_nodes.len() == 1 {
-        cube_nodes[0]
-    } else {
-        let partial =
-            fold_chain(b, GateKind::Or2, &cube_nodes[..cube_nodes.len() - 1]).map_err(err)?;
-        if phase {
-            b.netlist
-                .gate_into(
-                    GateKind::Or2,
-                    &[partial, cube_nodes[cube_nodes.len() - 1]],
-                    out,
-                )
-                .map_err(|e| err(e.to_string()))?;
-            return Ok(());
+        let Some(phase) = self.phase else {
+            return Err(err(format!("cover for `{output}` has inputs but no cubes")));
+        };
+        if self.mixed {
+            return Err(err("cover mixes on-set and off-set rows".to_string()));
         }
-        b.synth_gate(GateKind::Or2, &[partial, cube_nodes[cube_nodes.len() - 1]])
-            .map_err(err)?
-    };
-    let final_kind = if phase { GateKind::Buf } else { GateKind::Not };
-    b.netlist
-        .gate_into(final_kind, &[sum], out)
-        .map_err(|e| err(e.to_string()))?;
-    Ok(())
-}
 
-/// Left-folds `nodes` into a chain of 2-input gates; a single node is
-/// returned unchanged.
-pub(crate) fn fold_chain(
-    b: &mut NetBuilder,
-    kind: GateKind,
-    nodes: &[NodeId],
-) -> Result<NodeId, String> {
-    match nodes {
-        [] => Err("cube has no literals".to_string()),
-        [one] => Ok(*one),
-        [first, rest @ ..] => {
-            let mut acc = *first;
-            for &next in rest {
-                acc = b.synth_gate(kind, &[acc, next])?;
+        // Fast path: small covers that compute exactly a library function
+        // become one gate, preserving the cover's input order.
+        if n <= 3 {
+            let tt = cover_truth_table(n, &self.planes, phase);
+            let candidates: &[(GateKind, u64)] = match n {
+                1 => &MATCH_1,
+                2 => &MATCH_2,
+                _ => &MATCH_3,
+            };
+            if let Some(&(kind, _)) = candidates.iter().find(|&&(_, t)| t == tt) {
+                let mut ins = [NodeId::from_index(0); 3];
+                for (slot, name) in ins.iter_mut().zip(inputs) {
+                    *slot = b.node(name);
+                }
+                let out = b.drive(output).map_err(err)?;
+                b.netlist
+                    .gate_into(kind, &ins[..n], out)
+                    .map_err(|e| err(e.to_string()))?;
+                return Ok(());
             }
-            Ok(acc)
         }
+
+        // General path: SOP decomposition. Literals are resolved lazily so
+        // node-creation order is the sub-gate reference order — the same
+        // order a re-parse of the written form produces.
+        let mut inverters: Vec<Option<NodeId>> = vec![None; n];
+        let mut cube_nodes: Vec<NodeId> = Vec::with_capacity(self.planes.len());
+        let mut literals: Vec<NodeId> = Vec::with_capacity(n);
+        for plane in &self.planes {
+            if plane.bytes().all(|c| c == b'-') {
+                return Err(err(format!(
+                    "cube `{plane}` covers every assignment, making `{output}` constant \
+                     — constants are not supported"
+                )));
+            }
+            literals.clear();
+            for ((c, name), inverter) in plane.bytes().zip(inputs).zip(&mut inverters) {
+                match c {
+                    b'1' => literals.push(b.node(name)),
+                    b'0' => {
+                        let lit = match *inverter {
+                            Some(inv) => inv,
+                            None => {
+                                let base = b.node(name);
+                                let inv = b.synth_gate(GateKind::Not, &[base]).map_err(err)?;
+                                *inverter = Some(inv);
+                                inv
+                            }
+                        };
+                        literals.push(lit);
+                    }
+                    _ => {}
+                }
+            }
+            let cube = fold_chain(b, GateKind::And2, &literals).map_err(err)?;
+            cube_nodes.push(cube);
+        }
+        // OR the cubes; invert for off-set covers; the last gate drives the
+        // declared output node directly.
+        let out = b.drive(output).map_err(err)?;
+        let sum = match cube_nodes.split_last() {
+            Some((&last, [])) => last,
+            Some((&last, rest)) => {
+                let partial = fold_chain(b, GateKind::Or2, rest).map_err(err)?;
+                if phase {
+                    b.netlist
+                        .gate_into(GateKind::Or2, &[partial, last], out)
+                        .map_err(|e| err(e.to_string()))?;
+                    return Ok(());
+                }
+                b.synth_gate(GateKind::Or2, &[partial, last]).map_err(err)?
+            }
+            None => return Err(err("cube has no literals".to_string())),
+        };
+        let final_kind = if phase { GateKind::Buf } else { GateKind::Not };
+        b.netlist
+            .gate_into(final_kind, &[sum], out)
+            .map_err(|e| err(e.to_string()))?;
+        Ok(())
     }
 }
 
@@ -458,99 +312,78 @@ pub(crate) fn fold_chain(
 pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
     let mut name: Option<String> = None;
     let mut b = NetBuilder::new();
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    let mut clock_name: Option<String> = None;
-    let mut pending_cover: Option<Cover> = None;
+    let mut inputs: Vec<NodeId> = Vec::new();
+    let mut outputs: Vec<NodeId> = Vec::new();
+    let mut clock_name: Option<&str> = None;
+    let mut cover = Cover::default();
     let mut saw_end = false;
-
-    let flush_cover = |b: &mut NetBuilder, pending: &mut Option<Cover>| match pending.take() {
-        Some(cover) => build_cover(b, &cover),
-        None => Ok(()),
-    };
 
     let mut last_line = 1;
     for line in logical_lines(text) {
         last_line = line.line_no;
-        let text = line.text().trim();
-        if text.is_empty() {
+        let mut tokens = line.tokens();
+        let Some(first) = tokens.next() else {
             continue;
-        }
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        let first = tokens[0];
+        };
         if saw_end && first.starts_with('.') {
             return Err(line.error(first, format!("`{first}` after .end (one model per file)")));
         }
         match first {
             ".model" => {
-                flush_cover(&mut b, &mut pending_cover)?;
+                cover.flush(&mut b)?;
                 if name.is_some() {
                     return Err(
                         line.error(first, "second .model — multi-model files are not supported")
                     );
                 }
-                name = Some(
-                    tokens
-                        .get(1)
-                        .map_or_else(|| fallback_name.to_string(), ToString::to_string),
-                );
+                name = Some(tokens.next().unwrap_or(fallback_name).to_string());
             }
             ".inputs" => {
-                flush_cover(&mut b, &mut pending_cover)?;
-                for t in &tokens[1..] {
-                    b.input(t).map_err(|m| line.error(t, m))?;
-                    input_names.push((*t).to_string());
+                cover.flush(&mut b)?;
+                for t in tokens {
+                    inputs.push(b.input(t).map_err(|m| line.error(t, m))?);
                 }
             }
             ".outputs" => {
-                flush_cover(&mut b, &mut pending_cover)?;
-                for t in &tokens[1..] {
-                    if output_names.iter().any(|o| o == t) {
-                        return Err(line.error(t, format!("`{t}` is declared an output twice")));
-                    }
-                    b.node(t);
-                    output_names.push((*t).to_string());
+                cover.flush(&mut b)?;
+                for t in tokens {
+                    outputs.push(b.output(t).map_err(|m| line.error(t, m))?);
                 }
             }
             ".names" => {
-                flush_cover(&mut b, &mut pending_cover)?;
-                if tokens.len() < 2 {
+                cover.flush(&mut b)?;
+                cover.signals.extend(tokens);
+                if cover.signals.is_empty() {
                     return Err(line.error(first, ".names needs at least an output signal"));
                 }
-                let output = tokens[tokens.len() - 1].to_string();
-                let inputs = tokens[1..tokens.len() - 1]
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-                let (line_no, column) = line.position_of(first);
-                pending_cover = Some(Cover {
-                    line_no,
-                    column,
-                    inputs,
-                    output,
-                    rows: Vec::new(),
-                });
+                cover.at = Some(line.position_of(first));
             }
             ".latch" => {
-                flush_cover(&mut b, &mut pending_cover)?;
+                cover.flush(&mut b)?;
                 // .latch input output [type control] [init-val]
-                let rest = &tokens[1..];
-                if rest.len() < 2 {
+                let mut fields = [""; 5];
+                let mut count = 0;
+                for t in tokens {
+                    if let Some(field) = fields.get_mut(count) {
+                        *field = t;
+                    }
+                    count += 1;
+                }
+                if count < 2 {
                     return Err(line.error(first, ".latch needs an input and an output signal"));
                 }
-                let (d, q) = (rest[0].to_string(), rest[1].to_string());
-                let control = match rest.len() {
+                let [d, q, ty, clk, _] = fields;
+                let control = match count {
                     2 | 3 => None, // optional trailing init only
-                    4 | 5 => Some((rest[2], rest[3])),
+                    4 | 5 => Some((ty, clk)),
                     _ => {
-                        return Err(line.error(
-                            first,
-                            format!(".latch takes 2–5 fields, got {}", rest.len()),
-                        ))
+                        return Err(
+                            line.error(first, format!(".latch takes 2–5 fields, got {count}"))
+                        )
                     }
                 };
                 let clk = match control {
-                    Some(("re", clk)) => clk.to_string(),
+                    Some(("re", clk)) => clk,
                     Some((ty, _)) => {
                         return Err(line.error(
                             ty,
@@ -565,8 +398,8 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         ))
                     }
                 };
-                match clock_name.as_deref() {
-                    None => clock_name = Some(clk.clone()),
+                match clock_name {
+                    None => clock_name = Some(clk),
                     Some(existing) if existing == clk => {}
                     Some(existing) => {
                         return Err(line.error(
@@ -580,15 +413,15 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 }
                 // Build immediately (reference order: d, clk, q) so gate
                 // order matches statement order.
-                let dn = b.node(&d);
-                let cn = b.node(&clk);
-                let qn = b.drive(&q).map_err(|m| line.error(first, m))?;
+                let dn = b.node(d);
+                let cn = b.node(clk);
+                let qn = b.drive(q).map_err(|m| line.error(first, m))?;
                 b.netlist
                     .gate_into(GateKind::Dff, &[cn, dn], qn)
                     .map_err(|e| line.error(first, e.to_string()))?;
             }
             ".end" => {
-                flush_cover(&mut b, &mut pending_cover)?;
+                cover.flush(&mut b)?;
                 saw_end = true;
             }
             ".exdc" | ".subckt" | ".gate" | ".mlatch" | ".search" | ".clock" | ".attribute" => {
@@ -602,29 +435,29 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
             }
             _ => {
                 // A cover row.
-                let Some(cover) = pending_cover.as_mut() else {
+                if cover.at.is_none() {
                     return Err(line.error(first, format!("`{first}` outside any .names cover")));
-                };
-                let (plane, out) = match tokens.as_slice() {
-                    [plane, out] => ((*plane).to_string(), *out),
-                    [single] if cover.inputs.is_empty() => (String::new(), *single),
+                }
+                let width = cover.inputs().len();
+                let (plane, out) = match (tokens.next(), tokens.next()) {
+                    (Some(out), None) => (first, out),
+                    (None, None) if width == 0 => ("", first),
                     _ => {
                         return Err(line.error(first, "cover rows are `<input-plane> <output-bit>`"))
                     }
                 };
-                if plane.len() != cover.inputs.len() {
+                if plane.len() != width {
                     return Err(line.error(
                         first,
                         format!(
-                            "cube width {} does not match the {} cover input(s)",
-                            plane.len(),
-                            cover.inputs.len()
+                            "cube width {} does not match the {width} cover input(s)",
+                            plane.len()
                         ),
                     ));
                 }
-                let out_bit = match out {
-                    "1" => '1',
-                    "0" => '0',
+                let on = match out {
+                    "1" => true,
+                    "0" => false,
                     other => {
                         return Err(
                             line.error(out, format!("cover output must be 0 or 1, got `{other}`"))
@@ -637,35 +470,29 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         format!("invalid cube character `{bad}` (expected 0, 1, or -)"),
                     ));
                 }
-                cover.rows.push((plane, out_bit));
+                cover.mixed |= *cover.phase.get_or_insert(on) != on;
+                cover.planes.push(plane);
             }
         }
     }
-    flush_cover(&mut b, &mut pending_cover)?;
+    cover.flush(&mut b)?;
 
     // Undriven signals (referenced but never defined and not inputs) are
     // parse errors: a partially connected netlist would lint as floating
     // anyway, and naming the wire here is far more useful.
-    let undriven = b.undriven();
-    if let Some(wire) = undriven.first() {
+    if let Some((count, wire)) = b.undriven() {
         return Err(IoError::parse(
             last_line,
             1,
             format!(
-                "{} signal(s) referenced but never driven or declared as inputs \
-                 (first: `{wire}`)",
-                undriven.len()
+                "{count} signal(s) referenced but never driven or declared as inputs \
+                 (first: `{wire}`)"
             ),
         ));
     }
 
-    let inputs: Vec<NodeId> = input_names
-        .iter()
-        .filter(|n| Some(n.as_str()) != clock_name.as_deref())
-        .map(|n| b.node(n))
-        .collect();
-    let outputs: Vec<NodeId> = output_names.iter().map(|n| b.node(n)).collect();
-    let clock = clock_name.as_deref().map(|n| b.node(n));
+    let clock = clock_name.map(|n| b.node(n));
+    inputs.retain(|&id| Some(id) != clock);
     Ok(ImportedCircuit {
         name: name.unwrap_or_else(|| fallback_name.to_string()),
         netlist: b.netlist,
@@ -837,6 +664,64 @@ mod tests {
             assert_eq!(c.netlist.gate_count(), 1, "{}", kind.name());
             assert_eq!(c.netlist.gates()[0].kind, kind, "{}", kind.name());
         }
+    }
+
+    #[test]
+    fn match_tables_agree_with_gate_evaluation() {
+        use lowvolt_circuit::logic::Bit;
+        let tables = MATCH_1.iter().chain(&MATCH_2).chain(&MATCH_3);
+        for &(kind, table) in tables {
+            let n = kind.arity();
+            for idx in 0..(1u64 << n) {
+                let bits: Vec<Bit> = (0..n)
+                    .map(|i| {
+                        if idx >> i & 1 == 1 {
+                            Bit::One
+                        } else {
+                            Bit::Zero
+                        }
+                    })
+                    .collect();
+                let on = kind.evaluate(&bits) == Bit::One;
+                assert_eq!(table >> idx & 1 == 1, on, "{} at {idx:b}", kind.name());
+            }
+            assert_eq!(
+                table >> (1u64 << n),
+                0,
+                "{}: bits past the table",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_output_deep_in_a_long_list_keeps_its_position() {
+        // 5000 outputs, ten per line as the writer emits them; the
+        // 5000th repeats the 124th. The error names the repeat's line
+        // and the column where its text first occurs on that line.
+        let mut text = String::from(".model t\n.inputs a\n");
+        let names: Vec<String> = (0..4999)
+            .map(|i| format!("o{i}"))
+            .chain(["o123".to_owned()])
+            .collect();
+        for chunk in names.chunks(10) {
+            text.push_str(&format!(".outputs {}\n", chunk.join(" ")));
+        }
+        let err = parse_blif("t", &text).unwrap_err();
+        assert_eq!(
+            err,
+            IoError::parse(502, 64, "`o123` is declared an output twice")
+        );
+
+        // All on one line: the column is that of the first occurrence of
+        // the repeated name's text, the first declaration.
+        let line = format!(".model t\n.outputs {} o17\n", names[..4999].join(" "));
+        let err = parse_blif("t", &line).unwrap_err();
+        let first = line.find(" o17 ").unwrap() - ".model t\n".len() + 2;
+        assert_eq!(
+            err,
+            IoError::parse(2, first, "`o17` is declared an output twice")
+        );
     }
 
     #[test]

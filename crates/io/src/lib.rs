@@ -32,6 +32,7 @@
 
 mod bench;
 mod blif;
+mod builder;
 mod generate;
 
 pub use bench::parse_bench;

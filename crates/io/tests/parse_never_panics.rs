@@ -3,7 +3,7 @@
 //! fixtures, must either parse or fail with a typed [`IoError::Parse`]
 //! whose `line:column` lies inside the input.
 
-use lowvolt_io::{parse_str, Format, IoError};
+use lowvolt_io::{circuits_equivalent, parse_str, Format, IoError};
 use proptest::prelude::*;
 
 /// Tokens that steer either parser into its edge cases: directives,
@@ -12,7 +12,7 @@ const NASTY: &[&str] = &[
     ".model", ".inputs", ".outputs", ".names", ".latch", ".end", ".subckt", "INPUT", "OUTPUT",
     "AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF", "DFF", "re", "fe", "clk", "a", "b",
     "y", "0", "1", "-", "2", "(", ")", ",", "=", " ", "\t", "\n", "\r\n", "\\", "\\\n", "#", "é",
-    "😀", "\u{0}",
+    "😀", "\u{0}", "\r", "\u{b}", "\u{a0}", "\u{3000}", "信号",
 ];
 
 const FIXTURES: &[(Format, &str)] = &[
@@ -93,5 +93,80 @@ proptest! {
         }
         let text: String = chars.into_iter().collect();
         check_parser(format, &text)?;
+    }
+}
+
+/// Parses `text`, which must succeed and match `reference` structurally.
+fn assert_parses_like(format: Format, text: &str, reference: &str) {
+    let want = parse_str(format, "v", reference).unwrap_or_else(|e| panic!("{e}: {reference:?}"));
+    let got = parse_str(format, "v", text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+    circuits_equivalent(&want, &got).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+    assert_eq!(
+        want.netlist.structural_hash(),
+        got.netlist.structural_hash()
+    );
+}
+
+#[test]
+fn line_endings_tabs_and_unicode_whitespace_separate_like_spaces() {
+    for &(format, fixture) in FIXTURES {
+        assert_parses_like(format, &fixture.replace('\n', "\r\n"), fixture);
+        assert_parses_like(format, &fixture.replace(' ', "\t"), fixture);
+        // Vertical tab, no-break space and ideographic space are
+        // whitespace too (`char::is_whitespace`).
+        for ws in ["\u{b}", "\u{a0}", "\u{3000}"] {
+            assert_parses_like(format, &fixture.replace(' ', ws), fixture);
+        }
+        check_parser(format, &fixture.replace('\n', "\r")).unwrap();
+    }
+}
+
+#[test]
+fn non_ascii_names_survive_both_parsers() {
+    let blif = ".model m\n.inputs ä β\n.outputs 信号 😀\n\
+                .names ä β 信号\n11 1\n.names 信号 😀\n0 1\n.end\n";
+    let c = parse_str(Format::Blif, "m", blif).unwrap();
+    let names: Vec<&str> = c
+        .netlist
+        .node_ids()
+        .map(|id| c.netlist.node_name(id))
+        .collect();
+    assert_eq!(names, ["ä", "β", "信号", "😀"]);
+    let written = lowvolt_io::write_blif(&c).unwrap();
+    assert_parses_like(Format::Blif, &written, blif);
+
+    let bench = "INPUT(ä)\nINPUT(β)\nOUTPUT(😀)\n信号 = NAND(ä, β)\n😀 = NOT(信号)\n";
+    let c = parse_str(Format::Bench, "m", bench).unwrap();
+    let names: Vec<&str> = c
+        .netlist
+        .node_ids()
+        .map(|id| c.netlist.node_name(id))
+        .collect();
+    assert_eq!(names, ["ä", "β", "😀", "信号"]);
+    // A duplicate non-ASCII output is positioned in bytes, like any other.
+    let err = parse_str(Format::Blif, "m", ".model m\n.outputs 信号 信号\n").unwrap_err();
+    assert_eq!(
+        err,
+        IoError::parse(2, 10, "`信号` is declared an output twice")
+    );
+}
+
+#[test]
+fn continuation_at_end_of_file_is_harmless() {
+    let (_, latch2) = FIXTURES[1];
+    let body = latch2.trim_end();
+    // A trailing `\` folds in nothing: with or without a final newline
+    // the last directive still parses.
+    for tail in [" \\", " \\\n", " \\\n\\", " \\\r\n"] {
+        assert_parses_like(Format::Blif, &format!("{body}{tail}"), latch2);
+    }
+    // An unfinished cover at the end is a positioned error, not a panic.
+    for text in [
+        ".names a \\",
+        ".model m\n.inputs a\n.outputs y\n.names a y \\",
+    ] {
+        check_parser(Format::Blif, text).unwrap();
+        check_parser(Format::Bench, text).unwrap();
+        assert!(parse_str(Format::Blif, "m", text).is_err(), "{text:?}");
     }
 }

@@ -219,6 +219,12 @@ pub const SPAN_PROFILE_RUN: &str = "profile.run";
 /// Span name for one static-timing analysis (compile + forward +
 /// backward + endpoint summaries).
 pub const SPAN_STA_ANALYZE: &str = "sta.analyze";
+/// Span name for rendering a job's static-timing reports (text or
+/// JSON), after [`SPAN_STA_ANALYZE`].
+pub const SPAN_STA_RENDER: &str = "sta.render";
+/// Span name for importing one netlist file (read plus BLIF or bench
+/// parse) as a job's circuit source.
+pub const SPAN_IO_PARSE: &str = "io.parse";
 
 /// `perf` stage: fault campaign over the standard targets.
 pub const STAGE_CAMPAIGN: &str = "campaign";

@@ -18,6 +18,7 @@
 //! the job ran in one shot, in shards, or across a daemon kill/restart.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 pub use lowvolt_circuit::faults::Engine;
 use lowvolt_circuit::faults::{
@@ -134,22 +135,26 @@ pub enum SourceSpec {
 impl SourceSpec {
     /// Resolves the spec to an imported circuit; [`SourceSpec::Builtin`]
     /// resolves to `None` (the command falls back to its `--circuit`
-    /// selection).
+    /// selection). A netlist file's import is timed as the
+    /// [`names::SPAN_IO_PARSE`] span on `rec`.
     ///
     /// # Errors
     ///
     /// Import failures surface as a single `PATH:LINE:COL: message`
     /// error; generator failures carry the generator's message.
-    pub fn resolve(&self) -> Result<Option<ImportedCircuit>, JobError> {
+    pub fn resolve(&self, rec: &dyn Recorder) -> Result<Option<ImportedCircuit>, JobError> {
         match self {
             SourceSpec::Builtin => Ok(None),
-            SourceSpec::Netlist { path } => match parse_path(std::path::Path::new(path)) {
-                Ok(c) => Ok(Some(c)),
-                // Anchor parse errors at PATH:LINE:COL; file errors
-                // already name the path in their Display form.
-                Err(e @ IoError::Parse { .. }) => Err(JobError(format!("{path}:{e}"))),
-                Err(e) => Err(JobError(e.to_string())),
-            },
+            SourceSpec::Netlist { path } => {
+                let _span = span(rec, names::SPAN_IO_PARSE);
+                match parse_path(std::path::Path::new(path)) {
+                    Ok(c) => Ok(Some(c)),
+                    // Anchor parse errors at PATH:LINE:COL; file errors
+                    // already name the path in their Display form.
+                    Err(e @ IoError::Parse { .. }) => Err(JobError(format!("{path}:{e}"))),
+                    Err(e) => Err(JobError(e.to_string())),
+                }
+            }
             SourceSpec::Generate {
                 gates,
                 seed,
@@ -172,30 +177,42 @@ impl SourceSpec {
 
 /// An imported circuit as a fault-campaign target.
 #[must_use]
-pub fn imported_fault_target(c: &ImportedCircuit) -> FaultTarget {
+pub fn into_fault_target(c: ImportedCircuit) -> FaultTarget {
     FaultTarget {
-        name: c.name.clone(),
-        netlist: c.netlist.clone(),
-        inputs: c.inputs.clone(),
-        outputs: c.outputs.clone(),
+        name: c.name,
+        netlist: c.netlist,
+        inputs: c.inputs,
+        outputs: c.outputs,
         clock: c.clock,
     }
+}
+
+/// [`into_fault_target`] on a copy of `c`.
+#[must_use]
+pub fn imported_fault_target(c: &ImportedCircuit) -> FaultTarget {
+    into_fault_target(c.clone())
 }
 
 /// An imported circuit as a lint target: no power intent (the imported
 /// formats carry none), so the power pass's intent checks are skipped
 /// and leakage is priced for the whole design at the default threshold.
 #[must_use]
-pub fn imported_lint_target(c: &ImportedCircuit) -> LintTarget {
+pub fn into_lint_target(c: ImportedCircuit) -> LintTarget {
     LintTarget {
-        name: c.name.clone(),
-        netlist: c.netlist.clone(),
-        inputs: c.inputs.clone(),
-        outputs: c.outputs.clone(),
+        name: c.name,
+        netlist: c.netlist,
+        inputs: c.inputs,
+        outputs: c.outputs,
         clock: c.clock,
         intent: None,
         switch_view: None,
     }
+}
+
+/// [`into_lint_target`] on a copy of `c`.
+#[must_use]
+pub fn imported_lint_target(c: &ImportedCircuit) -> LintTarget {
+    into_lint_target(c.clone())
 }
 
 /// Selects standard lint/timing targets by exact name (`adder8`) or
@@ -357,9 +374,10 @@ pub fn run_campaign_job(
     persist: &CampaignPersist<'_>,
     sink: &mut dyn JobSink,
 ) -> Result<CampaignOutcome, JobError> {
-    let imported = spec.source.resolve()?;
-    let targets = match &imported {
-        Some(c) => vec![imported_fault_target(c)],
+    let imported = spec.source.resolve(rec)?.map(into_fault_target);
+    let from_source = imported.is_some();
+    let targets = match imported {
+        Some(t) => vec![t],
         None => standard_targets(spec.width).map_err(|e| JobError(e.to_string()))?,
     };
     let faults_per: Vec<_> = targets
@@ -374,11 +392,11 @@ pub fn run_campaign_job(
     // Header block: everything before the first blank line may vary
     // between a fresh, interrupted, and resumed run; the coverage table
     // after it must not (the CI resume gate diffs the table).
-    let mut out = match &imported {
-        Some(c) => format!(
+    let mut out = match targets.first().filter(|_| from_source) {
+        Some(t) => format!(
             "stuck-at fault campaign: {} ({} gates), {} vectors/injection, {} worker thread(s)\n",
-            c.name,
-            c.netlist.gate_count(),
+            t.name,
+            t.netlist.gate_count(),
             spec.vectors,
             policy.threads()
         ),
@@ -693,8 +711,8 @@ pub fn run_lint_job(
             ))
         })?;
         vec![seeded_defect(defect)?]
-    } else if let Some(c) = spec.source.resolve()? {
-        vec![imported_lint_target(&c)]
+    } else if let Some(c) = spec.source.resolve(rec)? {
+        vec![into_lint_target(c)]
     } else {
         select_standard_targets(&spec.circuit, spec.width)?
     };
@@ -795,8 +813,8 @@ pub fn run_sta_job(
         }
         config = config.with_required(Seconds::from_picos(ps));
     }
-    let targets = match spec.source.resolve()? {
-        Some(c) => vec![imported_lint_target(&c)],
+    let targets = match spec.source.resolve(rec)? {
+        Some(c) => vec![into_lint_target(c)],
         None => select_standard_targets(&spec.circuit, spec.width)?,
     };
     let mut reports = Vec::with_capacity(targets.len());
@@ -806,13 +824,14 @@ pub fn run_sta_job(
                 .map_err(|e| JobError(e.to_string()))?,
         );
     }
+    let _span = span(rec, names::SPAN_STA_RENDER);
     let out = if spec.json {
         json_array(&reports, StaReport::to_json)
     } else {
         let mut s = String::new();
         for r in &reports {
-            s.push_str(&r.to_string());
-            s.push('\n');
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(s, "{r}");
         }
         s
     };
@@ -884,8 +903,8 @@ pub fn run_optimize_job(
     let mhz = spec.throughput_mhz;
     let activity = spec.activity;
     let (opt, mut out) = if let Some(sta) = &spec.sta {
-        let target = match sta.source.resolve()? {
-            Some(c) => imported_lint_target(&c),
+        let target = match sta.source.resolve(lowvolt_obs::noop())? {
+            Some(c) => into_lint_target(c),
             None => {
                 if sta.circuit == "all" {
                     return Err(JobError(

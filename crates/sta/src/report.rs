@@ -119,14 +119,54 @@ pub struct StaReport {
     pub node_slacks: Vec<NodeSlack>,
 }
 
-/// `123.456 ps` for finite values, `inf` / `-inf` otherwise.
-fn fmt_ps(s: Seconds) -> String {
-    if s.0.is_finite() {
-        format!("{:.3} ps", s.0 * 1e12)
-    } else if s.0 > 0.0 {
-        "inf".to_owned()
-    } else {
-        "-inf".to_owned()
+/// Renders a time as `123.456 ps` when finite and `inf` / `-inf`
+/// otherwise (NaN renders as `-inf`), through [`fmt::Formatter::pad`]
+/// so width and alignment apply. The bytes are exactly those of
+/// `format!("{:.3} ps", s.0 * 1e12)`.
+struct Ps(Seconds);
+
+/// Above this many femtoseconds [`Ps`] leaves rounding to `{:.3}`.
+const PS_FAST_LIMIT_FS: f64 = (1u64 << 40) as f64;
+
+impl fmt::Display for Ps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0 .0;
+        if !s.is_finite() {
+            return f.pad(if s > 0.0 { "inf" } else { "-inf" });
+        }
+        let ps = s * 1e12;
+        // Fast path: round |ps| to whole femtoseconds in integer digits.
+        // `fs` is within half an ulp (≤ fs·2⁻⁵³) of the exact |ps|·1000,
+        // and its fractional part is exact, so away from a .5 tie it
+        // rounds as the exact decimal expansion `{:.3}` rounds. Near a
+        // tie, and for huge or overflowed values, `{:.3}` decides.
+        let fs = ps.abs() * 1000.0;
+        let frac = fs - fs.trunc();
+        if fs >= PS_FAST_LIMIT_FS || (frac - 0.5).abs() <= fs * f64::EPSILON * 4.0 {
+            return f.pad(&format!("{ps:.3} ps"));
+        }
+        // `fs < 2⁴⁰`, so the cast is exact and fits 13 digits.
+        let mut digits = fs.round() as u64;
+        let mut buf = [0u8; 24];
+        let mut at = buf.len() - 3;
+        buf[at..].copy_from_slice(b" ps");
+        for place in 0.. {
+            if place == 3 {
+                at -= 1;
+                buf[at] = b'.';
+            }
+            at -= 1;
+            buf[at] = b'0' + (digits % 10) as u8;
+            digits /= 10;
+            if digits == 0 && place >= 3 {
+                break;
+            }
+        }
+        if ps.is_sign_negative() {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        f.pad(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -245,9 +285,9 @@ impl fmt::Display for StaReport {
         writeln!(
             f,
             "critical delay {}  required {}  worst slack {}",
-            fmt_ps(self.critical),
-            fmt_ps(self.required),
-            fmt_ps(self.worst_slack)
+            Ps(self.critical),
+            Ps(self.required),
+            Ps(self.worst_slack)
         )?;
         match self.critical_path.last() {
             Some(last) => {
@@ -265,8 +305,8 @@ impl fmt::Display for StaReport {
                         step.gate,
                         step.output,
                         step.fanout,
-                        fmt_ps(step.delay),
-                        fmt_ps(step.arrival)
+                        Ps(step.delay),
+                        Ps(step.arrival)
                     )?;
                 }
             }
@@ -279,8 +319,8 @@ impl fmt::Display for StaReport {
                 "  {:<12} {:<8} arrival {:>12}  slack {:>12}  depth {:>3}  from '{}'",
                 ep.node,
                 ep.kind.label(),
-                fmt_ps(ep.arrival),
-                fmt_ps(ep.slack),
+                Ps(ep.arrival),
+                Ps(ep.slack),
                 ep.depth,
                 ep.startpoint
             )?;
@@ -293,9 +333,9 @@ impl fmt::Display for StaReport {
                     "  {:<12} level {:>3}  arrival {:>12}  required {:>12}  slack {:>12}",
                     ns.node,
                     ns.level,
-                    fmt_ps(ns.arrival),
-                    fmt_ps(ns.required),
-                    fmt_ps(ns.slack)
+                    Ps(ns.arrival),
+                    Ps(ns.required),
+                    Ps(ns.slack)
                 )?;
             }
         }
@@ -307,6 +347,7 @@ impl fmt::Display for StaReport {
 mod tests {
     use super::*;
     use lowvolt_obs::json::Json;
+    use proptest::prelude::*;
 
     fn tiny_report() -> StaReport {
         StaReport {
@@ -346,6 +387,112 @@ mod tests {
                 required: Seconds(0.0),
                 slack: Seconds(0.0),
             }],
+        }
+    }
+
+    /// What [`Ps`] must reproduce byte for byte.
+    fn reference_ps(s: f64) -> String {
+        if s.is_finite() {
+            format!("{:.3} ps", s * 1e12)
+        } else if s > 0.0 {
+            "inf".to_owned()
+        } else {
+            "-inf".to_owned()
+        }
+    }
+
+    fn assert_ps_matches(s: f64) {
+        let want = reference_ps(s);
+        let ps = Ps(Seconds(s));
+        assert_eq!(ps.to_string(), want, "{s:e}");
+        assert_eq!(format!("[{ps:>12}]"), format!("[{want:>12}]"), "{s:e}");
+        assert_eq!(format!("[{ps:<12}]"), format!("[{want:<12}]"), "{s:e}");
+    }
+
+    /// Seconds whose picosecond product is exactly `ps`, when one lies
+    /// within a few ulps of `ps / 1e12`.
+    fn seconds_for(ps: f64) -> Option<f64> {
+        let guess = ps / 1e12;
+        let mut below = guess;
+        let mut above = guess;
+        for _ in 0..8 {
+            for s in [below, above] {
+                if s * 1e12 == ps {
+                    return Some(s);
+                }
+            }
+            below = below.next_down();
+            above = above.next_up();
+        }
+        None
+    }
+
+    #[test]
+    fn ps_renders_exact_and_near_ties_like_format() {
+        // Dyadic picosecond values k/2^n put the femtosecond digit on or
+        // next to an exact .5, where `{:.3}` rounds half to even.
+        let mut ties = 0;
+        for n in 1..=24 {
+            for k in (1u64..400).chain([(1 << 30) + 1, (1 << 40) / 999, 987_654_321]) {
+                let tie = k as f64 / f64::from(1u32 << n);
+                let mut near = tie;
+                for _ in 0..3 {
+                    near = near.next_up();
+                }
+                for ps in [tie, tie.next_up(), tie.next_down(), near, -tie, -near] {
+                    if let Some(s) = seconds_for(ps) {
+                        assert_ps_matches(s);
+                        ties += 1;
+                    }
+                }
+            }
+        }
+        assert!(ties > 10_000, "only {ties} tie cases reached");
+    }
+
+    #[test]
+    fn ps_renders_extremes_like_format() {
+        let fast_limit_ps = PS_FAST_LIMIT_FS / 1000.0;
+        for s in [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            1e-15,
+            0.5e-15,
+            -0.5e-15,
+            1e-12,
+            fast_limit_ps / 1e12,
+            fast_limit_ps.next_down() / 1e12,
+            fast_limit_ps.next_up() / 1e12,
+            -fast_limit_ps / 1e12,
+            2f64.powi(40) / 1e12,
+            2f64.powi(40),
+            1e200,
+            -1e200,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_ps_matches(s);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn ps_renders_random_bit_patterns_like_format(bits in any::<u64>(), scale in 0u32..8) {
+            // Raw bit patterns cover every exponent; the scaled copy lands
+            // in the picosecond-to-microsecond range real reports hold.
+            let raw = f64::from_bits(bits);
+            assert_ps_matches(raw);
+            let mantissa = f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF | 0x3FF0_0000_0000_0000);
+            assert_ps_matches(mantissa * 10f64.powi(scale as i32 - 14));
         }
     }
 
