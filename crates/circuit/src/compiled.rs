@@ -22,7 +22,8 @@
 //! [`run_campaign`](crate::faults::run_campaign) on
 //! [`Engine::Compiled`](crate::faults::Engine::Compiled) computes the
 //! golden planes once per 64-vector word and, per fault, re-evaluates
-//! only levels at or after the injection point, early-exiting the
+//! only levels at or after the injection point and only gates whose
+//! output can reach what the pass is read for, early-exiting the
 //! moment the difference frontier against the golden planes goes
 //! all-zero (concurrent-fault-style dropout). The event engine remains required
 //! for combinational cycles, bridge-fault drive fights, gated or derived
@@ -140,41 +141,31 @@ fn eval_kind(kind: GateKind, a: P, b: P, c: P) -> P {
     }
 }
 
-/// Per-node `val`/`known` bit planes for one 64-vector word.
+/// Per-node `(val, known)` bit planes for one 64-vector word,
+/// interleaved so a node's two planes share a cache line.
 #[derive(Clone, Debug, PartialEq)]
-struct Planes {
-    val: Vec<u64>,
-    known: Vec<u64>,
-}
+struct Planes(Vec<P>);
 
 impl Planes {
     fn new(nodes: usize) -> Planes {
-        Planes {
-            val: vec![0; nodes],
-            known: vec![0; nodes],
-        }
+        Planes(vec![(0, 0); nodes])
     }
 
     #[inline]
     fn get(&self, node: usize) -> P {
-        (self.val[node], self.known[node])
+        self.0[node]
     }
 
     /// Planes for a possibly-foreign node id — X, matching
     /// [`Simulator::value`](crate::sim::Simulator::value)'s behaviour.
     #[inline]
     fn get_or_x(&self, node: usize) -> P {
-        if node < self.val.len() {
-            self.get(node)
-        } else {
-            (0, 0)
-        }
+        self.0.get(node).copied().unwrap_or((0, 0))
     }
 
     #[inline]
     fn set(&mut self, node: usize, p: P) {
-        self.val[node] = p.0;
-        self.known[node] = p.1;
+        self.0[node] = p;
     }
 }
 
@@ -748,35 +739,35 @@ impl CompiledNetlist {
     }
 }
 
-/// Per-item worklist state for fault re-evaluation: a working
-/// plane set kept equal to its golden reference between faults via an
-/// undo log, an epoch-stamped dedup array, and per-level gate buckets
-/// with the lowest non-empty one tracked, so propagation starts where
-/// the fault first reaches rather than at level 1.
-struct Scratch {
+/// Per-item worklist state for one kind of fault pass (phase A, or
+/// phase B and the single pass): a working plane set kept equal to its golden reference between faults
+/// via an undo log, and the difference frontier as one bit per compiled
+/// gate. Compiled positions ascend by level and every reader sits after
+/// the gate that enqueues it, so an upward bit scan from the lowest
+/// enqueued word visits the frontier in topological order.
+struct Scratch<'a> {
     planes: Planes,
     /// Every node whose planes differ from the reference: the undo log,
     /// and the only nodes that can change a classification.
     touched: Vec<u32>,
-    /// Per gate, the epoch (one per fault pass) it was last enqueued in.
-    /// A `Scratch` lives for one work item of at most `FAULT_RANGE`
-    /// faults, so the epoch cannot wrap.
-    queued: Vec<u32>,
-    epoch: u32,
-    buckets: Vec<Vec<u32>>,
-    /// Lowest bucket holding a gate; `buckets.len()` when all are empty.
-    min_level: usize,
+    /// The gates this pass may evaluate (see [`FaultSim`]); a reader
+    /// outside it is never enqueued.
+    live: &'a [u64],
+    /// Enqueued gates, one bit per compiled position; all clear between
+    /// passes.
+    frontier: Vec<u64>,
+    /// Lowest frontier word holding a bit; `frontier.len()` when empty.
+    lo: usize,
 }
 
-impl Scratch {
-    fn new(comp: &CompiledNetlist, reference: &Planes) -> Scratch {
+impl<'a> Scratch<'a> {
+    fn new(reference: &Planes, live: &'a [u64]) -> Scratch<'a> {
         Scratch {
             planes: reference.clone(),
             touched: Vec::new(),
-            queued: vec![0; comp.gate_count()],
-            epoch: 0,
-            buckets: vec![Vec::new(); comp.level_count()],
-            min_level: comp.level_count(),
+            live,
+            frontier: vec![0; live.len()],
+            lo: live.len(),
         }
     }
 
@@ -791,12 +782,10 @@ impl Scratch {
 impl CompiledNetlist {
     fn enqueue_readers(&self, s: &mut Scratch, node: usize, pending: &mut usize) {
         for &p in self.node_readers(node) {
-            let p = p as usize;
-            if s.queued[p] != s.epoch {
-                s.queued[p] = s.epoch;
-                let l = self.gate_level[p] as usize - 1;
-                s.buckets[l].push(p as u32);
-                s.min_level = s.min_level.min(l);
+            let (w, bit) = (p as usize / 64, 1u64 << (p % 64));
+            if s.live[w] & !s.frontier[w] & bit != 0 {
+                s.frontier[w] |= bit;
+                s.lo = s.lo.min(w);
                 *pending += 1;
             }
         }
@@ -814,10 +803,10 @@ impl CompiledNetlist {
     }
 
     /// Difference-frontier propagation: evaluates only enqueued gates,
-    /// level-ascending from the lowest enqueued level, enqueueing fanout
-    /// only where the faulty planes diverge from `reference`.
-    /// Early-exits the moment no gate remains enqueued — the
-    /// concurrent-fault-style dropout. Returns the gate evaluations
+    /// in position (so level) order from the lowest enqueued word,
+    /// enqueueing fanout only where the faulty planes diverge from
+    /// `reference`. Early-exits the moment no gate remains enqueued —
+    /// the concurrent-fault-style dropout. Returns the gate evaluations
     /// performed and whether the frontier died before the last level (a
     /// fault that enqueued nothing at all counts as a dropout).
     fn propagate(
@@ -827,37 +816,36 @@ impl CompiledNetlist {
         forced: Option<usize>,
         mut pending: usize,
     ) -> (u64, bool) {
-        let levels = self.level_count();
         let mut evals = 0u64;
-        let mut dropped = levels > 0 && pending == 0;
-        for l in std::mem::replace(&mut s.min_level, levels)..levels {
-            if pending == 0 {
-                dropped = true;
-                break;
+        let mut last = None;
+        let mut w = std::mem::replace(&mut s.lo, s.frontier.len());
+        while pending > 0 {
+            let bits = s.frontier[w];
+            if bits == 0 {
+                w += 1;
+                continue;
             }
-            let mut i = 0;
-            while i < s.buckets[l].len() {
-                let p = s.buckets[l][i] as usize;
-                i += 1;
-                pending -= 1;
-                let out = self.outs[p] as usize;
-                if forced == Some(out) {
-                    continue;
-                }
-                evals += 1;
-                let new = self.eval_at(p, &s.planes);
-                if new != reference.get(out) {
-                    s.touched.push(out as u32);
-                    s.planes.set(out, new);
-                    self.enqueue_readers(s, out, &mut pending);
-                }
+            s.frontier[w] = bits & (bits - 1);
+            pending -= 1;
+            let p = w * 64 + bits.trailing_zeros() as usize;
+            last = Some(p);
+            let out = self.outs[p] as usize;
+            if forced == Some(out) {
+                continue;
             }
-            s.buckets[l].clear();
+            evals += 1;
+            let new = self.eval_at(p, &s.planes);
+            if new != reference.get(out) {
+                s.touched.push(out as u32);
+                s.planes.set(out, new);
+                self.enqueue_readers(s, out, &mut pending);
+            }
         }
-        // Fanout enqueued during the sweep moved `min_level` off the
-        // sentinel, but every bucket is drained now.
-        s.min_level = levels;
-        (evals, dropped)
+        // Fanout enqueued during the sweep moved `lo` off the sentinel,
+        // but every bit is clear now.
+        s.lo = s.frontier.len();
+        let last_level = last.map_or(0, |p| self.gate_level[p] as usize);
+        (evals, last_level < self.level_count())
     }
 }
 
@@ -947,7 +935,14 @@ impl CompiledNetlist {
 
 /// The per-campaign tables the per-fault loop reads, built once so
 /// each fault costs work proportional to the nodes it changes: which
-/// nodes are observed outputs, and which flip-flops capture each node.
+/// nodes are observed outputs, which flip-flops capture each node, and
+/// which gates each pass can need.
+///
+/// A pass is read only through the nodes it touches: phase A (clock
+/// low) through flip-flop data nodes, phase B and the single pass
+/// through observed outputs. A gate whose output reaches none of those
+/// cannot change the result, so each pass evaluates only its live set
+/// (fan-in cone pruning) and the outcome is exact.
 struct FaultSim<'a> {
     comp: &'a CompiledNetlist,
     target: &'a FaultTarget,
@@ -956,6 +951,39 @@ struct FaultSim<'a> {
     /// input is that node.
     capture_starts: Vec<usize>,
     captured_by: Vec<u32>,
+    /// Gates whose output reaches a flip-flop data node: phase A's live
+    /// set, one bit per compiled position.
+    live_capture: Vec<u64>,
+    /// Gates whose output reaches an observed output: the live set of
+    /// phase B and of the single pass.
+    live_observe: Vec<u64>,
+}
+
+/// Work a run of fault passes performed, flushed into the campaign's
+/// counters once per work item.
+#[derive(Default)]
+struct Work {
+    gate_evals: u64,
+    /// The phase-A share of `gate_evals`.
+    capture_evals: u64,
+    dropouts: u64,
+}
+
+/// The gates whose output reaches a node `reaches` marks, one bit per
+/// compiled position. One reverse sweep suffices: every reader of a
+/// gate's output sits at a higher position, so whether that output
+/// reaches a sink is settled by the time the sweep gets to the gate.
+fn live_gates(comp: &CompiledNetlist, mut reaches: Vec<bool>) -> Vec<u64> {
+    let mut live = vec![0u64; comp.gate_count().div_ceil(64)];
+    for p in (0..comp.gate_count()).rev() {
+        if reaches[comp.outs[p] as usize] {
+            live[p / 64] |= 1 << (p % 64);
+            for &n in &comp.gate_inputs(p)[..comp.kinds[p].arity()] {
+                reaches[n] = true;
+            }
+        }
+    }
+    live
 }
 
 impl<'a> FaultSim<'a> {
@@ -967,8 +995,10 @@ impl<'a> FaultSim<'a> {
                 *slot = true;
             }
         }
+        let mut is_d = vec![false; comp.node_count];
         let mut capture_starts = vec![0usize; comp.node_count + 1];
         for dff in &comp.dffs {
+            is_d[dff.d as usize] = true;
             capture_starts[dff.d as usize + 1] += 1;
         }
         for i in 0..comp.node_count {
@@ -983,6 +1013,8 @@ impl<'a> FaultSim<'a> {
         FaultSim {
             comp,
             target,
+            live_capture: live_gates(comp, is_d),
+            live_observe: live_gates(comp, is_output.clone()),
             is_output,
             capture_starts,
             captured_by,
@@ -1059,15 +1091,16 @@ impl<'a> FaultSim<'a> {
     }
 
     /// Evaluates one fault over one stimulus word via difference-frontier
-    /// propagation, returning the word-local class byte plus (gate
-    /// evaluations, dropout flag).
+    /// propagation, returning the word-local class byte and adding the
+    /// passes' work to `work`.
     fn fault_word_class(
         &self,
         gw: &GoldenWord,
         sa: &mut Option<Scratch>,
         sb: &mut Scratch,
         fault: &GateFault,
-    ) -> (u8, u64, bool) {
+        work: &mut Work,
+    ) -> u8 {
         let comp = self.comp;
         // A stuck clock never produces the clean low→high edge flip-flops
         // capture on, so state is X for every lane; everything else about
@@ -1079,25 +1112,25 @@ impl<'a> FaultSim<'a> {
         if let (Some(ga), None) = (gw.a.as_ref(), clock_fault) {
             // Clocked target, non-clock fault: phase A computes the
             // faulty captured state, phase B samples the outputs.
-            let sa = match sa.as_mut() {
-                Some(s) => s,
-                None => return (CLASS_MASKED, 0, false),
+            let Some(sa) = sa.as_mut() else {
+                return CLASS_MASKED;
             };
-            sa.epoch += 1;
             let mut pending = 0usize;
             let forced = match self.seed_fault(sa, gw, fault, &mut pending) {
                 Ok(f) => f,
-                Err(class) => return (class, 0, false),
+                Err(class) => return class,
             };
-            let (mut evals, mut dropped) = comp.propagate(sa, ga, forced, pending);
+            let (evals, dropped) = comp.propagate(sa, ga, forced, pending);
+            work.gate_evals += evals;
+            work.capture_evals += evals;
 
-            sb.epoch += 1;
             let mut pending = 0usize;
             let forced = match self.seed_fault(sb, gw, fault, &mut pending) {
                 Ok(f) => f,
                 Err(class) => {
                     sa.undo(ga);
-                    return (class, evals, dropped);
+                    work.dropouts += u64::from(dropped);
+                    return class;
                 }
             };
             // Golden phase B already holds the golden captured state, so
@@ -1114,16 +1147,15 @@ impl<'a> FaultSim<'a> {
                 }
             }
             sa.undo(ga);
-            let (e, d) = comp.propagate(sb, &gw.fin, forced, pending);
-            evals += e;
-            dropped |= d;
+            let (evals, d) = comp.propagate(sb, &gw.fin, forced, pending);
+            work.gate_evals += evals;
+            work.dropouts += u64::from(dropped | d);
             let class = self.classify(gw, sb);
             sb.undo(&gw.fin);
-            return (class, evals, dropped);
+            return class;
         }
         // Combinational target, inert flip-flops, or a stuck clock:
         // a single pass in the sampled (phase-B) plane space.
-        sb.epoch += 1;
         let mut pending = 0usize;
         let forced = match clock_fault {
             Some(value) => {
@@ -1139,13 +1171,15 @@ impl<'a> FaultSim<'a> {
             }
             None => match self.seed_fault(sb, gw, fault, &mut pending) {
                 Ok(f) => f,
-                Err(class) => return (class, 0, false),
+                Err(class) => return class,
             },
         };
         let (evals, dropped) = comp.propagate(sb, &gw.fin, forced, pending);
+        work.gate_evals += evals;
+        work.dropouts += u64::from(dropped);
         let class = self.classify(gw, sb);
         sb.undo(&gw.fin);
-        (class, evals, dropped)
+        class
     }
 }
 
@@ -1383,6 +1417,7 @@ pub(crate) struct PackedCampaign<'a> {
     vectors: usize,
     sim: FaultSim<'a>,
     gate_evals: AtomicU64,
+    capture_evals: AtomicU64,
     dropouts: AtomicU64,
     word_evaluated: Vec<AtomicBool>,
 }
@@ -1399,6 +1434,7 @@ impl<'a> PackedCampaign<'a> {
             vectors,
             sim: FaultSim::new(comp, target),
             gate_evals: AtomicU64::new(0),
+            capture_evals: AtomicU64::new(0),
             dropouts: AtomicU64::new(0),
             word_evaluated: (0..vectors.div_ceil(64))
                 .map(|_| AtomicBool::new(false))
@@ -1477,24 +1513,23 @@ impl CampaignEngine for PackedCampaign<'_> {
         item: &PackedItem,
         token: &CancelToken,
     ) -> ItemStatus<Vec<u8>> {
-        let comp = self.sim.comp;
         let gw = &golden[item.word];
-        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(comp, ga));
-        let mut sb = Scratch::new(comp, &gw.fin);
+        let sim = &self.sim;
+        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(ga, &sim.live_capture));
+        let mut sb = Scratch::new(&gw.fin, &sim.live_observe);
         let mut classes = Vec::with_capacity(item.faults.len());
-        let mut evals = 0u64;
-        let mut drops = 0u64;
+        let mut work = Work::default();
         for f in &self.faults[item.faults.clone()] {
             if token.is_cancelled() {
                 return ItemStatus::TimedOut;
             }
-            let (class, e, d) = self.sim.fault_word_class(gw, &mut sa, &mut sb, f);
-            classes.push(class);
-            evals += e;
-            drops += u64::from(d);
+            classes.push(sim.fault_word_class(gw, &mut sa, &mut sb, f, &mut work));
         }
-        self.gate_evals.fetch_add(evals, Ordering::Relaxed);
-        self.dropouts.fetch_add(drops, Ordering::Relaxed);
+        self.gate_evals
+            .fetch_add(work.gate_evals, Ordering::Relaxed);
+        self.capture_evals
+            .fetch_add(work.capture_evals, Ordering::Relaxed);
+        self.dropouts.fetch_add(work.dropouts, Ordering::Relaxed);
         self.word_evaluated[item.word].store(true, Ordering::Relaxed);
         ItemStatus::Done(classes)
     }
@@ -1551,6 +1586,10 @@ impl CampaignEngine for PackedCampaign<'_> {
         rec.add(
             names::COMPILED_GATE_EVALS,
             self.gate_evals.load(Ordering::Relaxed),
+        );
+        rec.add(
+            names::COMPILED_CAPTURE_EVALS,
+            self.capture_evals.load(Ordering::Relaxed),
         );
         rec.add(
             names::COMPILED_FAULT_DROPOUTS,

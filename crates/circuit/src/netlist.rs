@@ -212,7 +212,7 @@ pub struct Gate {
     pub delay: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     name: String,
     cap_ff: f64,
@@ -299,6 +299,15 @@ impl Clone for Netlist {
             fanout_index: OnceLock::new(),
             inputs: self.inputs.clone(),
         }
+    }
+}
+
+/// Equal when built identically: the same nodes (name, capacitance,
+/// input flag), gates and inputs in the same order. The fanout edges and
+/// their index are derived from the gate list and are not compared.
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Netlist) -> bool {
+        self.nodes == other.nodes && self.gates == other.gates && self.inputs == other.inputs
     }
 }
 

@@ -15,10 +15,11 @@ use std::collections::HashMap;
 
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::faults::{
-    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultTarget,
-    ResilientCampaign,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
+    FaultTarget, GateFault, ResilientCampaign,
 };
 use lowvolt_circuit::logic::Bit;
+use lowvolt_circuit::netlist::{GateKind, Netlist};
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_circuit::NodeId;
@@ -121,6 +122,106 @@ fn campaign_counters_match_across_engines() {
                     target.name
                 );
             }
+        }
+    }
+}
+
+/// A clocked target with one of each shape the compiled engine's
+/// per-pass gate pruning distinguishes: a gate that feeds only a
+/// flip-flop data input, an observed gate that feeds no flip-flop, a
+/// gate chain that reaches neither, a data node that is also an
+/// observed output, and a stimulus input (`f`) that reaches only a
+/// flip-flop.
+fn cone_target() -> FaultTarget {
+    let mut n = Netlist::new();
+    let clk = n.input("clk");
+    let [a, b, c, e, f] = ["a", "b", "c", "e", "f"].map(|name| n.input(name));
+    let g = |n: &mut Netlist, kind, ins: &[NodeId]| n.gate(kind, ins).expect("gate wires");
+    // Capture only: f → d1 → q1.
+    let nf = g(&mut n, GateKind::Not, &[f]);
+    let d1 = g(&mut n, GateKind::And2, &[nf, b]);
+    let q1 = g(&mut n, GateKind::Dff, &[clk, d1]);
+    // Observed, feeds no flip-flop.
+    let obs = g(&mut n, GateKind::Or2, &[b, c]);
+    // Reaches neither a flip-flop nor an output.
+    let dead = g(&mut n, GateKind::Xor2, &[a, c]);
+    let _dead2 = g(&mut n, GateKind::Nor2, &[dead, e]);
+    // A data node that is also observed.
+    let d2 = g(&mut n, GateKind::Nand2, &[c, e]);
+    let q2 = g(&mut n, GateKind::Dff, &[clk, d2]);
+    // State read back out through observed logic.
+    let y = g(&mut n, GateKind::Xor2, &[q1, obs]);
+    let z = g(&mut n, GateKind::Mux2, &[a, q2, e]);
+    FaultTarget {
+        name: "cone".into(),
+        netlist: n,
+        inputs: vec![a, b, c, e, f],
+        outputs: vec![obs, d2, y, z],
+        clock: Some(clk),
+    }
+}
+
+/// Per-fault outcomes on [`cone_target`] equal the event engine's at 1,
+/// 2 and 8 threads, over stuck-at faults on every node (the clock
+/// included, which takes the stuck-clock path) plus `InputX` and
+/// `StimulusBitFlip` on every input — among them `f`, which reaches
+/// only a flip-flop.
+#[test]
+fn cone_pruned_campaign_matches_event_on_every_cone_shape() {
+    let target = cone_target();
+    let mut faults = stuck_at_universe(&target.netlist);
+    for input_index in 0..target.inputs.len() {
+        faults.push(GateFault::InputX { input_index });
+        faults.push(GateFault::StimulusBitFlip { input_index });
+    }
+    let outcomes = |engine: Engine, threads: usize| {
+        let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus");
+        let options = CampaignOptions {
+            engine,
+            policy: ExecPolicy::with_threads(threads),
+            ..CampaignOptions::default()
+        };
+        run_campaign(&target, &faults, &mut stimulus, VECTORS, options)
+            .expect("campaign runs")
+            .reports
+            .into_iter()
+            .map(|r| r.expect("outcome resolved").outcome)
+            .collect::<Vec<_>>()
+    };
+    let event = outcomes(Engine::Event, 1);
+    // The fault on the flip-flop-only input is visible at the outputs
+    // only through the captured state.
+    let f_flip = faults
+        .iter()
+        .position(|x| *x == GateFault::StimulusBitFlip { input_index: 4 })
+        .expect("f is input 4");
+    assert_eq!(event[f_flip], FaultOutcome::Corrupted);
+    for threads in [1usize, 2, 8] {
+        let packed = outcomes(Engine::Compiled, threads);
+        for (fault, (e, p)) in faults.iter().zip(event.iter().zip(&packed)) {
+            assert_eq!(e, p, "{fault:?} at {threads} thread(s)");
+        }
+    }
+}
+
+/// `compiled.capture_evals` is the phase-A share of
+/// `compiled.gate_evals`: 0 on a combinational target, at most the total
+/// on a clocked one, and nonzero there when a fault reaches a flip-flop.
+#[test]
+fn capture_evals_are_the_clocked_share_of_gate_evals() {
+    let adder = &standard_targets(4).expect("standard targets build")[0];
+    assert!(adder.clock.is_none(), "expected the combinational adder");
+    let clocked = cone_target();
+    for (target, clocked) in [(adder, false), (&clocked, true)] {
+        let reg = MetricsRegistry::new();
+        campaign(target, SEED, Engine::Compiled, 2, &reg);
+        let capture = reg.counter(names::COMPILED_CAPTURE_EVALS);
+        let total = reg.counter(names::COMPILED_GATE_EVALS);
+        assert!(total > 0, "{}", target.name);
+        if clocked {
+            assert!(0 < capture && capture <= total, "{capture} of {total}");
+        } else {
+            assert_eq!(capture, 0);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `lowvolt` binary itself: exit codes, stderr
 //! routing, and a full profile run through the real executable.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn lowvolt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lowvolt"))
@@ -78,6 +78,30 @@ fn lint_gate_failure_prints_report_to_stdout_with_exit_1() {
     assert!(stdout.trim_start().starts_with('['), "{stdout}");
     assert!(stdout.contains("\"rule\":\"LV020\""), "{stdout}");
     assert!(out.stderr.is_empty());
+}
+
+/// A reader that closes stdout early (`lowvolt sta … | head`) ends the
+/// run quietly: no panic on stderr, and the exit code is still the
+/// verdict — 0 for a report, 1 for a failed gate.
+#[test]
+fn closed_stdout_ends_quietly_with_the_verdict() {
+    for (args, code) in [
+        (&["sta", "--generate", "20000", "--seed", "42"][..], 0),
+        (&["lint", "--fixture", "sleep"][..], 1),
+    ] {
+        let mut child = lowvolt()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
 }
 
 #[test]

@@ -47,7 +47,7 @@ use lowvolt_circuit::netlist::{Netlist, NodeId};
 /// A circuit imported from an interchange format or produced by the
 /// generator: the netlist plus the stimulus contract every downstream
 /// consumer (campaigns, lint, STA, activity extraction) works from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImportedCircuit {
     /// Name (the `.model` name, the file stem, or a generator tag).
     pub name: String,

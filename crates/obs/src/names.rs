@@ -51,6 +51,11 @@ pub const CACHE_MISSES: &str = "cache.misses";
 /// item whose result was persisted).
 pub const CHECKPOINT_RECORDS: &str = "checkpoint.records";
 
+/// The phase-A share of [`COMPILED_GATE_EVALS`]: fault re-evaluations
+/// with the clock low, computing the state the flip-flops capture. Only
+/// gates that reach a flip-flop data input are evaluated there, so it
+/// is 0 on a combinational target.
+pub const COMPILED_CAPTURE_EVALS: &str = "compiled.capture_evals";
 /// (fault, word) evaluations in the compiled bit-parallel engine that
 /// early-exited because their difference frontier went all-zero before
 /// reaching the last level.
@@ -143,6 +148,7 @@ pub const COUNTERS: &[&str] = &[
     CAMPAIGN_TARGETS,
     CAMPAIGN_VECTORS,
     CHECKPOINT_RECORDS,
+    COMPILED_CAPTURE_EVALS,
     COMPILED_FAULT_DROPOUTS,
     COMPILED_GATE_EVALS,
     COMPILED_WORDS,
