@@ -32,10 +32,10 @@ use lowvolt_bench::{all_experiments, run_experiments_with, BenchError};
 use lowvolt_circuit::activity::ActivityReport;
 use lowvolt_circuit::adder::ripple_carry_adder;
 use lowvolt_circuit::faults::{
-    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultTarget,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine,
 };
 use lowvolt_circuit::multiplier::array_multiplier;
-use lowvolt_circuit::netlist::{Netlist, NodeId};
+use lowvolt_circuit::netlist::{Circuit, Netlist, NodeId};
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_core::optimizer::FixedThroughputOptimizer;
@@ -43,15 +43,12 @@ use lowvolt_core::sensitivity::{analyse_with, DesignPoint};
 use lowvolt_device::mosfet::Mosfet;
 use lowvolt_device::units::{Seconds, Volts};
 use lowvolt_exec::ExecPolicy;
-use lowvolt_io::{
-    circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig, ImportedCircuit,
-};
+use lowvolt_io::{circuits_equivalent, generate, parse_str, write_blif, Format, GeneratorConfig};
 use lowvolt_isa::asm::Program;
 use lowvolt_isa::profile::ProfileReport;
 use lowvolt_isa::{assemble, Cpu, Profiler};
 use lowvolt_obs::json::{fixed, quote};
 use lowvolt_obs::{names, MetricsRegistry, Recorder};
-use lowvolt_serve::jobs::into_fault_target;
 use lowvolt_sta::{analyze, StaConfig, NOMINAL_VDD, NOMINAL_VT};
 use lowvolt_workloads::idea;
 use std::fmt::Write as _;
@@ -200,7 +197,7 @@ fn campaign_leg(policy: &ExecPolicy, rec: &dyn Recorder, engine: Engine) -> Resu
 fn campaign_report(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
-    target: &FaultTarget,
+    target: &Circuit,
     mut stimulus: PatternSource,
     engine: Engine,
 ) -> Result<String, String> {
@@ -277,14 +274,14 @@ fn sta_leg(policy: &ExecPolicy, rec: &dyn Recorder) -> Result<String, String> {
 /// streaming parser alone ([`check_round_trip`] checks the result once,
 /// outside the legs). Parsing is inherently serial, so this row is a
 /// throughput baseline, not a speedup measurement.
-fn parse_leg(name: &str, text: &str) -> Result<ImportedCircuit, String> {
+fn parse_leg(name: &str, text: &str) -> Result<Circuit, String> {
     parse_str(Format::Blif, name, text).map_err(|e| e.to_string())
 }
 
 /// The parse stage's correctness check: the parsed text is structurally
 /// equivalent to its source. Returns a one-line summary with the parsed
 /// netlist's structural hash.
-fn check_round_trip(source: &ImportedCircuit, text: &str) -> Result<String, String> {
+fn check_round_trip(source: &Circuit, text: &str) -> Result<String, String> {
     let parsed = parse_leg(&source.name, text)?;
     circuits_equivalent(source, &parsed)?;
     Ok(format!(
@@ -301,7 +298,7 @@ fn check_round_trip(source: &ImportedCircuit, text: &str) -> Result<String, Stri
 fn generated_campaign_leg(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
-    target: &FaultTarget,
+    target: &Circuit,
 ) -> Result<String, String> {
     let stimulus =
         PatternSource::wide_random(target.inputs.len(), 0xD1CE).map_err(|e| e.to_string())?;
@@ -313,7 +310,7 @@ fn generated_campaign_leg(
 fn generated_sta_leg(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
-    c: &ImportedCircuit,
+    c: &Circuit,
 ) -> Result<String, String> {
     let config = StaConfig::at(NOMINAL_VDD, NOMINAL_VT);
     let report =
@@ -433,8 +430,7 @@ fn run() -> Result<(), String> {
         "perf: parse round trip: {}",
         check_round_trip(&parse_circuit, &parse_text)?
     );
-    let gen_target =
-        into_fault_target(generate(&GeneratorConfig::new(10_000, 42)).map_err(|e| e.to_string())?);
+    let gen_target = generate(&GeneratorConfig::new(10_000, 42)).map_err(|e| e.to_string())?;
     let sta_circuit = generate(&GeneratorConfig::new(100_000, 42)).map_err(|e| e.to_string())?;
 
     let mut rca = Netlist::new();

@@ -38,9 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
-use crate::faults::{CampaignEngine, FaultOutcome, FaultTarget, GateFault};
+use crate::faults::{CampaignEngine, FaultOutcome, GateFault};
 use crate::logic::Bit;
-use crate::netlist::{GateKind, Netlist, NodeId};
+use crate::netlist::{Circuit, GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
 use lowvolt_exec::{CancelToken, ExecError, ItemStatus};
 use lowvolt_obs::{names, span, Recorder};
@@ -567,11 +567,7 @@ impl CompiledNetlist {
     /// violation is collected and named, so a refusal lists all of the
     /// target's unsupported structures at once; `bridge_faults` folds
     /// the fault-universe check into the same report.
-    fn validate_campaign(
-        &self,
-        target: &FaultTarget,
-        bridge_faults: bool,
-    ) -> Result<(), CircuitError> {
+    fn validate_campaign(&self, target: &Circuit, bridge_faults: bool) -> Result<(), CircuitError> {
         let mut issues = IssueCollector::default();
         let name_of = |n: usize| target.netlist.node_name(NodeId::from_index(n));
         match target.clock {
@@ -871,7 +867,7 @@ impl CompiledNetlist {
     /// clock high and the captured state installed. Single-shot capture
     /// is lane-local because `validate_campaign` rejected
     /// register-to-register feedback.
-    fn golden_word(&self, target: &FaultTarget, vecs: &[Vec<Bit>], w: usize) -> (GoldenWord, u64) {
+    fn golden_word(&self, target: &Circuit, vecs: &[Vec<Bit>], w: usize) -> (GoldenWord, u64) {
         let base = w * 64;
         let lanes = (vecs.len() - base).min(64);
         let active = if lanes == 64 {
@@ -945,7 +941,7 @@ impl CompiledNetlist {
 /// (fan-in cone pruning) and the outcome is exact.
 struct FaultSim<'a> {
     comp: &'a CompiledNetlist,
-    target: &'a FaultTarget,
+    target: &'a Circuit,
     is_output: Vec<bool>,
     /// CSR node → indices into `comp.dffs` of the flip-flops whose data
     /// input is that node.
@@ -987,7 +983,7 @@ fn live_gates(comp: &CompiledNetlist, mut reaches: Vec<bool>) -> Vec<u64> {
 }
 
 impl<'a> FaultSim<'a> {
-    fn new(comp: &'a CompiledNetlist, target: &'a FaultTarget) -> FaultSim<'a> {
+    fn new(comp: &'a CompiledNetlist, target: &'a Circuit) -> FaultSim<'a> {
         let mut is_output = vec![false; comp.node_count];
         // Foreign output ids read X on both sides and can never differ.
         for n in &target.outputs {
@@ -1120,7 +1116,10 @@ impl<'a> FaultSim<'a> {
                 Ok(f) => f,
                 Err(class) => return class,
             };
-            let (evals, dropped) = comp.propagate(sa, ga, forced, pending);
+            // Phase A's frontier is confined to the capture cone and
+            // nearly always drains early; only the observed pass's
+            // dropout is counted.
+            let (evals, _) = comp.propagate(sa, ga, forced, pending);
             work.gate_evals += evals;
             work.capture_evals += evals;
 
@@ -1129,7 +1128,6 @@ impl<'a> FaultSim<'a> {
                 Ok(f) => f,
                 Err(class) => {
                     sa.undo(ga);
-                    work.dropouts += u64::from(dropped);
                     return class;
                 }
             };
@@ -1149,7 +1147,7 @@ impl<'a> FaultSim<'a> {
             sa.undo(ga);
             let (evals, d) = comp.propagate(sb, &gw.fin, forced, pending);
             work.gate_evals += evals;
-            work.dropouts += u64::from(dropped | d);
+            work.dropouts += u64::from(d);
             let class = self.classify(gw, sb);
             sb.undo(&gw.fin);
             return class;
@@ -1391,7 +1389,7 @@ impl CompiledNetlist {
     /// and checks that the engine supports the pairing.
     pub(crate) fn for_campaign(
         rec: &dyn Recorder,
-        target: &FaultTarget,
+        target: &Circuit,
         faults: &[GateFault],
     ) -> Result<CompiledNetlist, CircuitError> {
         let comp = {
@@ -1425,7 +1423,7 @@ pub(crate) struct PackedCampaign<'a> {
 impl<'a> PackedCampaign<'a> {
     pub(crate) fn new(
         comp: &'a CompiledNetlist,
-        target: &'a FaultTarget,
+        target: &'a Circuit,
         faults: &'a [GateFault],
         vectors: usize,
     ) -> PackedCampaign<'a> {
@@ -1607,7 +1605,7 @@ mod tests {
 
     fn outcomes(
         engine: Engine,
-        target: &FaultTarget,
+        target: &Circuit,
         faults: &[GateFault],
         vectors: usize,
         seed: u64,
@@ -1624,7 +1622,7 @@ mod tests {
             .collect()
     }
 
-    fn stuck_faults(target: &FaultTarget) -> Vec<GateFault> {
+    fn stuck_faults(target: &Circuit) -> Vec<GateFault> {
         let mut faults = Vec::new();
         for n in target.netlist.node_ids() {
             faults.push(GateFault::NodeStuckAt {
@@ -1715,7 +1713,7 @@ mod tests {
         let q = n.gate(GateKind::Dff, &[clk, d]).unwrap();
         n.gate_into(GateKind::Not, &[q], d).unwrap();
         let y = n.gate(GateKind::And2, &[q, a]).unwrap();
-        let target = FaultTarget {
+        let target = Circuit {
             name: "feedback".into(),
             netlist: n,
             inputs: vec![a],

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::compiled::{CompiledNetlist, PackedCampaign};
 use crate::error::CircuitError;
 use crate::logic::Bit;
-use crate::netlist::{Netlist, NodeId};
+use crate::netlist::{Circuit, Netlist, NodeId};
 use crate::sim::Simulator;
 use crate::stimulus::PatternSource;
 use crate::switchlevel::{SwNodeId, SwitchNetlist, SwitchSim};
@@ -172,26 +172,6 @@ impl FaultOutcome {
             self
         }
     }
-}
-
-/// A circuit prepared for fault-injection campaigns: a netlist plus the
-/// input columns the stimulus drives and the output nodes the classifier
-/// observes. Sequential targets carry a clock node that the runner
-/// toggles low→high around every vector.
-#[derive(Debug, Clone)]
-pub struct FaultTarget {
-    /// Human-readable target name (e.g. `"adder8"`).
-    pub name: String,
-    /// The circuit itself.
-    pub netlist: Netlist,
-    /// Stimulus-driven inputs, in stimulus column order (excluding any
-    /// clock).
-    pub inputs: Vec<NodeId>,
-    /// Observable outputs compared against the golden run.
-    pub outputs: Vec<NodeId>,
-    /// Clock for sequential targets: driven low before and high after
-    /// each data vector.
-    pub clock: Option<NodeId>,
 }
 
 /// Result of one fault injection within a campaign.
@@ -384,7 +364,7 @@ fn install_fault(sim: &mut Simulator<'_>, fault: &GateFault) -> Result<(), Circu
 /// the simulator's watchdog loop; pass [`CancelToken::never`] for an
 /// uncancellable run.
 fn run_trace(
-    target: &FaultTarget,
+    target: &Circuit,
     vectors: &[Vec<Bit>],
     fault: Option<&GateFault>,
     rec: &dyn Recorder,
@@ -590,7 +570,7 @@ impl ResilientCampaign {
 /// hash mixed with the observation interface (input/output/clock node
 /// ids) and the expanded stimulus itself, so a cache entry can only hit
 /// when the golden run it stores would be recomputed identically.
-fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
+fn golden_cache_content(target: &Circuit, vecs: &[Vec<Bit>]) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&target.netlist.structural_hash().to_le_bytes());
     bytes.extend_from_slice(&(target.inputs.len() as u64).to_le_bytes());
@@ -654,7 +634,7 @@ fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
 /// ([`FaultOutcome::Detected`] or [`FaultOutcome::Errored`]), never
 /// campaign failures.
 pub fn run_campaign(
-    target: &FaultTarget,
+    target: &Circuit,
     faults: &[GateFault],
     stimulus: &mut PatternSource,
     vectors: usize,
@@ -756,7 +736,7 @@ pub(crate) trait CampaignEngine: Sync {
 /// The event engine: one fresh simulator per injection, every vector
 /// replayed, outcomes journaled per injection.
 struct EventCampaign<'a> {
-    target: &'a FaultTarget,
+    target: &'a Circuit,
     faults: &'a [GateFault],
     vectors: usize,
     rec: &'a dyn Recorder,
@@ -828,7 +808,7 @@ impl CampaignEngine for EventCampaign<'_> {
 /// run after the stimulus checks.
 fn drive<E: CampaignEngine>(
     engine: &E,
-    target: &FaultTarget,
+    target: &Circuit,
     faults: &[GateFault],
     stimulus: &mut PatternSource,
     vectors: usize,
@@ -965,14 +945,14 @@ fn drive<E: CampaignEngine>(
 ///
 /// Returns [`CircuitError::InvalidWidth`] if any generator rejects
 /// `width`.
-pub fn standard_targets(width: usize) -> Result<Vec<FaultTarget>, CircuitError> {
+pub fn standard_targets(width: usize) -> Result<Vec<Circuit>, CircuitError> {
     let mut targets = Vec::with_capacity(5);
 
     let mut n = Netlist::new();
     let adder = crate::adder::ripple_carry_adder(&mut n, width)?;
     let mut outputs = adder.sum.clone();
     outputs.push(adder.cout);
-    targets.push(FaultTarget {
+    targets.push(Circuit {
         name: format!("adder{width}"),
         inputs: adder.input_nodes(),
         outputs,
@@ -982,7 +962,7 @@ pub fn standard_targets(width: usize) -> Result<Vec<FaultTarget>, CircuitError> 
 
     let mut n = Netlist::new();
     let shifter = crate::shifter::barrel_shifter_right(&mut n, width)?;
-    targets.push(FaultTarget {
+    targets.push(Circuit {
         name: format!("shifter{width}"),
         inputs: shifter.input_nodes(),
         outputs: shifter.out.clone(),
@@ -992,7 +972,7 @@ pub fn standard_targets(width: usize) -> Result<Vec<FaultTarget>, CircuitError> 
 
     let mut n = Netlist::new();
     let mult = crate::multiplier::array_multiplier(&mut n, width)?;
-    targets.push(FaultTarget {
+    targets.push(Circuit {
         name: format!("multiplier{width}"),
         inputs: mult.input_nodes(),
         outputs: mult.product.clone(),
@@ -1004,7 +984,7 @@ pub fn standard_targets(width: usize) -> Result<Vec<FaultTarget>, CircuitError> 
     let alu = crate::alu::alu(&mut n, width)?;
     let mut outputs = alu.result.clone();
     outputs.push(alu.carry_out);
-    targets.push(FaultTarget {
+    targets.push(Circuit {
         name: format!("alu{width}"),
         inputs: alu.input_nodes(),
         outputs,
@@ -1016,7 +996,7 @@ pub fn standard_targets(width: usize) -> Result<Vec<FaultTarget>, CircuitError> 
     let clk = n.input("clk");
     let d: Vec<NodeId> = (0..width).map(|i| n.input(format!("d{i}"))).collect();
     let q = crate::cells::register(&mut n, clk, &d)?;
-    targets.push(FaultTarget {
+    targets.push(Circuit {
         name: format!("registers{width}"),
         inputs: d,
         outputs: q,
@@ -1033,13 +1013,13 @@ mod tests {
     use crate::netlist::GateKind;
     use crate::switch_registers::{c2mos_register, clock_cycle};
 
-    fn adder_target(width: usize) -> FaultTarget {
+    fn adder_target(width: usize) -> Circuit {
         standard_targets(width).unwrap().into_iter().next().unwrap()
     }
 
     /// A default-options campaign's completed report.
     fn campaign(
-        target: &FaultTarget,
+        target: &Circuit,
         faults: &[GateFault],
         stimulus: &mut PatternSource,
         vectors: usize,
@@ -1224,7 +1204,7 @@ mod tests {
         let r = n.input("r");
         let gated = n.gate(GateKind::And2, &[en, r]).unwrap();
         n.gate_into(GateKind::Not, &[gated], r).unwrap();
-        let target = FaultTarget {
+        let target = Circuit {
             name: "gated_loop".into(),
             inputs: vec![en, r],
             outputs: vec![r],
@@ -1256,7 +1236,7 @@ mod tests {
         let a = n.input("a");
         let buf1 = n.gate(GateKind::Buf, &[a]).unwrap();
         let buf2 = n.gate(GateKind::Buf, &[buf1]).unwrap();
-        let target = FaultTarget {
+        let target = Circuit {
             name: "chain".into(),
             inputs: vec![a],
             outputs: vec![buf2],

@@ -60,4 +60,4 @@ pub mod timing;
 
 pub use error::CircuitError;
 pub use logic::Bit;
-pub use netlist::{GateId, GateKind, Netlist, NodeId};
+pub use netlist::{Circuit, GateId, GateKind, Netlist, NodeId};

@@ -311,6 +311,26 @@ impl PartialEq for Netlist {
     }
 }
 
+/// A gate-level design plus its stimulus contract: the one circuit type
+/// that the parsers, the generator, fault campaigns, lint, STA and
+/// activity extraction all work from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Circuit {
+    /// Name (e.g. `adder8`, a `.model` name, a file stem, or a
+    /// generator tag).
+    pub name: String,
+    /// The gate-level netlist.
+    pub netlist: Netlist,
+    /// Stimulus-driven inputs, in stimulus column order (excluding the
+    /// clock).
+    pub inputs: Vec<NodeId>,
+    /// Observable outputs, in declaration order.
+    pub outputs: Vec<NodeId>,
+    /// Clock for sequential circuits: driven low before and high after
+    /// each data vector.
+    pub clock: Option<NodeId>,
+}
+
 impl Netlist {
     /// Creates an empty netlist.
     #[must_use]

@@ -3,12 +3,13 @@
 //! to the serial sweep, for any thread count.
 
 use lowvolt_circuit::faults::{
-    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, CampaignReport, FaultTarget,
+    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, CampaignReport,
 };
 use lowvolt_circuit::stimulus::PatternSource;
+use lowvolt_circuit::Circuit;
 use lowvolt_exec::ExecPolicy;
 
-fn report(target: &FaultTarget, policy: ExecPolicy, seed: u64, vectors: usize) -> CampaignReport {
+fn report(target: &Circuit, policy: ExecPolicy, seed: u64, vectors: usize) -> CampaignReport {
     let faults = stuck_at_universe(&target.netlist);
     let mut src = PatternSource::random(target.inputs.len(), seed).expect("stimulus");
     let options = CampaignOptions {

@@ -16,13 +16,13 @@ use std::collections::HashMap;
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::faults::{
     run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
-    FaultTarget, GateFault, ResilientCampaign,
+    GateFault, ResilientCampaign,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist};
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
-use lowvolt_circuit::NodeId;
+use lowvolt_circuit::{Circuit, NodeId};
 use lowvolt_exec::ExecPolicy;
 use lowvolt_obs::{names, noop, MetricsRegistry, Recorder};
 
@@ -30,7 +30,7 @@ const VECTORS: usize = 96; // two packed words, the second half-full
 const SEED: u64 = 0xD1FF;
 
 fn campaign(
-    target: &FaultTarget,
+    target: &Circuit,
     seed: u64,
     engine: Engine,
     threads: usize,
@@ -132,7 +132,7 @@ fn campaign_counters_match_across_engines() {
 /// gate chain that reaches neither, a data node that is also an
 /// observed output, and a stimulus input (`f`) that reaches only a
 /// flip-flop.
-fn cone_target() -> FaultTarget {
+fn cone_target() -> Circuit {
     let mut n = Netlist::new();
     let clk = n.input("clk");
     let [a, b, c, e, f] = ["a", "b", "c", "e", "f"].map(|name| n.input(name));
@@ -152,7 +152,7 @@ fn cone_target() -> FaultTarget {
     // State read back out through observed logic.
     let y = g(&mut n, GateKind::Xor2, &[q1, obs]);
     let z = g(&mut n, GateKind::Mux2, &[a, q2, e]);
-    FaultTarget {
+    Circuit {
         name: "cone".into(),
         netlist: n,
         inputs: vec![a, b, c, e, f],
@@ -231,7 +231,7 @@ fn capture_evals_are_the_clocked_share_of_gate_evals() {
 /// the measured window — the same settled semantics the compiled
 /// engine's activity counters use.
 fn settled_counts(
-    target: &FaultTarget,
+    target: &Circuit,
     seed: u64,
     cycles: usize,
     warmup: usize,

@@ -7,12 +7,12 @@
 //! width-mismatched stimulus, and full stuck-at fault campaigns over
 //! random circuits.
 
-use lowvolt_circuit::faults::{run_campaign, stuck_at_universe, CampaignOptions, FaultTarget};
+use lowvolt_circuit::faults::{run_campaign, stuck_at_universe, CampaignOptions};
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
-use lowvolt_circuit::CircuitError;
+use lowvolt_circuit::{Circuit, CircuitError};
 use proptest::prelude::*;
 
 const KINDS: [GateKind; 14] = [
@@ -186,7 +186,7 @@ proptest! {
         let outputs: Vec<NodeId> = n.node_ids().collect();
         let faults = stuck_at_universe(&n);
         let universe = faults.len();
-        let target = FaultTarget {
+        let target = Circuit {
             name: "random".to_string(),
             netlist: n,
             inputs: inputs.clone(),

@@ -12,16 +12,17 @@ use std::path::PathBuf;
 
 use lowvolt_circuit::faults::{
     run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
-    FaultTarget, GateFault,
+    GateFault,
 };
 use lowvolt_circuit::persist::encode_word_classes;
 use lowvolt_circuit::stimulus::PatternSource;
+use lowvolt_circuit::Circuit;
 use lowvolt_exec::{CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy};
 
 const SEED: u64 = 0xC0FFEE;
 const VECTORS: usize = 4;
 
-fn adder_target() -> FaultTarget {
+fn adder_target() -> Circuit {
     standard_targets(2)
         .expect("standard targets")
         .into_iter()
@@ -29,7 +30,7 @@ fn adder_target() -> FaultTarget {
         .expect("adder target")
 }
 
-fn stimulus(target: &FaultTarget) -> PatternSource {
+fn stimulus(target: &Circuit) -> PatternSource {
     PatternSource::random(target.inputs.len(), SEED).expect("stimulus")
 }
 
@@ -41,7 +42,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// Runs the campaign against `journal` with at most `cap` new items.
 fn run_with_journal(
-    target: &FaultTarget,
+    target: &Circuit,
     faults: &[GateFault],
     journal: &mut CheckpointJournal,
     completed: &HashMap<u64, Vec<u8>>,
@@ -243,7 +244,7 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
 
 /// A width-16 multiplier: more than 2048 stuck-at faults, so each
 /// packed stimulus word splits into three fault-range work items.
-fn multi_range_target() -> (FaultTarget, Vec<GateFault>) {
+fn multi_range_target() -> (Circuit, Vec<GateFault>) {
     let target = standard_targets(16)
         .expect("standard targets")
         .into_iter()
@@ -262,7 +263,7 @@ fn multi_range_target() -> (FaultTarget, Vec<GateFault>) {
 const PACKED_VECTORS: usize = 70;
 
 fn run_packed_with_journal(
-    target: &FaultTarget,
+    target: &Circuit,
     faults: &[GateFault],
     journal: &mut CheckpointJournal,
     completed: &HashMap<u64, Vec<u8>>,

@@ -4,14 +4,11 @@
 use std::fmt;
 
 use crate::args::Parsed;
-use lowvolt_circuit::adder::ripple_carry_adder;
-use lowvolt_circuit::alu::alu;
 use lowvolt_circuit::compiled::CompiledNetlist;
-use lowvolt_circuit::multiplier::array_multiplier;
-use lowvolt_circuit::netlist::Netlist;
-use lowvolt_circuit::shifter::barrel_shifter_right;
+use lowvolt_circuit::faults::standard_targets;
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
+use lowvolt_circuit::Circuit;
 use lowvolt_core::activity::ActivityVars;
 use lowvolt_core::energy::{BlockParams, BurstEnergyModel};
 use lowvolt_core::report::{fmt_sig, Table};
@@ -21,8 +18,7 @@ use lowvolt_device::soias::SoiasDevice;
 use lowvolt_device::technology::Technology;
 use lowvolt_device::units::{Hertz, Volts};
 use lowvolt_exec::{ByteCache, ExecPolicy};
-use lowvolt_io::ImportedCircuit;
-use lowvolt_lint::{standard_lint_targets, Rule, UnknownRule};
+use lowvolt_lint::{Rule, UnknownRule};
 use lowvolt_obs::json::Json;
 use lowvolt_obs::{MetricsRegistry, Recorder};
 use lowvolt_serve::client::{self, Event as SubmitEvent};
@@ -341,29 +337,25 @@ fn profile(parsed: &Parsed) -> Result<String, CliError> {
     metrics.finish(out)
 }
 
-/// Builds one of the named demo circuits, returning its netlist and
-/// stimulus-facing input nodes.
-fn build_circuit(
-    circuit: &str,
-) -> Result<(Netlist, Vec<lowvolt_circuit::netlist::NodeId>), CliError> {
-    let mut n = Netlist::new();
-    let inputs = match circuit {
-        "adder8" => ripple_carry_adder(&mut n, 8)?.input_nodes(),
-        "adder16" => ripple_carry_adder(&mut n, 16)?.input_nodes(),
-        "shifter8" => barrel_shifter_right(&mut n, 8)
-            .map_err(|e| CliError(e.to_string()))?
-            .input_nodes(),
-        "mult8" => array_multiplier(&mut n, 8)
-            .map_err(|e| CliError(e.to_string()))?
-            .input_nodes(),
-        "alu8" => alu(&mut n, 8)?.input_nodes(),
+/// Builds one of the named demo circuits: the standard datapath of that
+/// family and width (indices in `standard_targets` order: adder,
+/// shifter, multiplier, ALU) under its demo name.
+fn build_circuit(name: &str) -> Result<Circuit, CliError> {
+    let (index, width) = match name {
+        "adder8" => (0, 8),
+        "adder16" => (0, 16),
+        "shifter8" => (1, 8),
+        "mult8" => (2, 8),
+        "alu8" => (3, 8),
         other => {
             return Err(CliError(format!(
                 "unknown circuit `{other}` (adder8, adder16, shifter8, mult8, alu8)"
             )))
         }
     };
-    Ok((n, inputs))
+    let mut circuit = standard_targets(width)?.swap_remove(index);
+    circuit.name = name.to_string();
+    Ok(circuit)
 }
 
 fn pattern_source(parsed: &Parsed, width: usize, seed: u64) -> Result<PatternSource, CliError> {
@@ -402,14 +394,18 @@ fn source_spec(parsed: &Parsed) -> Result<SourceSpec, CliError> {
     }
 }
 
-/// Resolves the `--netlist` / `--generate` flags to an imported
-/// circuit, or `None` when neither flag is present.
+/// The circuit `sim` and `activity` run on: the `--netlist` /
+/// `--generate` source when given, else the `--circuit` demo (default
+/// `adder8`).
 ///
 /// Parse failures surface as a single `PATH:LINE:COL: message` error —
 /// the binary routes that to stderr with exit 2, with no partial
 /// report on stdout.
-fn imported_source(parsed: &Parsed) -> Result<Option<ImportedCircuit>, CliError> {
-    Ok(source_spec(parsed)?.resolve(lowvolt_obs::noop())?)
+fn sim_circuit(parsed: &Parsed) -> Result<Circuit, CliError> {
+    match source_spec(parsed)?.resolve(lowvolt_obs::noop())? {
+        Some(c) => Ok(c),
+        None => build_circuit(parsed.get("circuit").unwrap_or("adder8")),
+    }
 }
 
 /// `lowvolt circuits`: the catalog of circuit sources — built-in
@@ -419,23 +415,23 @@ fn circuits() -> Result<String, CliError> {
     let mut out = String::from("built-in datapaths (sim/activity --circuit NAME):\n");
     let mut t = Table::new(["name", "gates", "nodes", "inputs"]);
     for name in ["adder8", "adder16", "shifter8", "mult8", "alu8"] {
-        let (n, inputs) = build_circuit(name)?;
+        let c = build_circuit(name)?;
         t.push_row([
             name.to_string(),
-            n.gate_count().to_string(),
-            n.node_count().to_string(),
-            inputs.len().to_string(),
+            c.netlist.gate_count().to_string(),
+            c.netlist.node_count().to_string(),
+            c.inputs.len().to_string(),
         ]);
     }
     out.push_str(&t.to_string());
 
     out.push_str("\nstandard families (lint/sta/optimize --circuit NAME, sized by --width):\n");
     let mut t = Table::new(["name", "gates @ width 8", "sequential"]);
-    for target in standard_lint_targets(8)? {
+    for c in standard_targets(8)? {
         t.push_row([
-            target.name.trim_end_matches(char::is_numeric).to_string(),
-            target.netlist.gate_count().to_string(),
-            if target.clock.is_some() { "yes" } else { "no" }.to_string(),
+            c.name.trim_end_matches(char::is_numeric).to_string(),
+            c.netlist.gate_count().to_string(),
+            if c.clock.is_some() { "yes" } else { "no" }.to_string(),
         ]);
     }
     out.push_str(&t.to_string());
@@ -473,14 +469,12 @@ fn sim(parsed: &Parsed) -> Result<String, CliError> {
     let cycles = parsed.get_u64("cycles")?.unwrap_or(256) as usize;
     let seed = parsed.get_u64("seed")?.unwrap_or(42);
     let engine = engine_flag(parsed)?;
-    let (circuit, n, inputs) = match imported_source(parsed)? {
-        Some(c) => (c.name.clone(), c.netlist, c.inputs),
-        None => {
-            let name = parsed.get("circuit").unwrap_or("adder8");
-            let (n, inputs) = build_circuit(name)?;
-            (name.to_string(), n, inputs)
-        }
-    };
+    let Circuit {
+        name: circuit,
+        netlist: n,
+        inputs,
+        ..
+    } = sim_circuit(parsed)?;
     let mut source = pattern_source(parsed, inputs.len(), seed)?;
     let warmup = (cycles / 10).max(4);
     let report = match engine {
@@ -522,14 +516,12 @@ fn sim(parsed: &Parsed) -> Result<String, CliError> {
 fn activity(parsed: &Parsed) -> Result<String, CliError> {
     let cycles = parsed.get_u64("cycles")?.unwrap_or(520) as usize;
     let seed = parsed.get_u64("seed")?.unwrap_or(42);
-    let (circuit, n, inputs) = match imported_source(parsed)? {
-        Some(c) => (c.name.clone(), c.netlist, c.inputs),
-        None => {
-            let name = parsed.get("circuit").unwrap_or("adder8");
-            let (n, inputs) = build_circuit(name)?;
-            (name.to_string(), n, inputs)
-        }
-    };
+    let Circuit {
+        name: circuit,
+        netlist: n,
+        inputs,
+        ..
+    } = sim_circuit(parsed)?;
     let mut source = pattern_source(parsed, inputs.len(), seed)?;
     let mut sim = Simulator::new(&n);
     let warmup = (cycles / 10).max(4);

@@ -239,7 +239,7 @@ fn sta_report_bytes_are_pinned() {
 /// is an `INPUT`, flip-flops become `DFF(d)` on the implicit clock, and
 /// the one gate bench has no name for, `mux2`, is spelled out as
 /// `OR(AND(NOT(s), a), AND(s, b))` through helper signals.
-fn write_bench(c: &lowvolt_io::ImportedCircuit) -> String {
+fn write_bench(c: &lowvolt_circuit::Circuit) -> String {
     use lowvolt_circuit::netlist::GateKind;
     let n = &c.netlist;
     let mut out = format!("# {}\n", c.name);
@@ -299,44 +299,56 @@ fn import_path_bytes_are_pinned() {
     std::fs::write(&path, write_bench(&circuit(6_000, 9))).expect("temp file writes");
     files.push(path);
 
-    let commands: [&[&str]; 4] = [
+    let commands: [&[&str]; 6] = [
         &["sta"],
         &["sta", "--json"],
         &["lint"],
         // The campaign header names the worker count; pin it.
         &["campaign", "--engine", "compiled", "--threads", "1"],
+        &["sim", "--cycles", "32"],
+        &["activity", "--cycles", "32"],
     ];
     // One row per file, one digest per command above.
-    let want: [[u64; 4]; 5] = [
+    let want: [[u64; 6]; 5] = [
         [
             0xc752_8a3d_4aeb_1297,
             0x2bed_9a2c_3864_9ca8,
             0x65a6_7356_c5e6_cb1c,
             0x5044_df4f_2e23_0c9b,
+            0xa1ac_2e61_55af_4940,
+            0x7ad1_0f2a_8b2d_2d18,
         ],
         [
             0x53e6_2a5f_c634_99e1,
             0xc5c3_3122_8650_ba43,
             0x6df3_3d38_10a9_8c20,
             0x8672_4c01_8f5b_1ae0,
+            0xf003_cbe8_b95c_4f2a,
+            0x7308_15a2_0f33_0508,
         ],
         [
             0x5d55_cc09_200f_814b,
             0x1162_af9b_4aa5_cd01,
             0x8943_6d44_746e_c34d,
             0xb4ab_3af0_b74d_b9c5,
+            0x0478_f9c2_5e6f_ac06,
+            0xde88_2e8e_23eb_b09e,
         ],
         [
             0xe7d9_a78c_63e6_771c,
             0xf8f7_3ddf_8fc6_fa24,
             0x1962_0291_40bf_9d00,
             0x9704_cdb9_c264_b0e5,
+            0xf249_7f35_5b2d_93d5,
+            0x81c3_2d7c_97c3_5b5a,
         ],
         [
             0xf1d9_5e30_61a8_00e3,
             0x6d80_611d_b89e_c3aa,
             0x849a_46ca_f043_c5e8,
             0x523b_3fb5_3824_a9aa,
+            0xd1a0_d7ae_2cf9_0689,
+            0xd43e_d202_f710_f39f,
         ],
     ];
     let mut mismatches = Vec::new();

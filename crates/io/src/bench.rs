@@ -9,10 +9,10 @@
 //! ISCAS-89 flip-flop) at fanin 1, clocked by an implicit global clock
 //! primary input named `__clock__` created at the first `DFF`.
 
-use lowvolt_circuit::netlist::{GateKind, NodeId};
+use lowvolt_circuit::netlist::{Circuit, GateKind, NodeId};
 
 use crate::builder::{fold_chain, strip_comment, NetBuilder};
-use crate::{ImportedCircuit, IoError};
+use crate::IoError;
 
 /// The implicit global clock every ISCAS-89 `DFF` is tied to. The '89
 /// benchmarks leave the clock out of the netlist entirely; the event
@@ -91,7 +91,7 @@ impl Func {
     }
 }
 
-/// Parses ISCAS-85/89 bench text into an [`ImportedCircuit`].
+/// Parses ISCAS-85/89 bench text into a [`Circuit`].
 ///
 /// Statement order is free-form (names may be used before they are
 /// defined within a file — c17 and friends define fanins first, but the
@@ -102,7 +102,7 @@ impl Func {
 /// # Errors
 ///
 /// [`IoError::Parse`] anchored at the offending line and column.
-pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
+pub fn parse_bench(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
     let mut b = NetBuilder::new();
     let mut inputs: Vec<NodeId> = Vec::new();
     let mut outputs: Vec<NodeId> = Vec::new();
@@ -260,7 +260,7 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
     }
 
     let clock = has_dff.then(|| b.node(IMPLICIT_CLOCK));
-    Ok(ImportedCircuit {
+    Ok(Circuit {
         name: fallback_name.to_string(),
         netlist: b.netlist,
         inputs,

@@ -16,10 +16,10 @@
 //! created at first textual reference on both sides — the round-trip
 //! identity the fixture tests pin down.
 
-use lowvolt_circuit::netlist::{GateKind, NodeId};
+use lowvolt_circuit::netlist::{Circuit, GateKind, NodeId};
 
 use crate::builder::{fold_chain, strip_comment, NetBuilder};
-use crate::{ImportedCircuit, IoError};
+use crate::IoError;
 
 /// Maximum cover fanin the parser accepts. SOP decomposition is linear
 /// in cubes × literals, but truth-table phase handling expands the
@@ -293,7 +293,7 @@ impl<'a> Cover<'a> {
     }
 }
 
-/// Parses BLIF text into an [`ImportedCircuit`].
+/// Parses BLIF text into a [`Circuit`].
 ///
 /// Supported directives: `.model` (first one names the circuit; a
 /// second model is rejected), `.inputs`, `.outputs` (both repeatable,
@@ -309,7 +309,7 @@ impl<'a> Cover<'a> {
 /// # Errors
 ///
 /// [`IoError::Parse`] anchored at the offending line and column.
-pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
+pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
     let mut name: Option<String> = None;
     let mut b = NetBuilder::new();
     let mut inputs: Vec<NodeId> = Vec::new();
@@ -493,7 +493,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
 
     let clock = clock_name.map(|n| b.node(n));
     inputs.retain(|&id| Some(id) != clock);
-    Ok(ImportedCircuit {
+    Ok(Circuit {
         name: name.unwrap_or_else(|| fallback_name.to_string()),
         netlist: b.netlist,
         inputs,
@@ -545,7 +545,7 @@ fn check_name(name: &str) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Serialises an [`ImportedCircuit`] as structural BLIF.
+/// Serialises a [`Circuit`] as structural BLIF.
 ///
 /// Primary inputs come from the netlist (clock included), outputs from
 /// the circuit's declared list, and gates are emitted in creation order
@@ -557,7 +557,7 @@ fn check_name(name: &str) -> Result<(), IoError> {
 ///
 /// [`IoError::Unwritable`] if a node name cannot be carried by the
 /// format, or if flip-flops exist without a resolvable clock.
-pub fn write_blif(circuit: &ImportedCircuit) -> Result<String, IoError> {
+pub fn write_blif(circuit: &Circuit) -> Result<String, IoError> {
     let n = &circuit.netlist;
     let mut out = String::with_capacity(64 + n.gate_count() * 24);
     out.push_str(".model ");

@@ -16,9 +16,9 @@
 //! dependence, so the same config is byte-identical (as written BLIF)
 //! forever.
 
-use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
+use lowvolt_circuit::netlist::{Circuit, GateKind, Netlist, NodeId};
 
-use crate::{ImportedCircuit, IoError};
+use crate::IoError;
 
 /// SplitMix64: tiny, seedable, and stable across platforms — exactly
 /// what eternal byte-determinism needs (the vendored `rand` is a stub).
@@ -149,7 +149,7 @@ impl Default for GeneratorConfig {
 /// # Errors
 ///
 /// [`IoError::InvalidConfig`] when a knob is out of range.
-pub fn generate(config: &GeneratorConfig) -> Result<ImportedCircuit, IoError> {
+pub fn generate(config: &GeneratorConfig) -> Result<Circuit, IoError> {
     config.validate()?;
     let mut rng = SplitMix64(config.seed);
     let mut netlist = Netlist::new();
@@ -239,7 +239,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<ImportedCircuit, IoError> {
         .filter(|&o| !consumed[o.index()])
         .collect();
 
-    Ok(ImportedCircuit {
+    Ok(Circuit {
         name: format!("gen{}_s{}", config.gates, config.seed),
         netlist,
         inputs,

@@ -9,9 +9,9 @@
 //! a BLIF **writer** for round-tripping, and a **seeded deterministic
 //! random-netlist generator** scaled to 10⁵–10⁶ gates.
 //!
-//! Every parser produces an [`ImportedCircuit`] — the same
-//! netlist + stimulus contract shape the fault-campaign, lint, STA, and
-//! activity layers already consume — and fails with a typed, line- and
+//! Every parser and the generator produce a [`Circuit`] — the one
+//! netlist + stimulus contract type the fault-campaign, lint, STA, and
+//! activity layers consume — and fail with a typed, line- and
 //! column-anchored [`IoError`] instead of panicking or returning a
 //! partially built netlist.
 //!
@@ -42,25 +42,7 @@ pub use generate::{generate, GeneratorConfig};
 use std::fmt;
 use std::path::Path;
 
-use lowvolt_circuit::netlist::{Netlist, NodeId};
-
-/// A circuit imported from an interchange format or produced by the
-/// generator: the netlist plus the stimulus contract every downstream
-/// consumer (campaigns, lint, STA, activity extraction) works from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImportedCircuit {
-    /// Name (the `.model` name, the file stem, or a generator tag).
-    pub name: String,
-    /// The gate-level netlist.
-    pub netlist: Netlist,
-    /// Stimulus-driven primary inputs, in declaration order, excluding
-    /// the clock.
-    pub inputs: Vec<NodeId>,
-    /// Declared observable outputs, in declaration order.
-    pub outputs: Vec<NodeId>,
-    /// The flip-flop clock, if the circuit is sequential.
-    pub clock: Option<NodeId>,
-}
+use lowvolt_circuit::netlist::{Circuit, Netlist, NodeId};
 
 /// A supported interchange format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +149,7 @@ impl std::error::Error for IoError {}
 /// [`IoError::File`] if the file cannot be read or the extension is not
 /// a supported format; [`IoError::Parse`] (line/column-anchored) if the
 /// contents are malformed.
-pub fn parse_path(path: &Path) -> Result<ImportedCircuit, IoError> {
+pub fn parse_path(path: &Path) -> Result<Circuit, IoError> {
     let format = Format::from_path(path).ok_or_else(|| IoError::File {
         path: path.display().to_string(),
         reason: "unrecognised extension (supported: .blif, .bench)".to_string(),
@@ -191,11 +173,7 @@ pub fn parse_path(path: &Path) -> Result<ImportedCircuit, IoError> {
 /// # Errors
 ///
 /// [`IoError::Parse`] with the offending line and column.
-pub fn parse_str(
-    format: Format,
-    fallback_name: &str,
-    text: &str,
-) -> Result<ImportedCircuit, IoError> {
+pub fn parse_str(format: Format, fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
     match format {
         Format::Blif => parse_blif(fallback_name, text),
         Format::Bench => parse_bench(fallback_name, text),
@@ -215,7 +193,7 @@ pub fn parse_str(
 /// # Errors
 ///
 /// Returns a human-readable description of the first mismatch.
-pub fn circuits_equivalent(a: &ImportedCircuit, b: &ImportedCircuit) -> Result<(), String> {
+pub fn circuits_equivalent(a: &Circuit, b: &Circuit) -> Result<(), String> {
     let (na, nb) = (&a.netlist, &b.netlist);
     if na.node_count() != nb.node_count() {
         return Err(format!(

@@ -8,29 +8,19 @@ use std::path::Path;
 
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::faults::{
-    run_campaign, stuck_at_universe, CampaignOptions, CampaignReport, Engine, FaultTarget,
-    GateFault,
+    run_campaign, stuck_at_universe, CampaignOptions, CampaignReport, Engine, GateFault,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
-use lowvolt_circuit::NodeId;
+use lowvolt_circuit::{Circuit, NodeId};
 use lowvolt_exec::ExecPolicy;
-use lowvolt_io::{generate, parse_path, GeneratorConfig, ImportedCircuit};
+use lowvolt_io::{generate, parse_path, GeneratorConfig};
+use lowvolt_obs::{names, MetricsRegistry};
 
-fn c17() -> ImportedCircuit {
+fn c17() -> Circuit {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/c17.bench");
     parse_path(&path).expect("c17 fixture parses")
-}
-
-fn fault_target(c: &ImportedCircuit) -> FaultTarget {
-    FaultTarget {
-        name: c.name.clone(),
-        netlist: c.netlist.clone(),
-        inputs: c.inputs.clone(),
-        outputs: c.outputs.clone(),
-        clock: c.clock,
-    }
 }
 
 /// A deterministic three-valued vector stream: every third cycle
@@ -58,7 +48,7 @@ fn vector_with_x(width: usize, cycle: usize) -> Vec<Bit> {
 
 /// Every node settles to the same value under both engines, for every
 /// vector — driven inputs, undriven inputs (X), and injected X bits.
-fn assert_settle_agreement(c: &ImportedCircuit, cycles: usize) {
+fn assert_settle_agreement(c: &Circuit, cycles: usize) {
     let compiled = CompiledNetlist::compile(&c.netlist).expect("levelizes");
     let mut sim = Simulator::new(&c.netlist);
     // Drive the clock low alongside the data inputs so sequential
@@ -118,7 +108,7 @@ fn generated_sequential_settles_identically() {
 fn c17_campaign_event_vs_compiled_thread_invariant() {
     const VECTORS: usize = 96;
     const SEED: u64 = 0x17C1;
-    let target = fault_target(&c17());
+    let target = c17();
     let faults = stuck_at_universe(&target.netlist);
     let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
     let event = run_campaign(
@@ -166,8 +156,7 @@ fn generated_campaign_thread_invariant() {
     const VECTORS: usize = 128;
     let mut cfg = GeneratorConfig::new(3000, 0xD1CE);
     cfg.dff_fraction = 0.0;
-    let c = generate(&cfg).expect("generates");
-    let target = fault_target(&c);
+    let target = generate(&cfg).expect("generates");
     let faults = stuck_at_universe(&target.netlist);
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 8] {
@@ -210,9 +199,8 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
     const STRIDE: usize = 7;
     let mut cfg = GeneratorConfig::new(600, 0xF1F0);
     cfg.dff_fraction = 0.15;
-    let c = generate(&cfg).expect("generates");
-    assert!(c.clock.is_some(), "expected a clocked netlist");
-    let target = fault_target(&c);
+    let target = generate(&cfg).expect("generates");
+    assert!(target.clock.is_some(), "expected a clocked netlist");
     let faults = stuck_at_universe(&target.netlist);
     assert!(faults.len() > 1024, "{} faults fit one range", faults.len());
     let sample: Vec<GateFault> = faults.iter().step_by(STRIDE).cloned().collect();
@@ -266,4 +254,28 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
             Some(first) => assert_eq!(first, &rendered, "diverged at {threads} thread(s)"),
         }
     }
+}
+
+/// `compiled.fault_dropouts` counts the observed (clock-high) pass of a
+/// clocked target only. Phase A's frontier is confined to the capture
+/// cone and nearly always drains, so folding it in made the counter
+/// read almost every fault (1,032 of 1,034 here). The pinned value is
+/// also what `lowvolt campaign --generate 500 --seed 7 --vectors 32
+/// --engine compiled` reports (its `--seed` seeds both the generator
+/// and the stimulus).
+#[test]
+fn fault_dropouts_count_the_observed_pass_only() {
+    let target = generate(&GeneratorConfig::new(500, 7)).expect("generates");
+    assert!(target.clock.is_some(), "expected a clocked netlist");
+    let faults = stuck_at_universe(&target.netlist);
+    let mut stimulus = PatternSource::wide_random(target.inputs.len(), 7).expect("stimulus");
+    let reg = MetricsRegistry::new();
+    let options = CampaignOptions {
+        engine: Engine::Compiled,
+        recorder: &reg,
+        ..CampaignOptions::default()
+    };
+    run_campaign(&target, &faults, &mut stimulus, 32, options).expect("campaign runs");
+    assert_eq!(faults.len(), 1034);
+    assert_eq!(reg.counter(names::COMPILED_FAULT_DROPOUTS), 891);
 }

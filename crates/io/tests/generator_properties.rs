@@ -4,22 +4,10 @@
 //! byte-deterministic — the same config writes the identical BLIF.
 
 use lowvolt_circuit::compiled::CompiledNetlist;
-use lowvolt_io::{generate, write_blif, GeneratorConfig, ImportedCircuit};
+use lowvolt_io::{generate, write_blif, GeneratorConfig};
 use lowvolt_lint::passes::structural;
 use lowvolt_lint::target::LintTarget;
 use proptest::prelude::*;
-
-fn lint_target(c: &ImportedCircuit) -> LintTarget {
-    LintTarget {
-        name: c.name.clone(),
-        netlist: c.netlist.clone(),
-        inputs: c.inputs.clone(),
-        outputs: c.outputs.clone(),
-        clock: c.clock,
-        intent: None,
-        switch_view: None,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -41,15 +29,15 @@ proptest! {
             dff_fraction: f64::from(dff_tenths) / 10.0,
             window,
         };
-        let c = generate(&cfg).expect("valid config generates");
-        let diags = structural::run(&lint_target(&c));
+        let t = LintTarget::new(generate(&cfg).expect("valid config generates"));
+        let diags = structural::run(&t);
         prop_assert!(
             diags.is_empty(),
             "structural DRC found {} issue(s), first: {}",
             diags.len(),
             diags[0]
         );
-        let compiled = CompiledNetlist::compile(&c.netlist);
+        let compiled = CompiledNetlist::compile(&t.circuit.netlist);
         prop_assert!(compiled.is_ok(), "levelization failed: {:?}", compiled.err());
     }
 
@@ -74,9 +62,9 @@ proptest! {
 fn ten_thousand_gates_generate_and_levelize() {
     let mut cfg = GeneratorConfig::new(10_000, 42);
     cfg.dff_fraction = 0.05;
-    let c = generate(&cfg).expect("generates");
-    assert_eq!(c.netlist.gate_count(), 10_000);
-    assert!(structural::run(&lint_target(&c)).is_empty());
-    let compiled = CompiledNetlist::compile(&c.netlist).expect("levelizes");
+    let t = LintTarget::new(generate(&cfg).expect("generates"));
+    assert_eq!(t.circuit.netlist.gate_count(), 10_000);
+    assert!(structural::run(&t).is_empty());
+    let compiled = CompiledNetlist::compile(&t.circuit.netlist).expect("levelizes");
     assert_eq!(compiled.gate_count() + compiled.dff_count(), 10_000);
 }

@@ -6,10 +6,10 @@
 
 use std::path::Path;
 
-use lowvolt_circuit::netlist::GateKind;
-use lowvolt_io::{circuits_equivalent, parse_path, parse_str, write_blif, Format, ImportedCircuit};
+use lowvolt_circuit::netlist::{Circuit, GateKind};
+use lowvolt_io::{circuits_equivalent, parse_path, parse_str, write_blif, Format};
 
-fn fixture(name: &str) -> ImportedCircuit {
+fn fixture(name: &str) -> Circuit {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(name);
@@ -17,7 +17,7 @@ fn fixture(name: &str) -> ImportedCircuit {
 }
 
 /// Round trip plus identity checks shared by both fixtures.
-fn assert_roundtrip_identity(original: &ImportedCircuit) {
+fn assert_roundtrip_identity(original: &Circuit) {
     let written = write_blif(original).expect("writable");
     let again = parse_str(Format::Blif, &original.name, &written).expect("re-parses");
     circuits_equivalent(original, &again).expect("round trip is structurally equivalent");

@@ -87,7 +87,7 @@ impl Linter {
             rec.add(names::LINT_DIAGNOSTICS, diagnostics.len() as u64);
         }
         LintReport {
-            target: target.name.clone(),
+            target: target.circuit.name.clone(),
             diagnostics,
         }
     }

@@ -75,39 +75,38 @@ pub fn seeded_defect(defect: Defect) -> Result<LintTarget, LintError> {
     // reordering there cannot silently change the fixture.
     let pos = targets
         .iter()
-        .position(|t| t.name.starts_with("adder"))
+        .position(|t| t.circuit.name.starts_with("adder"))
         .unwrap_or(0);
     let mut target = targets.swap_remove(pos);
-    target.name = format!("{}+{}", target.name, defect.name());
+    target.circuit.name = format!("{}+{}", target.circuit.name, defect.name());
 
     match defect {
         Defect::FloatingNode => {
             // A net nobody drives, XORed into a new declared output: the
             // float is an LV001 error and the output it reaches is LV010.
-            let float = target.netlist.node("float_net");
-            let sum0 = target.outputs[0];
-            let bad = target
+            let c = &mut target.circuit;
+            let float = c.netlist.node("float_net");
+            let sum0 = c.outputs[0];
+            let bad = c
                 .netlist
                 .gate(GateKind::Xor2, &[sum0, float])
                 .map_err(LintError::Circuit)?;
-            target.outputs.push(bad);
+            c.outputs.push(bad);
             // The new gate joins the gated domain like everything else.
-            target.intent = Some(default_gated_intent(&target.netlist)?);
+            target.intent = Some(default_gated_intent(&target.circuit.netlist)?);
         }
         Defect::CombinationalLoop => {
             // sum[7] NAND fb -> y, and y buffered straight back into fb:
             // a two-node combinational cycle with no flip-flop.
-            let sum_hi = target.outputs[7];
-            let fb = target.netlist.node("fb");
-            let y = target
-                .netlist
+            let n = &mut target.circuit.netlist;
+            let sum_hi = target.circuit.outputs[7];
+            let fb = n.node("fb");
+            let y = n
                 .gate(GateKind::Nand2, &[sum_hi, fb])
                 .map_err(LintError::Circuit)?;
-            target
-                .netlist
-                .gate_into(GateKind::Buf, &[y], fb)
+            n.gate_into(GateKind::Buf, &[y], fb)
                 .map_err(LintError::Circuit)?;
-            target.intent = Some(default_gated_intent(&target.netlist)?);
+            target.intent = Some(default_gated_intent(&target.circuit.netlist)?);
         }
         Defect::IncompleteSleep => {
             // Thresholds reversed: the "sleep" device turns off *less*
@@ -125,7 +124,7 @@ pub fn seeded_defect(defect: Defect) -> Result<LintTarget, LintError> {
                     kind: DomainKind::Gated { sleep },
                     body: None,
                 },
-                &target.netlist,
+                &target.circuit.netlist,
             ));
             target.switch_view = Some(bypassed_sleep_view()?);
         }
@@ -143,7 +142,7 @@ pub fn seeded_defect(defect: Defect) -> Result<LintTarget, LintError> {
                     },
                     body: None,
                 },
-                &target.netlist,
+                &target.circuit.netlist,
             ));
         }
         Defect::NegativeSlack => {
@@ -161,7 +160,7 @@ pub fn seeded_defect(defect: Defect) -> Result<LintTarget, LintError> {
                     },
                     body: None,
                 },
-                &target.netlist,
+                &target.circuit.netlist,
             ));
         }
     }
@@ -220,7 +219,7 @@ mod tests {
     fn fixtures_build() {
         for d in Defect::ALL {
             let t = seeded_defect(d).expect("fixture builds");
-            assert!(t.name.contains(d.name()));
+            assert!(t.circuit.name.contains(d.name()));
         }
     }
 }

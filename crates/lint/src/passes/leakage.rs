@@ -36,7 +36,7 @@ pub fn run(target: &LintTarget, config: &LintConfig) -> Vec<Diagnostic> {
     // Gate population per domain, from the assignment table (entries the
     // intent-shape check flags as malformed simply don't count here).
     let mut population = vec![0usize; intent.domains.len()];
-    for gi in 0..target.netlist.gate_count() {
+    for gi in 0..target.circuit.netlist.gate_count() {
         if let Some((id, _)) = intent.domain_of(gi) {
             population[id.0] += 1;
         }

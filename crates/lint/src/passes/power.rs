@@ -42,7 +42,7 @@ fn domain_loc(intent: &PowerIntent, idx: usize) -> Location {
 
 /// LV024: the intent must actually describe this netlist.
 fn check_intent_shape(target: &LintTarget, intent: &PowerIntent, diags: &mut Vec<Diagnostic>) {
-    let gates = target.netlist.gate_count();
+    let gates = target.circuit.netlist.gate_count();
     if intent.assignment.len() != gates {
         diags.push(Diagnostic::new(
             Rule::MalformedIntent,
@@ -71,7 +71,7 @@ fn check_intent_shape(target: &LintTarget, intent: &PowerIntent, diags: &mut Vec
             "fix the assignment table to point at declared domains".to_string(),
         ));
     }
-    let nodes = target.netlist.node_count();
+    let nodes = target.circuit.netlist.node_count();
     let bad_iso = intent.isolated.iter().filter(|&&i| i >= nodes).count();
     if bad_iso > 0 {
         diags.push(Diagnostic::new(
@@ -153,7 +153,7 @@ fn check_sleep_networks(intent: &PowerIntent, config: &LintConfig, diags: &mut V
 /// sleeps, so any consumer in a *different* domain needs an isolation
 /// cell on the crossing.
 fn check_isolation(target: &LintTarget, intent: &PowerIntent, diags: &mut Vec<Diagnostic>) {
-    let n = &target.netlist;
+    let n = &target.circuit.netlist;
     // Driving gate of each node (first driver wins; multi-driver nets are
     // already LV002 territory).
     let mut driver: Vec<Option<usize>> = vec![None; n.node_count()];

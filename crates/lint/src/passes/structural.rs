@@ -12,7 +12,7 @@ use crate::target::LintTarget;
 /// Runs the structural pass.
 #[must_use]
 pub fn run(target: &LintTarget) -> Vec<Diagnostic> {
-    let n = &target.netlist;
+    let n = &target.circuit.netlist;
     let mut diags = Vec::new();
 
     let mut driver_count = vec![0usize; n.node_count()];
@@ -21,7 +21,7 @@ pub fn run(target: &LintTarget) -> Vec<Diagnostic> {
             *slot += 1;
         }
     }
-    let declared: BTreeSet<usize> = target.outputs.iter().map(|o| o.index()).collect();
+    let declared: BTreeSet<usize> = target.circuit.outputs.iter().map(|o| o.index()).collect();
 
     for node in n.node_ids() {
         let idx = node.index();
@@ -91,7 +91,7 @@ fn node_loc(n: &Netlist, node: NodeId) -> Location {
 /// legitimately breaks a cycle). Any SCC of size > 1, or any single
 /// node with a combinational self-edge, is a loop.
 fn combinational_loops(target: &LintTarget) -> Vec<Diagnostic> {
-    let n = &target.netlist;
+    let n = &target.circuit.netlist;
     let node_count = n.node_count();
 
     // Iterative Tarjan over the CSR fanout index: successors of node v

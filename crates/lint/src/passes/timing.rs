@@ -169,9 +169,9 @@ fn analyze(
 ) -> Option<StaReport> {
     analyze_priced(
         lowvolt_obs::noop(),
-        &target.name,
-        &target.netlist,
-        &target.outputs,
+        &target.circuit.name,
+        &target.circuit.netlist,
+        &target.circuit.outputs,
         config,
         price,
     )
@@ -198,7 +198,7 @@ mod tests {
     fn standard_datapaths_meet_the_default_required_time() {
         for t in standard_lint_targets(8).expect("targets build") {
             let diags = run(&t, &LintConfig::default());
-            assert!(diags.is_empty(), "{}: {:?}", t.name, diags);
+            assert!(diags.is_empty(), "{}: {:?}", t.circuit.name, diags);
         }
     }
 
@@ -215,7 +215,7 @@ mod tests {
                 },
                 body: None,
             },
-            &t.netlist,
+            &t.circuit.netlist,
         ));
         let diags = run(&t, &LintConfig::default());
         assert!(!diags.is_empty());
@@ -235,7 +235,7 @@ mod tests {
                 },
                 body: None,
             },
-            &t.netlist,
+            &t.circuit.netlist,
         ));
         let diags = run(&t, &LintConfig::default());
         assert!(!diags.is_empty());
@@ -267,7 +267,7 @@ mod tests {
                 kind: DomainKind::Gated { sleep },
                 body: None,
             },
-            &t.netlist,
+            &t.circuit.netlist,
         ));
         let config = LintConfig::default().with_timing_required(Seconds(base.critical.0 * 1.02));
         let diags = run(&t, &config);

@@ -21,13 +21,14 @@ use crate::target::LintTarget;
 /// Runs the X-reachability pass.
 #[must_use]
 pub fn run(target: &LintTarget) -> Vec<Diagnostic> {
-    let n = &target.netlist;
+    let c = &target.circuit;
+    let n = &c.netlist;
     let mut diags = Vec::new();
 
-    let constrained: BTreeSet<usize> = target
+    let constrained: BTreeSet<usize> = c
         .inputs
         .iter()
-        .chain(target.clock.iter())
+        .chain(c.clock.iter())
         .map(|i| i.index())
         .collect();
 
@@ -94,7 +95,7 @@ pub fn run(target: &LintTarget) -> Vec<Diagnostic> {
         }
     }
 
-    for output in &target.outputs {
+    for output in &c.outputs {
         let idx = output.index();
         if idx < contaminated.len() && contaminated[idx] {
             let via = origin[idx]

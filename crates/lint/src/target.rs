@@ -2,8 +2,8 @@
 //! optional power intent, and an optional switch-level view of the
 //! sleep network.
 
-use lowvolt_circuit::faults::{standard_targets, FaultTarget};
-use lowvolt_circuit::netlist::{Netlist, NodeId};
+use lowvolt_circuit::faults::standard_targets;
+use lowvolt_circuit::netlist::{Circuit, Netlist};
 use lowvolt_circuit::switchlevel::{SwNodeId, SwitchNetlist};
 use lowvolt_device::units::{Amps, Volts};
 
@@ -25,19 +25,12 @@ pub struct SwitchView {
     pub gated_nodes: Vec<SwNodeId>,
 }
 
-/// One unit of lint work.
+/// One unit of lint work: a circuit plus the optional power views the
+/// power pass reads.
 #[derive(Debug, Clone)]
 pub struct LintTarget {
-    /// Name used in reports (e.g. `adder8`).
-    pub name: String,
-    /// The gate-level netlist.
-    pub netlist: Netlist,
-    /// Inputs the stimulus contract drives.
-    pub inputs: Vec<NodeId>,
-    /// Declared observable outputs.
-    pub outputs: Vec<NodeId>,
-    /// Clock, for sequential targets.
-    pub clock: Option<NodeId>,
+    /// The circuit; its name is the one used in reports.
+    pub circuit: Circuit,
     /// Power intent; `None` skips the power pass's intent checks and
     /// prices leakage for the whole design at the default threshold.
     pub intent: Option<PowerIntent>,
@@ -46,32 +39,16 @@ pub struct LintTarget {
 }
 
 impl LintTarget {
-    /// Wraps a fault-campaign target, without power intent.
+    /// A target without power intent or a switch-level view, as for an
+    /// imported or generated circuit (the interchange formats carry no
+    /// intent).
     #[must_use]
-    pub fn from_fault_target(t: FaultTarget) -> LintTarget {
+    pub fn new(circuit: Circuit) -> LintTarget {
         LintTarget {
-            name: t.name,
-            netlist: t.netlist,
-            inputs: t.inputs,
-            outputs: t.outputs,
-            clock: t.clock,
+            circuit,
             intent: None,
             switch_view: None,
         }
-    }
-
-    /// Attaches power intent.
-    #[must_use]
-    pub fn with_intent(mut self, intent: PowerIntent) -> LintTarget {
-        self.intent = Some(intent);
-        self
-    }
-
-    /// Attaches a switch-level sleep-network view.
-    #[must_use]
-    pub fn with_switch_view(mut self, view: SwitchView) -> LintTarget {
-        self.switch_view = Some(view);
-        self
     }
 }
 
@@ -134,10 +111,9 @@ pub fn default_gated_intent(netlist: &Netlist) -> Result<PowerIntent, LintError>
 /// [`LintError::Core`] if sleep sizing fails.
 pub fn standard_lint_targets(width: usize) -> Result<Vec<LintTarget>, LintError> {
     let mut out = Vec::with_capacity(5);
-    for ft in standard_targets(width)? {
-        let mut t = LintTarget::from_fault_target(ft);
-        let intent = default_gated_intent(&t.netlist)?;
-        t = t.with_intent(intent);
+    for circuit in standard_targets(width)? {
+        let mut t = LintTarget::new(circuit);
+        t.intent = Some(default_gated_intent(&t.circuit.netlist)?);
         out.push(t);
     }
     Ok(out)
@@ -153,7 +129,7 @@ mod tests {
         assert_eq!(targets.len(), 5);
         for t in &targets {
             let intent = t.intent.as_ref().expect("intent attached");
-            assert_eq!(intent.assignment.len(), t.netlist.gate_count());
+            assert_eq!(intent.assignment.len(), t.circuit.netlist.gate_count());
             match &intent.domains[0].kind {
                 DomainKind::Gated { sleep } => {
                     assert!(sleep.width.0 > 0.0);

@@ -21,7 +21,7 @@ fn standard_datapaths_lint_clean() {
         assert!(
             report.is_clean(),
             "false positive(s) on {}:\n{report}",
-            target.name
+            target.circuit.name
         );
         assert!(report.passes_gate(true));
     }
@@ -105,13 +105,14 @@ fn csr_cache_is_invalidated_by_mutation_between_lints() {
     let linter = Linter::with_defaults();
     assert!(linter.lint(&target).is_clean());
 
-    let float = target.netlist.node("late_float");
-    let sum0 = target.outputs[0];
+    let float = target.circuit.netlist.node("late_float");
+    let sum0 = target.circuit.outputs[0];
     let bad = target
+        .circuit
         .netlist
         .gate(GateKind::Xor2, &[sum0, float])
         .expect("gate");
-    target.outputs.push(bad);
+    target.circuit.outputs.push(bad);
 
     let report = linter.lint(&target);
     let rules = rules_of(&report);
@@ -154,14 +155,15 @@ fn deny_warnings_gates_warning_only_reports() {
     // passes the default gate but fails under --deny warnings.
     let mut targets = standard_lint_targets(8).expect("targets");
     let mut target = targets.remove(0);
-    let sum0 = target.outputs[0];
+    let sum0 = target.circuit.outputs[0];
     target
+        .circuit
         .netlist
         .gate(GateKind::Buf, &[sum0])
         .expect("dead buffer");
     // Keep the intent consistent with the mutated netlist.
     target.intent =
-        Some(lowvolt_lint::target::default_gated_intent(&target.netlist).expect("intent"));
+        Some(lowvolt_lint::target::default_gated_intent(&target.circuit.netlist).expect("intent"));
 
     let report = Linter::with_defaults().lint(&target);
     assert_eq!(report.errors(), 0, "{report}");
@@ -223,7 +225,7 @@ fn lint_all_covers_every_target_in_order() {
         Linter::with_defaults().lint_all_recorded(&ExecPolicy::with_threads(4), noop(), &targets);
     assert_eq!(reports.len(), targets.len());
     for (t, r) in targets.iter().zip(&reports) {
-        assert_eq!(t.name, r.target);
+        assert_eq!(t.circuit.name, r.target);
         assert!(r.is_clean(), "{r}");
     }
 }

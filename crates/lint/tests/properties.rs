@@ -7,6 +7,7 @@
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 use lowvolt_circuit::sim::Simulator;
+use lowvolt_circuit::Circuit;
 use lowvolt_lint::passes::structural;
 use lowvolt_lint::{LintTarget, Severity};
 use proptest::prelude::*;
@@ -96,15 +97,13 @@ fn build_random(seed: u64, n_inputs: usize, n_gates: usize, closure: Closure) ->
         _ => {}
     }
 
-    LintTarget {
+    LintTarget::new(Circuit {
         name: format!("random{seed:x}"),
         netlist: n,
         inputs,
         outputs: vec![last],
         clock: Some(clk),
-        intent: None,
-        switch_view: None,
-    }
+    })
 }
 
 proptest! {
@@ -136,13 +135,13 @@ proptest! {
             return Ok(());
         }
 
-        let mut sim = Simulator::new(&target.netlist);
+        let mut sim = Simulator::new(&target.circuit.netlist);
         let mut bits = stim;
-        for &input in &target.inputs {
+        for &input in &target.circuit.inputs {
             sim.set_input(input, Bit::from(bits & 1 == 1)).expect("input");
             bits >>= 1;
         }
-        if let Some(clk) = target.clock {
+        if let Some(clk) = target.circuit.clock {
             sim.set_input(clk, Bit::Zero).expect("clock");
         }
         // A structurally sound netlist must settle: no oscillation, no
@@ -150,7 +149,7 @@ proptest! {
         // X-reachability pass's business, not a settling failure.)
         prop_assert!(sim.settle().is_ok(), "accepted netlist failed to settle");
         // And a clock edge on the sequential closure must also settle.
-        if let Some(clk) = target.clock {
+        if let Some(clk) = target.circuit.clock {
             sim.set_input(clk, Bit::One).expect("clock");
             prop_assert!(sim.settle().is_ok(), "clock edge failed to settle");
         }
@@ -173,15 +172,13 @@ proptest! {
             last = n.gate(GateKind::Not, &[last]).expect("chain gate");
         }
         let _ = n.gate_into(GateKind::Buf, &[last], fwd).expect("close loop");
-        let target = LintTarget {
+        let target = LintTarget::new(Circuit {
             name: format!("forced-loop{seed:x}"),
             netlist: n,
             inputs: vec![],
             outputs: vec![last],
             clock: None,
-            intent: None,
-            switch_view: None,
-        };
+        });
         let findings = structural::run(&target);
         prop_assert!(
             findings

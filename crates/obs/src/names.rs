@@ -58,7 +58,8 @@ pub const CHECKPOINT_RECORDS: &str = "checkpoint.records";
 pub const COMPILED_CAPTURE_EVALS: &str = "compiled.capture_evals";
 /// (fault, word) evaluations in the compiled bit-parallel engine that
 /// early-exited because their difference frontier went all-zero before
-/// reaching the last level.
+/// reaching the last level. On a clocked target this is the observed
+/// (clock-high) pass's frontier; the capture pass's is not counted.
 pub const COMPILED_FAULT_DROPOUTS: &str = "compiled.fault_dropouts";
 /// Gate evaluations performed by the compiled bit-parallel engine
 /// (golden passes plus fault re-evaluations; each processes 64 packed

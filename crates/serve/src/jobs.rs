@@ -21,16 +21,15 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 pub use lowvolt_circuit::faults::Engine;
-use lowvolt_circuit::faults::{
-    run_campaign, standard_targets, stuck_at_universe, CampaignOptions, FaultTarget,
-};
+use lowvolt_circuit::faults::{run_campaign, standard_targets, stuck_at_universe, CampaignOptions};
 use lowvolt_circuit::ring::RingOscillator;
 use lowvolt_circuit::stimulus::PatternSource;
+use lowvolt_circuit::Circuit;
 use lowvolt_core::optimizer::{CriticalPathModel, FixedThroughputOptimizer};
 use lowvolt_core::report::{fmt_sig, Table};
 use lowvolt_device::units::{Micrometers, Seconds, Volts, Watts};
 use lowvolt_exec::{ByteCache, CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy};
-use lowvolt_io::{generate, parse_path, GeneratorConfig, ImportedCircuit, IoError};
+use lowvolt_io::{generate, parse_path, GeneratorConfig, IoError};
 use lowvolt_isa::bblocks::BlockProfile;
 use lowvolt_isa::cpu::Cpu;
 use lowvolt_isa::profile::Profiler;
@@ -133,7 +132,7 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
-    /// Resolves the spec to an imported circuit; [`SourceSpec::Builtin`]
+    /// Resolves the spec to a circuit; [`SourceSpec::Builtin`]
     /// resolves to `None` (the command falls back to its `--circuit`
     /// selection). A netlist file's import is timed as the
     /// [`names::SPAN_IO_PARSE`] span on `rec`.
@@ -142,7 +141,7 @@ impl SourceSpec {
     ///
     /// Import failures surface as a single `PATH:LINE:COL: message`
     /// error; generator failures carry the generator's message.
-    pub fn resolve(&self, rec: &dyn Recorder) -> Result<Option<ImportedCircuit>, JobError> {
+    pub fn resolve(&self, rec: &dyn Recorder) -> Result<Option<Circuit>, JobError> {
         match self {
             SourceSpec::Builtin => Ok(None),
             SourceSpec::Netlist { path } => {
@@ -175,44 +174,18 @@ impl SourceSpec {
     }
 }
 
-/// An imported circuit as a fault-campaign target.
+/// A copy of `c`, kept only for `e2ebench`; ROADMAP item 8 deletes it.
+#[doc(hidden)]
 #[must_use]
-pub fn into_fault_target(c: ImportedCircuit) -> FaultTarget {
-    FaultTarget {
-        name: c.name,
-        netlist: c.netlist,
-        inputs: c.inputs,
-        outputs: c.outputs,
-        clock: c.clock,
-    }
+pub fn imported_fault_target(c: &Circuit) -> Circuit {
+    c.clone()
 }
 
-/// [`into_fault_target`] on a copy of `c`.
+/// A copy of `c`, kept only for `e2ebench`; ROADMAP item 8 deletes it.
+#[doc(hidden)]
 #[must_use]
-pub fn imported_fault_target(c: &ImportedCircuit) -> FaultTarget {
-    into_fault_target(c.clone())
-}
-
-/// An imported circuit as a lint target: no power intent (the imported
-/// formats carry none), so the power pass's intent checks are skipped
-/// and leakage is priced for the whole design at the default threshold.
-#[must_use]
-pub fn into_lint_target(c: ImportedCircuit) -> LintTarget {
-    LintTarget {
-        name: c.name,
-        netlist: c.netlist,
-        inputs: c.inputs,
-        outputs: c.outputs,
-        clock: c.clock,
-        intent: None,
-        switch_view: None,
-    }
-}
-
-/// [`into_lint_target`] on a copy of `c`.
-#[must_use]
-pub fn imported_lint_target(c: &ImportedCircuit) -> LintTarget {
-    into_lint_target(c.clone())
+pub fn imported_lint_target(c: &Circuit) -> Circuit {
+    c.clone()
 }
 
 /// Selects standard lint/timing targets by exact name (`adder8`) or
@@ -228,7 +201,10 @@ pub fn select_standard_targets(name: &str, width: usize) -> Result<Vec<LintTarge
         name => {
             let chosen: Vec<_> = all
                 .into_iter()
-                .filter(|t| t.name == name || t.name.trim_end_matches(char::is_numeric) == name)
+                .filter(|t| {
+                    let n = &t.circuit.name;
+                    n == name || n.trim_end_matches(char::is_numeric) == name
+                })
                 .collect();
             if chosen.is_empty() {
                 return Err(JobError(format!(
@@ -374,7 +350,7 @@ pub fn run_campaign_job(
     persist: &CampaignPersist<'_>,
     sink: &mut dyn JobSink,
 ) -> Result<CampaignOutcome, JobError> {
-    let imported = spec.source.resolve(rec)?.map(into_fault_target);
+    let imported = spec.source.resolve(rec)?;
     let from_source = imported.is_some();
     let targets = match imported {
         Some(t) => vec![t],
@@ -712,7 +688,7 @@ pub fn run_lint_job(
         })?;
         vec![seeded_defect(defect)?]
     } else if let Some(c) = spec.source.resolve(rec)? {
-        vec![into_lint_target(c)]
+        vec![LintTarget::new(c)]
     } else {
         select_standard_targets(&spec.circuit, spec.width)?
     };
@@ -814,8 +790,11 @@ pub fn run_sta_job(
         config = config.with_required(Seconds::from_picos(ps));
     }
     let targets = match spec.source.resolve(rec)? {
-        Some(c) => vec![into_lint_target(c)],
-        None => select_standard_targets(&spec.circuit, spec.width)?,
+        Some(c) => vec![c],
+        None => select_standard_targets(&spec.circuit, spec.width)?
+            .into_iter()
+            .map(|t| t.circuit)
+            .collect(),
     };
     let mut reports = Vec::with_capacity(targets.len());
     for t in &targets {
@@ -904,7 +883,7 @@ pub fn run_optimize_job(
     let activity = spec.activity;
     let (opt, mut out) = if let Some(sta) = &spec.sta {
         let target = match sta.source.resolve(lowvolt_obs::noop())? {
-            Some(c) => into_lint_target(c),
+            Some(c) => c,
             None => {
                 if sta.circuit == "all" {
                     return Err(JobError(
@@ -912,7 +891,7 @@ pub fn run_optimize_job(
                     ));
                 }
                 let mut targets = select_standard_targets(&sta.circuit, sta.width)?;
-                targets.swap_remove(0)
+                targets.swap_remove(0).circuit
             }
         };
         let target = &target;

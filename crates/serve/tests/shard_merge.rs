@@ -8,15 +8,16 @@
 
 use lowvolt_circuit::faults::{
     run_campaign, standard_targets, stuck_at_universe, CampaignOptions, Engine, FaultOutcome,
-    FaultTarget, GateFault,
+    GateFault,
 };
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::stimulus::PatternSource;
+use lowvolt_circuit::Circuit;
 use lowvolt_exec::ExecPolicy;
 use proptest::prelude::*;
 
 /// One of the combinational standard datapaths at the given width.
-fn target(index: usize, width: usize) -> FaultTarget {
+fn target(index: usize, width: usize) -> Circuit {
     let mut all = standard_targets(width).expect("standard targets build");
     // 0 = adder, 1 = shifter, 2 = multiplier, 3 = alu (the register
     // bank is clocked; the packed runner drives it too, but the
@@ -34,7 +35,7 @@ fn vectors(width: usize, seed: u64, total: usize) -> Vec<Vec<Bit>> {
 /// returning outcomes in fault order.
 fn classify(
     policy: &ExecPolicy,
-    target: &FaultTarget,
+    target: &Circuit,
     faults: &[GateFault],
     stimulus: &[Vec<Bit>],
 ) -> Vec<FaultOutcome> {
