@@ -220,7 +220,7 @@ impl IssueCollector {
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     node_count: usize,
-    /// Gate kind per compiled gate, sorted by (level, original gate id).
+    /// Gate kind per compiled gate, ordered by (level, original gate id).
     kinds: Vec<GateKind>,
     in0: Vec<u32>,
     in1: Vec<u32>,
@@ -228,10 +228,11 @@ pub struct CompiledNetlist {
     outs: Vec<u32>,
     /// Topological level per compiled gate (≥ 1; level 0 is nodes).
     gate_level: Vec<u32>,
-    /// `level_starts[l]..level_starts[l + 1]` is the compiled-gate range
-    /// of level `l + 1`.
-    level_starts: Vec<usize>,
-    /// CSR of compiled-gate positions reading each node.
+    /// Highest gate level: the number of levels in the combinational
+    /// core.
+    level_count: usize,
+    /// CSR of compiled-gate positions reading each node, one entry per
+    /// input pin; the order within a node carries no meaning.
     reader_starts: Vec<usize>,
     readers: Vec<u32>,
     /// Original netlist gate index per compiled gate — the key that
@@ -264,6 +265,10 @@ impl CompiledNetlist {
         let gates = netlist.gates();
         let mut issues = IssueCollector::default();
         let mut has_driver = vec![false; node_count];
+        // A node is level 0 unless a combinational gate drives it. A
+        // driven node starts at 1, a lower bound its driver raises to the
+        // exact level when Kahn's walk dequeues it.
+        let mut node_level = vec![0u32; node_count];
         let mut dffs = Vec::new();
         let mut comb: Vec<usize> = Vec::new();
         for (gi, g) in gates.iter().enumerate() {
@@ -294,73 +299,68 @@ impl CompiledNetlist {
                     q: out as u32,
                 });
             } else {
+                node_level[out] = 1;
                 comb.push(gi);
             }
         }
 
-        // Kahn's algorithm over the combinational core. A node is level
-        // 0 unless a combinational gate drives it; a gate is ready once
-        // every input occurrence has a level.
-        let mut node_level: Vec<Option<u32>> = vec![Some(0); node_count];
-        for &gi in &comb {
-            node_level[gates[gi].output.index()] = None;
-        }
-        let mut node_comb_readers: Vec<Vec<u32>> = vec![Vec::new(); node_count];
+        // The reader CSR, built once over every combinational input pin:
+        // entries are indices into `comb` while Kahn's walk runs on it,
+        // and compiled positions afterwards. A gate's in-degree counts
+        // its pins on driven nodes.
+        let mut reader_starts = vec![0usize; node_count + 1];
         let mut indeg: Vec<u32> = vec![0; comb.len()];
         for (ci, &gi) in comb.iter().enumerate() {
             for inp in &gates[gi].inputs {
-                if node_level[inp.index()].is_none() {
-                    indeg[ci] += 1;
-                    node_comb_readers[inp.index()].push(ci as u32);
-                }
+                reader_starts[inp.index() + 1] += 1;
+                indeg[ci] += u32::from(node_level[inp.index()] > 0);
             }
         }
-        let mut queue: Vec<u32> = indeg
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(ci, _)| ci as u32)
+        for i in 0..node_count {
+            reader_starts[i + 1] += reader_starts[i];
+        }
+        let mut cursor = reader_starts.clone();
+        let mut readers = vec![0u32; reader_starts[node_count]];
+        for (ci, &gi) in comb.iter().enumerate() {
+            for inp in &gates[gi].inputs {
+                readers[cursor[inp.index()]] = ci as u32;
+                cursor[inp.index()] += 1;
+            }
+        }
+
+        // Kahn's algorithm: a gate is queued once, when its last pending
+        // pin resolves. A multiply-driven node (already collected above)
+        // releases its readers once per driver; a release that finds the
+        // count at zero changes nothing.
+        let mut queue: Vec<u32> = (0..comb.len() as u32)
+            .filter(|&ci| indeg[ci as usize] == 0)
             .collect();
-        let mut gate_level_by_ci: Vec<u32> = vec![0; comb.len()];
-        let mut done = vec![false; comb.len()];
-        let mut done_count = 0usize;
         let mut head = 0usize;
         while head < queue.len() {
-            let ci = queue[head] as usize;
+            let g = &gates[comb[queue[head] as usize]];
             head += 1;
-            // A multiply-driven node (already collected above) can make
-            // a reader's in-degree hit zero more than once; process each
-            // gate at most once.
-            if done[ci] {
-                continue;
-            }
-            done[ci] = true;
-            done_count += 1;
-            let gi = comb[ci];
-            let lvl = 1 + gates[gi]
+            let out = g.output.index();
+            node_level[out] = 1 + g
                 .inputs
                 .iter()
-                .map(|n| node_level[n.index()].unwrap_or(0))
+                .map(|n| node_level[n.index()])
                 .max()
                 .unwrap_or(0);
-            gate_level_by_ci[ci] = lvl;
-            let out = gates[gi].output.index();
-            node_level[out] = Some(lvl);
-            for &rdr in &node_comb_readers[out] {
-                let rdr = rdr as usize;
-                indeg[rdr] = indeg[rdr].saturating_sub(1);
-                if indeg[rdr] == 0 && !done[rdr] {
-                    queue.push(rdr as u32);
+            for &r in &readers[reader_starts[out]..reader_starts[out + 1]] {
+                let d = &mut indeg[r as usize];
+                if *d == 1 {
+                    queue.push(r);
                 }
+                *d = d.saturating_sub(1);
             }
         }
-        if done_count != comb.len() {
-            // Name the cycle members: outputs of gates never dequeued.
+        if queue.len() != comb.len() {
+            // Name the cycle members: outputs of gates never queued.
             let stuck: Vec<&str> = comb
                 .iter()
-                .enumerate()
-                .filter(|&(ci, _)| !done[ci])
-                .map(|(_, &gi)| netlist.node_name(gates[gi].output))
+                .zip(&indeg)
+                .filter(|&(_, &d)| d > 0)
+                .map(|(&gi, _)| netlist.node_name(gates[gi].output))
                 .take(8)
                 .collect();
             issues.push(
@@ -371,61 +371,47 @@ impl CompiledNetlist {
         issues.into_result()?;
 
         // Compiled order: (level, original gate id) — deterministic and
-        // cache-friendly per-level sweeps.
-        let mut order: Vec<u32> = (0..comb.len() as u32).collect();
-        order.sort_by_key(|&ci| (gate_level_by_ci[ci as usize], comb[ci as usize]));
-        let level_count = order
-            .last()
-            .map_or(0, |&ci| gate_level_by_ci[ci as usize] as usize);
-
-        let mut kinds = Vec::with_capacity(comb.len());
-        let mut in0 = Vec::with_capacity(comb.len());
-        let mut in1 = Vec::with_capacity(comb.len());
-        let mut in2 = Vec::with_capacity(comb.len());
-        let mut outs = Vec::with_capacity(comb.len());
-        let mut gate_level = Vec::with_capacity(comb.len());
-        let mut source = Vec::with_capacity(comb.len());
-        let mut level_starts = vec![0usize; level_count + 1];
-        for &ci in &order {
-            let gi = comb[ci as usize];
-            let g = &gates[gi];
-            kinds.push(g.kind);
-            let a = g.inputs[0].index() as u32;
-            in0.push(a);
-            in1.push(g.inputs.get(1).map_or(a, |n| n.index() as u32));
-            in2.push(g.inputs.get(2).map_or(a, |n| n.index() as u32));
-            outs.push(g.output.index() as u32);
-            gate_level.push(gate_level_by_ci[ci as usize]);
-            source.push(gi as u32);
-            level_starts[gate_level_by_ci[ci as usize] as usize] += 1;
+        // cache-friendly per-level sweeps. `comb` ascends by gate id, so
+        // one stable counting pass over the levels gives that order.
+        let level_of = |gi: usize| node_level[gates[gi].output.index()] as usize;
+        let level_count = comb.iter().map(|&gi| level_of(gi)).max().unwrap_or(0);
+        // First free compiled position per level (index 0 unused).
+        let mut next = vec![0u32; level_count + 1];
+        for &gi in &comb {
+            next[level_of(gi)] += 1;
         }
-        // Prefix-sum the per-level counts into range starts.
-        let mut acc = 0usize;
-        for slot in &mut level_starts {
+        let mut acc = 0u32;
+        for slot in &mut next {
             let n = *slot;
             *slot = acc;
             acc += n;
         }
-
-        // Reader CSR over the compiled gates, positions ascending.
-        let mut reader_starts = vec![0usize; node_count + 1];
-        for p in 0..kinds.len() {
-            for slot in 0..kinds[p].arity() {
-                let n = [in0[p], in1[p], in2[p]][slot] as usize;
-                reader_starts[n + 1] += 1;
-            }
+        let n = comb.len();
+        let mut kinds = vec![GateKind::Buf; n];
+        let mut in0 = vec![0u32; n];
+        let mut in1 = vec![0u32; n];
+        let mut in2 = vec![0u32; n];
+        let mut outs = vec![0u32; n];
+        let mut gate_level = vec![0u32; n];
+        let mut source = vec![0u32; n];
+        let mut position = vec![0u32; n];
+        for (ci, &gi) in comb.iter().enumerate() {
+            let g = &gates[gi];
+            let lvl = level_of(gi);
+            let p = next[lvl] as usize;
+            next[lvl] += 1;
+            position[ci] = p as u32;
+            kinds[p] = g.kind;
+            let a = g.inputs[0].index() as u32;
+            in0[p] = a;
+            in1[p] = g.inputs.get(1).map_or(a, |n| n.index() as u32);
+            in2[p] = g.inputs.get(2).map_or(a, |n| n.index() as u32);
+            outs[p] = g.output.index() as u32;
+            gate_level[p] = lvl as u32;
+            source[p] = gi as u32;
         }
-        for i in 0..node_count {
-            reader_starts[i + 1] += reader_starts[i];
-        }
-        let mut cursor = reader_starts.clone();
-        let mut readers = vec![0u32; reader_starts[node_count]];
-        for p in 0..kinds.len() {
-            for slot in 0..kinds[p].arity() {
-                let n = [in0[p], in1[p], in2[p]][slot] as usize;
-                readers[cursor[n]] = p as u32;
-                cursor[n] += 1;
-            }
+        for r in &mut readers {
+            *r = position[*r as usize];
         }
 
         Ok(CompiledNetlist {
@@ -436,11 +422,11 @@ impl CompiledNetlist {
             in2,
             outs,
             gate_level,
-            level_starts,
+            level_count,
             reader_starts,
             readers,
             source,
-            node_level: node_level.into_iter().map(|l| l.unwrap_or(0)).collect(),
+            node_level,
             dffs,
         })
     }
@@ -448,7 +434,7 @@ impl CompiledNetlist {
     /// Number of topological levels in the combinational core.
     #[must_use]
     pub fn level_count(&self) -> usize {
-        self.level_starts.len() - 1
+        self.level_count
     }
 
     /// Number of combinational gates in the compiled tables.
@@ -1664,6 +1650,42 @@ mod tests {
         assert_eq!(comp.node_fanout(a.index()), 2);
         assert!(comp.dff_data_nodes().is_empty());
         assert!(comp.dff_state_nodes().is_empty());
+    }
+
+    #[test]
+    fn readers_are_one_per_pin_and_sit_above_the_driver() {
+        // A gate reading one node on both pins, plus every standard
+        // datapath (two of them clocked).
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let x = n.gate(GateKind::Not, &[a]).unwrap();
+        let y = n.gate(GateKind::And2, &[x, x]).unwrap();
+        let _z = n.gate(GateKind::Xor2, &[y, a]).unwrap();
+        let mut netlists = vec![n];
+        netlists.extend(standard_targets(4).unwrap().into_iter().map(|t| t.netlist));
+        for n in &netlists {
+            let comp = CompiledNetlist::compile(n).unwrap();
+            let mut driver = vec![None; comp.node_count()];
+            for p in 0..comp.gate_count() {
+                driver[comp.gate_output(p)] = Some(p);
+            }
+            for node in 0..comp.node_count() {
+                let readers = comp.node_readers(node);
+                for &r in readers {
+                    let r = r as usize;
+                    let pins = comp.gate_inputs(r)[..comp.gate_kind(r).arity()]
+                        .iter()
+                        .filter(|&&i| i == node)
+                        .count();
+                    assert!(pins > 0, "gate {r} does not read node {node}");
+                    let entries = readers.iter().filter(|&&q| q as usize == r).count();
+                    assert_eq!(entries, pins, "gate {r} on node {node}");
+                    if let Some(d) = driver[node] {
+                        assert!(r > d, "reader {r} not above driver {d}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

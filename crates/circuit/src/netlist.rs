@@ -510,8 +510,8 @@ impl Netlist {
     /// Gates driven by (having an input on) `node`. A foreign node id has
     /// an empty fanout.
     ///
-    /// Served from the flat CSR index ([`FanoutIndex`]), built on first
-    /// query after the last structural mutation.
+    /// Served from a flat CSR fanout index, built on first query after
+    /// the last structural mutation.
     #[must_use]
     pub fn fanout(&self, node: NodeId) -> &[GateId] {
         self.fanout_index().fanout(node.0)

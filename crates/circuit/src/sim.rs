@@ -304,7 +304,7 @@ impl<'a> Simulator<'a> {
 
     /// Attaches a cooperative cancellation token. Settles poll it on
     /// entry and at the oscillation watchdog's sampling cadence
-    /// ([`WATCHDOG_SAMPLE_INTERVAL`] events), failing with
+    /// (every 64 events), failing with
     /// [`CircuitError::Cancelled`] once it fires — the hook the
     /// fault-tolerant execution layer uses to time out runaway items
     /// without killing their worker threads.

@@ -4,6 +4,8 @@
 //! byte-deterministic — the same config writes the identical BLIF.
 
 use lowvolt_circuit::compiled::CompiledNetlist;
+use lowvolt_circuit::faults::standard_targets;
+use lowvolt_circuit::netlist::{GateKind, Netlist};
 use lowvolt_io::{generate, write_blif, GeneratorConfig};
 use lowvolt_lint::passes::structural;
 use lowvolt_lint::target::LintTarget;
@@ -67,4 +69,51 @@ fn ten_thousand_gates_generate_and_levelize() {
     assert!(structural::run(&t).is_empty());
     let compiled = CompiledNetlist::compile(&t.circuit.netlist).expect("levelizes");
     assert_eq!(compiled.gate_count() + compiled.dff_count(), 10_000);
+}
+
+/// The levelizer's contract, checked against the source netlist:
+/// compiled positions strictly ascend by (level, gate id), every gate
+/// sits one level above its deepest input and gives its output that
+/// level, a node's fanout counts the combinational input pins on it, and
+/// every gate is either compiled or a cut flip-flop.
+fn assert_levelization_contract(netlist: &Netlist) {
+    let comp = CompiledNetlist::compile(netlist).expect("levelizes");
+    assert_eq!(comp.gate_count() + comp.dff_count(), netlist.gate_count());
+    let key = |p: usize| (comp.gate_level(p), comp.gate_source(p));
+    for p in 1..comp.gate_count() {
+        assert!(key(p - 1) < key(p), "position {p}");
+    }
+    for p in 0..comp.gate_count() {
+        let arity = comp.gate_kind(p).arity();
+        let deepest = comp.gate_inputs(p)[..arity]
+            .iter()
+            .map(|&n| comp.node_level(n))
+            .max()
+            .unwrap_or(0);
+        assert_eq!(comp.gate_level(p), 1 + deepest, "position {p}");
+        assert_eq!(comp.node_level(comp.gate_output(p)), comp.gate_level(p));
+    }
+    let mut pins = vec![0usize; netlist.node_count()];
+    for g in netlist.gates().iter().filter(|g| g.kind != GateKind::Dff) {
+        for n in &g.inputs {
+            pins[n.index()] += 1;
+        }
+    }
+    for (n, &count) in pins.iter().enumerate() {
+        assert_eq!(comp.node_fanout(n), count, "node {n}");
+    }
+}
+
+#[test]
+fn levelization_contract_holds_on_generated_and_standard_netlists() {
+    for seed in [1, 7, 42, 2024] {
+        for dff_fraction in [0.0, 0.15] {
+            let mut cfg = GeneratorConfig::new(2_000, seed);
+            cfg.dff_fraction = dff_fraction;
+            assert_levelization_contract(&generate(&cfg).expect("generates").netlist);
+        }
+    }
+    for target in standard_targets(8).expect("builds") {
+        assert_levelization_contract(&target.netlist);
+    }
 }

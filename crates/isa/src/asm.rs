@@ -20,7 +20,7 @@ pub struct Program {
     /// The text segment: pre-decoded instructions.
     pub insts: Vec<Inst>,
     /// The initialised data segment, loaded at
-    /// [`DATA_BASE`](crate::mem::DATA_BASE).
+    /// [`DATA_BASE`].
     pub data: Vec<u8>,
     /// Text labels → instruction index.
     pub text_labels: HashMap<String, u32>,

@@ -104,22 +104,8 @@ fn combinational_loops(target: &LintTarget) -> Vec<Diagnostic> {
     let mut next_index = 0usize;
     let mut sccs: Vec<Vec<usize>> = Vec::new();
 
-    // Explicit DFS frames: (node, iterator position over its successors).
+    // Explicit DFS frames: (node, position in its fanout slice).
     let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    // Successor lists materialised once from the CSR fanout index so the
-    // DFS inner loop is allocation-free.
-    let successors: Vec<Vec<usize>> = (0..node_count)
-        .map(|v| {
-            n.fanout(NodeId::from_index(v))
-                .iter()
-                .filter_map(|&g| {
-                    let gate = n.gates().get(g.index())?;
-                    (gate.kind != GateKind::Dff).then(|| gate.output.index())
-                })
-                .collect()
-        })
-        .collect();
 
     for root in 0..node_count {
         if index[root] != UNVISITED {
@@ -132,9 +118,15 @@ fn combinational_loops(target: &LintTarget) -> Vec<Diagnostic> {
         stack.push(root);
         on_stack[root] = true;
 
-        while let Some(&mut (v, ref mut succ_pos)) = frames.last_mut() {
-            if let Some(&w) = successors[v].get(*succ_pos) {
-                *succ_pos += 1;
+        while let Some(&mut (v, ref mut fanout_pos)) = frames.last_mut() {
+            // Next combinational successor; flip-flop readers are skipped.
+            let fanout = n.fanout(NodeId::from_index(v));
+            let next = fanout[*fanout_pos..].iter().find_map(|&g| {
+                *fanout_pos += 1;
+                let gate = n.gates().get(g.index())?;
+                (gate.kind != GateKind::Dff).then(|| gate.output.index())
+            });
+            if let Some(w) = next {
                 if index[w] == UNVISITED {
                     index[w] = next_index;
                     lowlink[w] = next_index;

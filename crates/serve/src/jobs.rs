@@ -33,9 +33,8 @@ use lowvolt_io::{generate, parse_path, GeneratorConfig, IoError};
 use lowvolt_isa::bblocks::BlockProfile;
 use lowvolt_isa::cpu::Cpu;
 use lowvolt_isa::profile::Profiler;
-use lowvolt_lint::{
-    seeded_defect, standard_lint_targets, Defect, LintConfig, LintReport, LintTarget, Linter,
-};
+use lowvolt_lint::target::default_gated_intent;
+use lowvolt_lint::{seeded_defect, Defect, LintConfig, LintReport, LintTarget, Linter};
 use lowvolt_obs::{names, span, Recorder};
 use lowvolt_sta::{analyze, load_profile, StaConfig, StaReport, NOMINAL_VDD, NOMINAL_VT};
 
@@ -188,23 +187,20 @@ pub fn imported_lint_target(c: &Circuit) -> Circuit {
     c.clone()
 }
 
-/// Selects standard lint/timing targets by exact name (`adder8`) or
-/// family name (`adder`); `all` returns every standard datapath.
+/// Selects standard datapaths by exact name (`adder8`) or family name
+/// (`adder`); `all` returns every standard datapath.
 ///
 /// # Errors
 ///
 /// Unknown names list the valid family names.
-pub fn select_standard_targets(name: &str, width: usize) -> Result<Vec<LintTarget>, JobError> {
-    let all = standard_lint_targets(width).map_err(|e| JobError(e.to_string()))?;
+pub fn select_standard_targets(name: &str, width: usize) -> Result<Vec<Circuit>, JobError> {
+    let all = standard_targets(width).map_err(|e| JobError(e.to_string()))?;
     match name {
         "all" => Ok(all),
         name => {
             let chosen: Vec<_> = all
                 .into_iter()
-                .filter(|t| {
-                    let n = &t.circuit.name;
-                    n == name || n.trim_end_matches(char::is_numeric) == name
-                })
+                .filter(|c| c.name == name || c.name.trim_end_matches(char::is_numeric) == name)
                 .collect();
             if chosen.is_empty() {
                 return Err(JobError(format!(
@@ -690,7 +686,14 @@ pub fn run_lint_job(
     } else if let Some(c) = spec.source.resolve(rec)? {
         vec![LintTarget::new(c)]
     } else {
-        select_standard_targets(&spec.circuit, spec.width)?
+        // The standard datapaths lint under the default gated intent.
+        let mut targets = Vec::new();
+        for circuit in select_standard_targets(&spec.circuit, spec.width)? {
+            let mut t = LintTarget::new(circuit);
+            t.intent = Some(default_gated_intent(&t.circuit.netlist)?);
+            targets.push(t);
+        }
+        targets
     };
 
     let deny_warnings = config.deny_warnings;
@@ -791,10 +794,7 @@ pub fn run_sta_job(
     }
     let targets = match spec.source.resolve(rec)? {
         Some(c) => vec![c],
-        None => select_standard_targets(&spec.circuit, spec.width)?
-            .into_iter()
-            .map(|t| t.circuit)
-            .collect(),
+        None => select_standard_targets(&spec.circuit, spec.width)?,
     };
     let mut reports = Vec::with_capacity(targets.len());
     for t in &targets {
@@ -890,8 +890,7 @@ pub fn run_optimize_job(
                         "optimize --sta wants one circuit, not `all`".to_string(),
                     ));
                 }
-                let mut targets = select_standard_targets(&sta.circuit, sta.width)?;
-                targets.swap_remove(0).circuit
+                select_standard_targets(&sta.circuit, sta.width)?.swap_remove(0)
             }
         };
         let target = &target;

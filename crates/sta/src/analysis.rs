@@ -113,66 +113,15 @@ pub fn analyze_priced(
         delay.push(price(comp.gate_source(p), comp.node_fanout(out))?.0);
     }
 
-    // Forward pass: latest arrival per node, with the worst-input
-    // predecessor recorded for the critical-path chain. Ties keep the
-    // first (lowest-slot) input. Each node's worst-path gate count and
-    // startpoint ride along, so endpoint summaries need no walk back up
-    // the chain; an undriven node is its own zero-depth startpoint.
-    let mut arrival = vec![0.0f64; nodes];
-    let mut pred = vec![u32::MAX; nodes];
-    let mut driver = vec![u32::MAX; nodes];
-    let mut depth = vec![0u32; nodes];
-    let mut start: Vec<u32> = (0..nodes as u32).collect();
-    for (p, &gate_delay) in delay.iter().enumerate() {
-        let ins = comp.gate_inputs(p);
-        let arity = comp.gate_kind(p).arity();
-        let mut worst = ins[0];
-        let mut worst_t = arrival[ins[0]];
-        for &i in &ins[1..arity] {
-            if arrival[i] > worst_t {
-                worst_t = arrival[i];
-                worst = i;
-            }
-        }
-        let out = comp.gate_output(p);
-        arrival[out] = worst_t + gate_delay;
-        pred[out] = worst as u32;
-        driver[out] = p as u32;
-        depth[out] = depth[worst] + 1;
-        start[out] = start[worst];
-    }
-
-    // Endpoints: declared primary outputs first, then register data
-    // pins, deduplicated, netlist order within each group.
-    let mut is_endpoint = vec![false; nodes];
-    let mut endpoints: Vec<(usize, EndpointKind)> = Vec::new();
-    for out in outputs {
-        let n = out.index();
-        if !is_endpoint[n] {
-            is_endpoint[n] = true;
-            endpoints.push((n, EndpointKind::Output));
-        }
-    }
-    for d in comp.dff_data_nodes() {
-        if !is_endpoint[d] {
-            is_endpoint[d] = true;
-            endpoints.push((d, EndpointKind::Register));
-        }
-    }
-    if endpoints.is_empty() {
-        return Err(StaError::NoEndpoints);
-    }
-
-    // Critical endpoint: strictly-greater-wins, so the first endpoint in
-    // the deterministic order above breaks ties.
-    let mut critical_node = endpoints[0].0;
-    let mut critical = arrival[critical_node];
-    for &(n, _) in endpoints.iter().skip(1) {
-        if arrival[n] > critical {
-            critical = arrival[n];
-            critical_node = n;
-        }
-    }
+    let Forward {
+        arrival,
+        pred,
+        driver,
+        depth,
+        start,
+    } = forward(&comp, &delay);
+    let (endpoints, critical_node) = endpoints(&comp, outputs, &arrival)?;
+    let critical = arrival[critical_node];
     let feasible = critical.is_finite();
     let required_t = config.required_time.map_or(critical, |s| s.0);
 
@@ -276,6 +225,91 @@ pub fn analyze_priced(
         endpoints: summaries,
         node_slacks,
     })
+}
+
+/// The forward pass's per-node results.
+pub(crate) struct Forward {
+    /// Latest arrival: the largest cost sum over any path into the node.
+    pub(crate) arrival: Vec<f64>,
+    /// Worst input node of the node's driver (`u32::MAX` when undriven).
+    pub(crate) pred: Vec<u32>,
+    /// Compiled position of the node's driver (`u32::MAX` when undriven).
+    pub(crate) driver: Vec<u32>,
+    /// Gate count of the worst path into the node.
+    pub(crate) depth: Vec<u32>,
+    /// Startpoint of the worst path; an undriven node is its own.
+    pub(crate) start: Vec<u32>,
+}
+
+/// Forward pass: latest arrival per node with `cost[p]` charged at
+/// compiled gate `p`, and the worst-input predecessor recorded for the
+/// critical-path chain. Ties keep the first (lowest-slot) input.
+/// Compiled order is level-ascending, so plain index order is
+/// topological. Each node's worst-path gate count and startpoint ride
+/// along, so endpoint summaries need no walk back up the chain.
+pub(crate) fn forward(comp: &CompiledNetlist, cost: &[f64]) -> Forward {
+    let nodes = comp.node_count();
+    let mut f = Forward {
+        arrival: vec![0.0f64; nodes],
+        pred: vec![u32::MAX; nodes],
+        driver: vec![u32::MAX; nodes],
+        depth: vec![0u32; nodes],
+        start: (0..nodes as u32).collect(),
+    };
+    for (p, &gate_cost) in cost.iter().enumerate() {
+        let ins = comp.gate_inputs(p);
+        let arity = comp.gate_kind(p).arity();
+        let mut worst = ins[0];
+        let mut worst_t = f.arrival[ins[0]];
+        for &i in &ins[1..arity] {
+            if f.arrival[i] > worst_t {
+                worst_t = f.arrival[i];
+                worst = i;
+            }
+        }
+        let out = comp.gate_output(p);
+        f.arrival[out] = worst_t + gate_cost;
+        f.pred[out] = worst as u32;
+        f.driver[out] = p as u32;
+        f.depth[out] = f.depth[worst] + 1;
+        f.start[out] = f.start[worst];
+    }
+    f
+}
+
+/// Timing endpoints — declared primary outputs first, then register
+/// data pins, deduplicated, netlist order within each group — and the
+/// critical one by `arrival`: strictly-greater-wins, so the first
+/// endpoint in that order breaks ties.
+///
+/// # Errors
+///
+/// [`StaError::NoEndpoints`] when there are none.
+pub(crate) fn endpoints(
+    comp: &CompiledNetlist,
+    outputs: &[NodeId],
+    arrival: &[f64],
+) -> Result<(Vec<(usize, EndpointKind)>, usize), StaError> {
+    let mut is_endpoint = vec![false; comp.node_count()];
+    let mut endpoints = Vec::new();
+    let outputs = outputs.iter().map(|o| (o.index(), EndpointKind::Output));
+    let registers = comp
+        .dff_data_nodes()
+        .into_iter()
+        .map(|d| (d, EndpointKind::Register));
+    for (n, kind) in outputs.chain(registers) {
+        if !is_endpoint[n] {
+            is_endpoint[n] = true;
+            endpoints.push((n, kind));
+        }
+    }
+    let mut critical = endpoints.first().ok_or(StaError::NoEndpoints)?.0;
+    for &(n, _) in &endpoints[1..] {
+        if arrival[n] > arrival[critical] {
+            critical = n;
+        }
+    }
+    Ok((endpoints, critical))
 }
 
 #[cfg(test)]

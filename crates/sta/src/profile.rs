@@ -10,6 +10,7 @@
 //! substitute a real datapath's critical path for the 101-stage
 //! ring-oscillator proxy.
 
+use crate::analysis::{endpoints, forward};
 use crate::StaError;
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::netlist::{Netlist, NodeId};
@@ -43,7 +44,6 @@ pub struct CircuitLoadProfile {
 /// path.
 pub fn load_profile(netlist: &Netlist, outputs: &[NodeId]) -> Result<CircuitLoadProfile, StaError> {
     let comp = CompiledNetlist::compile(netlist)?;
-    let nodes = comp.node_count();
     let gates = comp.gate_count();
 
     let mut load = Vec::with_capacity(gates);
@@ -55,47 +55,14 @@ pub fn load_profile(netlist: &Netlist, outputs: &[NodeId]) -> Result<CircuitLoad
         load.push(c);
     }
 
-    // Forward max-sum of loads over the level-ascending (therefore
-    // topological) gate order — the timing pass's recurrence with delay
-    // replaced by load, so the same path wins.
-    let mut acc = vec![0.0f64; nodes];
-    let mut depth = vec![0usize; nodes];
-    for (p, &gate_load) in load.iter().enumerate() {
-        let ins = comp.gate_inputs(p);
-        let arity = comp.gate_kind(p).arity();
-        let mut worst = ins[0];
-        for &i in &ins[1..arity] {
-            if acc[i] > acc[worst] {
-                worst = i;
-            }
-        }
-        let out = comp.gate_output(p);
-        acc[out] = acc[worst] + gate_load;
-        depth[out] = depth[worst] + 1;
-    }
-
-    // Worst endpoint: declared outputs then register data pins,
-    // deduplicated, strictly-greater-wins as in the analyzer.
-    let mut seen = vec![false; nodes];
-    let mut best: Option<usize> = None;
-    for n in outputs
-        .iter()
-        .map(|o| o.index())
-        .chain(comp.dff_data_nodes())
-    {
-        if seen[n] {
-            continue;
-        }
-        seen[n] = true;
-        if best.is_none_or(|b| acc[n] > acc[b]) {
-            best = Some(n);
-        }
-    }
-    let best = best.ok_or(StaError::NoEndpoints)?;
+    // The timing pass's forward recurrence and endpoint choice with
+    // delay replaced by load, so the same path wins.
+    let path = forward(&comp, &load);
+    let (_, critical) = endpoints(&comp, outputs, &path.arrival)?;
     Ok(CircuitLoadProfile {
         gates,
-        depth: depth[best],
-        path_load: Farads(acc[best]),
+        depth: path.depth[critical] as usize,
+        path_load: Farads(path.arrival[critical]),
         switched_cap: Farads(switched),
     })
 }
