@@ -294,8 +294,8 @@ impl CompiledNetlist {
             }
             if g.kind == GateKind::Dff {
                 dffs.push(CompiledDff {
-                    clk: g.inputs[0].index() as u32,
-                    d: g.inputs[1].index() as u32,
+                    clk: g.inputs()[0].index() as u32,
+                    d: g.inputs()[1].index() as u32,
                     q: out as u32,
                 });
             } else {
@@ -311,7 +311,7 @@ impl CompiledNetlist {
         let mut reader_starts = vec![0usize; node_count + 1];
         let mut indeg: Vec<u32> = vec![0; comb.len()];
         for (ci, &gi) in comb.iter().enumerate() {
-            for inp in &gates[gi].inputs {
+            for inp in gates[gi].inputs() {
                 reader_starts[inp.index() + 1] += 1;
                 indeg[ci] += u32::from(node_level[inp.index()] > 0);
             }
@@ -322,7 +322,7 @@ impl CompiledNetlist {
         let mut cursor = reader_starts.clone();
         let mut readers = vec![0u32; reader_starts[node_count]];
         for (ci, &gi) in comb.iter().enumerate() {
-            for inp in &gates[gi].inputs {
+            for inp in gates[gi].inputs() {
                 readers[cursor[inp.index()]] = ci as u32;
                 cursor[inp.index()] += 1;
             }
@@ -341,7 +341,7 @@ impl CompiledNetlist {
             head += 1;
             let out = g.output.index();
             node_level[out] = 1 + g
-                .inputs
+                .inputs()
                 .iter()
                 .map(|n| node_level[n.index()])
                 .max()
@@ -402,10 +402,10 @@ impl CompiledNetlist {
             next[lvl] += 1;
             position[ci] = p as u32;
             kinds[p] = g.kind;
-            let a = g.inputs[0].index() as u32;
+            let a = g.inputs()[0].index() as u32;
             in0[p] = a;
-            in1[p] = g.inputs.get(1).map_or(a, |n| n.index() as u32);
-            in2[p] = g.inputs.get(2).map_or(a, |n| n.index() as u32);
+            in1[p] = g.inputs().get(1).map_or(a, |n| n.index() as u32);
+            in2[p] = g.inputs().get(2).map_or(a, |n| n.index() as u32);
             outs[p] = g.output.index() as u32;
             gate_level[p] = lvl as u32;
             source[p] = gi as u32;

@@ -211,7 +211,7 @@ pub fn lower(n: &Netlist) -> Result<Lowered, CircuitError> {
         })
         .collect();
     for (gi, gate) in n.gates().iter().enumerate() {
-        let ins: Vec<SwNodeId> = gate.inputs.iter().map(|&i| map[i.index()]).collect();
+        let ins: Vec<SwNodeId> = gate.inputs().iter().map(|&i| map[i.index()]).collect();
         let out = map[gate.output.index()];
         let tag = format!("g{gi}.{}", gate.kind.name());
         match gate.kind {

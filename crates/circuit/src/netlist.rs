@@ -7,6 +7,7 @@
 //! capacitance. These per-node capacitances are what turn transition
 //! counts into switched capacitance (the paper's `α·C_L` product).
 
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use crate::error::CircuitError;
@@ -204,17 +205,100 @@ impl GateKind {
 pub struct Gate {
     /// The logic function.
     pub kind: GateKind,
-    /// Input nodes, in [`GateKind`]-defined order.
-    pub inputs: Vec<NodeId>,
+    /// Input pins held inline: the first `kind.arity()` are the inputs,
+    /// the rest are `NodeId(0)`, so derived equality sees only inputs.
+    pins: [NodeId; 3],
     /// Output node.
     pub output: NodeId,
     /// Propagation delay in simulator ticks (≥ 1).
     pub delay: u32,
 }
 
+impl Gate {
+    /// Input nodes, in [`GateKind`]-defined order; the length is
+    /// `kind.arity()`.
+    #[must_use]
+    pub fn inputs(&self) -> &[NodeId] {
+        &self.pins[..self.kind.arity()]
+    }
+}
+
+/// Every node name of a netlist in one string arena: name `i` is
+/// `text[ends[i - 1]..ends[i]]`. Two allocations for any node count,
+/// where a `String` per node would make one each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeNames {
+    text: String,
+    /// Exclusive end offset of each name in `text`. Offsets are `u32`,
+    /// like the fanout index's offsets, so the names of one netlist may
+    /// total at most 4 GiB.
+    ends: Vec<u32>,
+}
+
+impl NodeNames {
+    /// An empty arena with room for `names` names of `bytes` total
+    /// length.
+    fn with_capacity(names: usize, bytes: usize) -> NodeNames {
+        NodeNames {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(names),
+        }
+    }
+
+    /// Number of names.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the arena holds no name.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total length of all names, in bytes.
+    #[must_use]
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// Name `index` (empty for an index past the end).
+    #[must_use]
+    pub fn get(&self, index: usize) -> &str {
+        let Some(&end) = self.ends.get(index) else {
+            return "";
+        };
+        let start = match index {
+            0 => 0,
+            i => self.ends[i - 1],
+        };
+        self.text.get(start as usize..end as usize).unwrap_or("")
+    }
+
+    /// Appends a name.
+    pub fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.close();
+    }
+
+    /// Appends the name `{prefix}_{n}`, written in place.
+    fn push_numbered(&mut self, prefix: &str, n: usize) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.text, "{prefix}_{n}");
+        self.close();
+    }
+
+    /// Ends the name the text was last extended with.
+    fn close(&mut self) {
+        self.ends.push(self.text.len() as u32);
+    }
+}
+
+/// A node's electrical data; its name lives in the netlist's
+/// [`NodeNames`] arena at the same index.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
-    name: String,
     cap_ff: f64,
     is_input: bool,
 }
@@ -244,23 +328,29 @@ pub(crate) struct FanoutIndex {
 }
 
 impl FanoutIndex {
-    /// Builds the CSR layout from the netlist's edge list with a stable
+    /// Builds the CSR layout from the gates' input pins with a stable
     /// counting sort, so each node's fanout keeps gate-insertion order
-    /// (the order the old per-node `Vec`s held).
-    fn build(node_count: usize, edges: &[(u32, u32)]) -> FanoutIndex {
+    /// (a gate reading a node on two pins appears twice).
+    fn build(node_count: usize, gate_list: &[Gate]) -> FanoutIndex {
+        let pins = || {
+            gate_list
+                .iter()
+                .enumerate()
+                .flat_map(|(g, gate)| gate.inputs().iter().map(move |n| (n.0, g)))
+        };
         let mut offsets = vec![0u32; node_count + 1];
-        for &(node, _) in edges {
-            offsets[node as usize + 1] += 1;
+        for (node, _) in pins() {
+            offsets[node + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor: Vec<u32> = offsets.clone();
-        let mut gates = vec![GateId(0); edges.len()];
-        for &(node, gate) in edges {
-            let slot = cursor[node as usize];
-            gates[slot as usize] = GateId(gate as usize);
-            cursor[node as usize] = slot + 1;
+        let mut gates = vec![GateId(0); offsets[node_count] as usize];
+        for (node, gate) in pins() {
+            let slot = cursor[node];
+            gates[slot as usize] = GateId(gate);
+            cursor[node] = slot + 1;
         }
         FanoutIndex { offsets, gates }
     }
@@ -278,10 +368,9 @@ impl FanoutIndex {
 #[derive(Debug, Default)]
 pub struct Netlist {
     nodes: Vec<Node>,
+    /// Node names, indexed like `nodes`.
+    names: NodeNames,
     gates: Vec<Gate>,
-    /// Fanout edges `(driving node, gate)` in insertion order; the CSR
-    /// index is derived from this list on first query.
-    edges: Vec<(u32, u32)>,
     /// Lazily built CSR fanout, invalidated by any structural mutation.
     /// `OnceLock` keeps the netlist shareable across campaign worker
     /// threads (`&Netlist` is `Sync`).
@@ -293,8 +382,8 @@ impl Clone for Netlist {
     fn clone(&self) -> Netlist {
         Netlist {
             nodes: self.nodes.clone(),
+            names: self.names.clone(),
             gates: self.gates.clone(),
-            edges: self.edges.clone(),
             // The clone rebuilds its CSR on first use.
             fanout_index: OnceLock::new(),
             inputs: self.inputs.clone(),
@@ -303,11 +392,14 @@ impl Clone for Netlist {
 }
 
 /// Equal when built identically: the same nodes (name, capacitance,
-/// input flag), gates and inputs in the same order. The fanout edges and
-/// their index are derived from the gate list and are not compared.
+/// input flag), gates and inputs in the same order. The fanout index is
+/// derived from the gate list and is not compared.
 impl PartialEq for Netlist {
     fn eq(&self, other: &Netlist) -> bool {
-        self.nodes == other.nodes && self.gates == other.gates && self.inputs == other.inputs
+        self.nodes == other.nodes
+            && self.names == other.names
+            && self.gates == other.gates
+            && self.inputs == other.inputs
     }
 }
 
@@ -338,20 +430,38 @@ impl Netlist {
         Netlist::default()
     }
 
+    /// An empty netlist with room for `nodes` nodes whose names total
+    /// `name_bytes` and `gates` gates, so a parser that can estimate its
+    /// output builds without regrowing.
+    #[must_use]
+    pub fn with_capacity(nodes: usize, name_bytes: usize, gates: usize) -> Netlist {
+        Netlist {
+            nodes: Vec::with_capacity(nodes),
+            names: NodeNames::with_capacity(nodes, name_bytes),
+            gates: Vec::with_capacity(gates),
+            ..Netlist::default()
+        }
+    }
+
     /// Adds a named internal node and returns its id.
-    pub fn node(&mut self, name: impl Into<String>) -> NodeId {
+    pub fn node(&mut self, name: impl AsRef<str>) -> NodeId {
+        self.names.push(name.as_ref());
+        self.push_node()
+    }
+
+    /// Adds the node whose name was just appended to the arena.
+    fn push_node(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            name: name.into(),
             cap_ff: WIRE_CAP_FF,
             is_input: false,
         });
-        self.fanout_index = OnceLock::new();
+        self.fanout_index.take();
         id
     }
 
     /// Adds a primary-input node and returns its id.
-    pub fn input(&mut self, name: impl Into<String>) -> NodeId {
+    pub fn input(&mut self, name: impl AsRef<str>) -> NodeId {
         let id = self.node(name);
         self.nodes[id.0].is_input = true;
         self.inputs.push(id);
@@ -387,13 +497,14 @@ impl Netlist {
         let id = GateId(self.gates.len());
         for (i, &n) in inputs.iter().enumerate() {
             self.nodes[n.0].cap_ff += kind.input_load_units(i) * UNIT_GATE_CAP_FF;
-            self.edges.push((n.0 as u32, id.0 as u32));
         }
-        self.fanout_index = OnceLock::new();
+        self.fanout_index.take();
         self.nodes[output.0].cap_ff += DRAIN_JUNCTION_CAP_FF;
+        let mut pins = [NodeId(0); 3];
+        pins[..inputs.len()].copy_from_slice(inputs);
         self.gates.push(Gate {
             kind,
-            inputs: inputs.to_vec(),
+            pins,
             output,
             delay: 1,
         });
@@ -420,7 +531,8 @@ impl Netlist {
                 return Err(CircuitError::UnknownNode(n.0));
             }
         }
-        let out = self.node(format!("{}_{}", kind.name(), self.gates.len()));
+        self.names.push_numbered(kind.name(), self.gates.len());
+        let out = self.push_node();
         self.gate_into(kind, inputs, out)?;
         Ok(out)
     }
@@ -522,7 +634,7 @@ impl Netlist {
     /// pays no lazy-init check.
     pub(crate) fn fanout_index(&self) -> &FanoutIndex {
         self.fanout_index
-            .get_or_init(|| FanoutIndex::build(self.nodes.len(), &self.edges))
+            .get_or_init(|| FanoutIndex::build(self.nodes.len(), &self.gates))
     }
 
     /// Lumped capacitance of a node (zero for a foreign node id).
@@ -534,7 +646,13 @@ impl Netlist {
     /// Name of a node (empty for a foreign node id).
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> &str {
-        self.nodes.get(node.0).map_or("", |n| n.name.as_str())
+        self.names.get(node.0)
+    }
+
+    /// All node names, indexed like the nodes.
+    #[must_use]
+    pub fn node_names(&self) -> &NodeNames {
+        &self.names
     }
 
     /// Whether a node is a primary input (false for a foreign node id).
@@ -573,7 +691,7 @@ impl Netlist {
             bytes.push(0xFF);
             bytes.extend_from_slice(&g.delay.to_le_bytes());
             bytes.extend_from_slice(&(g.output.0 as u64).to_le_bytes());
-            for i in &g.inputs {
+            for i in g.inputs() {
                 bytes.extend_from_slice(&(i.0 as u64).to_le_bytes());
             }
         }
@@ -761,6 +879,64 @@ mod tests {
         let a = NodeId(0);
         let _ = n4.gate(GateKind::Not, &[a]).unwrap();
         assert_ne!(n1.structural_hash(), n4.structural_hash(), "gates are");
+    }
+
+    #[test]
+    fn inline_pins_hold_exactly_the_arity() {
+        let kinds = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And2,
+            GateKind::And3,
+            GateKind::Or2,
+            GateKind::Or3,
+            GateKind::Nand2,
+            GateKind::Nand3,
+            GateKind::Nor2,
+            GateKind::Nor3,
+            GateKind::Xor2,
+            GateKind::Xnor2,
+            GateKind::Mux2,
+            GateKind::Dff,
+        ];
+        let mut n = Netlist::new();
+        let pins = [n.input("a"), n.input("b"), n.input("c")];
+        for kind in kinds {
+            let arity = kind.arity();
+            let out = n.gate(kind, &pins[..arity]).unwrap();
+            let gate = &n.gates()[n.gate_count() - 1];
+            assert_eq!(gate.inputs().len(), arity, "{kind:?}");
+            assert_eq!(gate.inputs(), &pins[..arity], "{kind:?}");
+            assert_eq!(gate.output, out);
+            assert_eq!(
+                n.node_name(out),
+                format!("{}_{}", kind.name(), n.gate_count() - 1)
+            );
+        }
+    }
+
+    #[test]
+    fn name_arena_survives_clone_and_compares_by_name() {
+        let mut n = Netlist::new();
+        let names = ["", "a", "ünïcödé", "𝄞😀", "a"];
+        let ids: Vec<NodeId> = names.iter().map(|&name| n.node(name)).collect();
+        let y = n.gate(GateKind::Not, &[ids[1]]).unwrap();
+        let copy = n.clone();
+        for netlist in [&n, &copy] {
+            for (&id, &name) in ids.iter().zip(&names) {
+                assert_eq!(netlist.node_name(id), name);
+            }
+            assert_eq!(netlist.node_name(y), "not_0");
+            assert_eq!(netlist.node_name(NodeId(ids.len() + 1)), "");
+            assert_eq!(netlist.node_names().len(), netlist.node_count());
+        }
+        assert_eq!(copy, n);
+        let mut renamed = Netlist::new();
+        for name in ["", "a", "ünïcödé", "𝄞😀", "b"] {
+            renamed.node(name);
+        }
+        renamed.gate(GateKind::Not, &[ids[1]]).unwrap();
+        assert_ne!(renamed, n, "names are part of equality");
     }
 
     #[test]

@@ -260,13 +260,13 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|g| {
                 let mut inputs = [NodeId(0); 3];
-                for (slot, &n) in inputs.iter_mut().zip(&g.inputs) {
+                for (slot, &n) in inputs.iter_mut().zip(g.inputs()) {
                     *slot = n;
                 }
                 FlatGate {
                     kind: g.kind,
                     inputs,
-                    arity: g.inputs.len() as u8,
+                    arity: g.inputs().len() as u8,
                     output: g.output,
                     delay: g.delay,
                 }

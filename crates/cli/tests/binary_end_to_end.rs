@@ -43,6 +43,22 @@ fn campaign_with_unbounded_vectors_exits_2_instead_of_aborting() {
 }
 
 #[test]
+fn optimize_sta_on_a_register_bank_names_the_missing_path() {
+    let out = lowvolt()
+        .args(["optimize", "--sta", "--circuit", "registers"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`registers8` has no combinational gate")
+            && stderr.contains("no combinational path to price"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn non_finite_float_flags_exit_2() {
     // JSON has no infinity or NaN, and the daemon's decoder rejects
     // them, so the CLI refuses them too rather than printing `inf`.
@@ -253,7 +269,7 @@ fn write_bench(c: &lowvolt_circuit::Circuit) -> String {
     }
     for g in n.gates() {
         let y = n.node_name(g.output);
-        let ins: Vec<&str> = g.inputs.iter().map(|&i| n.node_name(i)).collect();
+        let ins: Vec<&str> = g.inputs().iter().map(|&i| n.node_name(i)).collect();
         match g.kind {
             GateKind::Dff => out.push_str(&format!("{y} = DFF({})\n", ins[1])),
             GateKind::Mux2 => out.push_str(&format!(
@@ -372,6 +388,81 @@ fn import_path_bytes_are_pinned() {
             let got = lowvolt_exec::fnv64(&out.stdout);
             if got != want {
                 mismatches.push(format!("{args:?} {}: {got:#018x}", path.display()));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        mismatches.is_empty(),
+        "digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Pins `lowvolt sta --netlist` stdout, text and `--json`, at the
+/// operating points the `sta-import` benchmark sweeps: a non-default
+/// `(V_DD, V_T)`, an explicit `--required-ps` below the critical delay
+/// (negative slack, and `inf` required time on nodes that reach no
+/// endpoint), and an infeasible point (`V_DD < V_T`, every delay `inf`,
+/// no node-slack rows).
+#[test]
+fn import_sta_operating_points_are_pinned() {
+    use lowvolt_io::{generate, write_blif, GeneratorConfig};
+    let dir = std::env::temp_dir().join(format!("lowvolt-sta-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut files = Vec::new();
+    for seed in [1, 42] {
+        let path = dir.join(format!("g20000s{seed}.blif"));
+        let c = generate(&GeneratorConfig::new(20_000, seed)).expect("generates");
+        std::fs::write(&path, write_blif(&c).expect("writes")).expect("temp file writes");
+        files.push(path);
+    }
+    let points: [&[&str]; 3] = [
+        &["--vdd", "1.7", "--vt", "0.35"],
+        &["--vdd", "2.4", "--vt", "0.25", "--required-ps", "30000"],
+        &["--vdd", "0.2", "--vt", "0.3"],
+    ];
+    // One row per file; per point, the text digest then the JSON one.
+    let want: [[u64; 6]; 2] = [
+        [
+            0x7d4a_59bb_6177_6065,
+            0x3aa6_66a1_abcf_8976,
+            0x4c56_1ccf_ce29_7934,
+            0x8578_0175_4cf7_24cb,
+            0x9193_69c1_4391_09c0,
+            0xec9f_c929_f5bf_afec,
+        ],
+        [
+            0x5e4c_dae9_7539_865f,
+            0x7c58_75a3_4dca_b20e,
+            0x6d40_17a7_352a_7ff6,
+            0x3fcf_55de_e844_1a36,
+            0x6fd4_19e4_e172_ca05,
+            0x4706_7d87_a404_ab9a,
+        ],
+    ];
+    let mut mismatches = Vec::new();
+    for (path, want) in files.iter().zip(want) {
+        let runs = points.iter().flat_map(|p| [(*p, false), (*p, true)]);
+        for ((point, json), want) in runs.zip(want) {
+            let mut cmd = lowvolt();
+            cmd.arg("sta").arg("--netlist").arg(path).args(point);
+            if json {
+                cmd.arg("--json");
+            }
+            let out = cmd.output().expect("runs");
+            assert!(
+                out.status.success() && out.stderr.is_empty(),
+                "{point:?} {}: {}",
+                path.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = lowvolt_exec::fnv64(&out.stdout);
+            if got != want {
+                mismatches.push(format!(
+                    "{point:?} json={json} {}: {got:#018x}",
+                    path.display()
+                ));
             }
         }
     }

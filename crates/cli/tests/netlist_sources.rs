@@ -157,11 +157,13 @@ fn netlist_and_generate_are_mutually_exclusive() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
 
-#[test]
-fn sta_metrics_name_the_import_analysis_and_render_spans() {
+/// The span names `lowvolt sta SOURCE --metrics-json -` reports, each
+/// checked to have been opened exactly once.
+fn sta_span_names(source: &[&str]) -> Vec<String> {
     use lowvolt_obs::json::Json;
     let out = lowvolt()
-        .args(["sta", "--netlist", &fixture("latch2.blif")])
+        .arg("sta")
+        .args(source)
         .args(["--metrics-json", "-"])
         .output()
         .expect("runs");
@@ -173,11 +175,6 @@ fn sta_metrics_name_the_import_analysis_and_render_spans() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let report = Json::parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
     let spans = report.get("spans").and_then(Json::as_array).expect("spans");
-    let names: Vec<&str> = spans
-        .iter()
-        .filter_map(|s| s.get("name").and_then(Json::as_str))
-        .collect();
-    assert_eq!(names, ["io.parse", "sta.analyze", "sta.render"], "{stdout}");
     for span in spans {
         assert_eq!(
             span.get("count").and_then(Json::as_u64),
@@ -185,4 +182,30 @@ fn sta_metrics_name_the_import_analysis_and_render_spans() {
             "{stdout}"
         );
     }
+    spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn sta_metrics_name_the_import_analysis_and_render_spans() {
+    assert_eq!(
+        sta_span_names(&["--netlist", &fixture("latch2.blif")]),
+        ["compiled.compile", "io.parse", "sta.analyze", "sta.render"]
+    );
+}
+
+#[test]
+fn sta_metrics_name_the_generator_span() {
+    assert_eq!(
+        sta_span_names(&["--generate", "2000", "--seed", "42"]),
+        [
+            "compiled.compile",
+            "io.generate",
+            "sta.analyze",
+            "sta.render"
+        ]
+    );
 }

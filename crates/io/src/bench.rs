@@ -103,7 +103,7 @@ impl Func {
 ///
 /// [`IoError::Parse`] anchored at the offending line and column.
 pub fn parse_bench(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
-    let mut b = NetBuilder::new();
+    let mut b = NetBuilder::for_text(text.len());
     let mut inputs: Vec<NodeId> = Vec::new();
     let mut outputs: Vec<NodeId> = Vec::new();
     let mut has_dff = false;

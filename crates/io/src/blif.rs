@@ -30,22 +30,31 @@ const MAX_COVER_FANIN: usize = 24;
 /// folded into it. A fold stands for whitespace, so no token straddles
 /// one and every token borrows from the source text.
 struct Line<'a> {
+    /// Number of the first physical line.
     line_no: usize,
-    /// The first physical line, comment and trailing `\` stripped.
-    head: &'a str,
-    /// Each folded continuation line's number and stripped text.
-    folds: Vec<(usize, &'a str)>,
+    /// Physical line and 1-based byte column of the first token.
+    first_at: (usize, usize),
+    /// The source from the line's first byte on; only an error message
+    /// reads it again, to place a token.
+    rest: &'a str,
 }
 
 impl<'a> Line<'a> {
-    /// `(physical line number, text)` of each piece, in order.
-    fn pieces(&self) -> impl Iterator<Item = (usize, &'a str)> + '_ {
-        std::iter::once((self.line_no, self.head)).chain(self.folds.iter().copied())
-    }
-
-    /// The whitespace-separated tokens, borrowed from the source.
-    fn tokens(&self) -> impl Iterator<Item = &'a str> + '_ {
-        self.pieces().flat_map(|(_, text)| text.split_whitespace())
+    /// `(physical line number, text)` of each piece, in order: the
+    /// comment-stripped text of each physical line, without the `\` that
+    /// folds the next one in.
+    fn pieces(&self) -> impl Iterator<Item = (usize, &'a str)> {
+        let mut physical = (self.line_no..).zip(self.rest.lines());
+        let mut more = true;
+        std::iter::from_fn(move || {
+            if !more {
+                return None;
+            }
+            let (line, raw) = physical.next()?;
+            let (text, continues) = split_continuation(raw);
+            more = continues;
+            Some((line, text))
+        })
     }
 
     /// Physical line and 1-based column where `token` first occurs in
@@ -73,28 +82,98 @@ fn split_continuation(raw: &str) -> (&str, bool) {
     }
 }
 
-/// Folds `\` continuations into logical lines, one at a time, tracking
-/// the physical line each piece came from.
-fn logical_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
-    let mut physical = text.lines().enumerate();
-    std::iter::from_fn(move || {
-        let (i, raw) = physical.next()?;
-        let (head, mut continues) = split_continuation(raw);
-        let mut line = Line {
-            line_no: i + 1,
-            head,
-            folds: Vec::new(),
-        };
-        while continues {
-            let Some((j, raw)) = physical.next() else {
-                break;
-            };
-            let (content, more) = split_continuation(raw);
-            line.folds.push((j + 1, content));
-            continues = more;
+/// Splits BLIF text into logical lines and their tokens in one pass over
+/// the bytes. Whitespace is what [`char::is_whitespace`] accepts, `#`
+/// starts a comment that runs to the end of the physical line, and a `\`
+/// ending a physical line's last token folds the next line in.
+struct Scanner<'a> {
+    text: &'a str,
+    /// Byte offset of the next physical line.
+    pos: usize,
+    /// Its 1-based number.
+    line_no: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Scanner<'a> {
+        Scanner {
+            text,
+            pos: 0,
+            line_no: 1,
         }
-        Some(line)
-    })
+    }
+
+    /// Reads the next logical line, its tokens replacing `tokens`'s.
+    fn next_line(&mut self, tokens: &mut Vec<&'a str>) -> Option<Line<'a>> {
+        let rest = self.text.get(self.pos..).filter(|r| !r.is_empty())?;
+        tokens.clear();
+        let mut line = Line {
+            line_no: self.line_no,
+            first_at: (self.line_no, 1),
+            rest,
+        };
+        loop {
+            let (line_no, line_start, piece) = (self.line_no, self.pos, tokens.len());
+            self.physical_line(tokens);
+            if piece == 0 {
+                if let Some(first) = tokens.first() {
+                    let column = first.as_ptr() as usize - self.text.as_ptr() as usize;
+                    line.first_at = (line_no, column - line_start + 1);
+                }
+            }
+            let Some(last) = tokens[piece..].last_mut() else {
+                return Some(line);
+            };
+            let Some(head) = last.strip_suffix('\\') else {
+                return Some(line);
+            };
+            if head.is_empty() {
+                tokens.pop();
+            } else {
+                *last = head;
+            }
+            if self.pos >= self.text.len() {
+                return Some(line);
+            }
+        }
+    }
+
+    /// Appends the tokens of the physical line at `pos` and moves past
+    /// its newline.
+    fn physical_line(&mut self, tokens: &mut Vec<&'a str>) {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        let mut token: Option<usize> = None;
+        while let Some(&b) = bytes.get(at) {
+            let (space, width) = match b {
+                b'\n' | b'#' => break,
+                b' ' | b'\t'..=b'\r' => (true, 1),
+                0..=0x7F => (false, 1),
+                _ => match self.text.get(at..).and_then(|r| r.chars().next()) {
+                    Some(c) => (c.is_whitespace(), c.len_utf8()),
+                    None => break,
+                },
+            };
+            match (space, token) {
+                (true, Some(start)) => {
+                    tokens.push(&self.text[start..at]);
+                    token = None;
+                }
+                (false, None) => token = Some(at),
+                _ => {}
+            }
+            at += width;
+        }
+        if let Some(start) = token {
+            tokens.push(&self.text[start..at]);
+        }
+        // Past the comment, if any, and the newline.
+        self.pos = match self.text.get(at..).and_then(|r| r.find('\n')) {
+            Some(newline) => at + newline + 1,
+            None => self.text.len(),
+        };
+        self.line_no += 1;
+    }
 }
 
 /// Truth tables are bitmaps over input assignments: bit `idx` is the
@@ -311,7 +390,7 @@ impl<'a> Cover<'a> {
 /// [`IoError::Parse`] anchored at the offending line and column.
 pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
     let mut name: Option<String> = None;
-    let mut b = NetBuilder::new();
+    let mut b = NetBuilder::for_text(text.len());
     let mut inputs: Vec<NodeId> = Vec::new();
     let mut outputs: Vec<NodeId> = Vec::new();
     let mut clock_name: Option<&str> = None;
@@ -319,10 +398,12 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
     let mut saw_end = false;
 
     let mut last_line = 1;
-    for line in logical_lines(text) {
+    let mut scanner = Scanner::new(text);
+    // Reused for every line.
+    let mut tokens: Vec<&str> = Vec::new();
+    while let Some(line) = scanner.next_line(&mut tokens) {
         last_line = line.line_no;
-        let mut tokens = line.tokens();
-        let Some(first) = tokens.next() else {
+        let Some((&first, args)) = tokens.split_first() else {
             continue;
         };
         if saw_end && first.starts_with('.') {
@@ -336,46 +417,40 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
                         line.error(first, "second .model — multi-model files are not supported")
                     );
                 }
-                name = Some(tokens.next().unwrap_or(fallback_name).to_string());
+                name = Some(args.first().copied().unwrap_or(fallback_name).to_string());
             }
             ".inputs" => {
                 cover.flush(&mut b)?;
-                for t in tokens {
+                for &t in args {
                     inputs.push(b.input(t).map_err(|m| line.error(t, m))?);
                 }
             }
             ".outputs" => {
                 cover.flush(&mut b)?;
-                for t in tokens {
+                for &t in args {
                     outputs.push(b.output(t).map_err(|m| line.error(t, m))?);
                 }
             }
             ".names" => {
                 cover.flush(&mut b)?;
-                cover.signals.extend(tokens);
-                if cover.signals.is_empty() {
+                if args.is_empty() {
                     return Err(line.error(first, ".names needs at least an output signal"));
                 }
-                cover.at = Some(line.position_of(first));
+                cover.signals.extend_from_slice(args);
+                // The first token sits where `position_of` would find it.
+                cover.at = Some(line.first_at);
             }
             ".latch" => {
                 cover.flush(&mut b)?;
                 // .latch input output [type control] [init-val]
-                let mut fields = [""; 5];
-                let mut count = 0;
-                for t in tokens {
-                    if let Some(field) = fields.get_mut(count) {
-                        *field = t;
+                let count = args.len();
+                let (d, q, control) = match *args {
+                    [] | [_] => {
+                        return Err(line.error(first, ".latch needs an input and an output signal"))
                     }
-                    count += 1;
-                }
-                if count < 2 {
-                    return Err(line.error(first, ".latch needs an input and an output signal"));
-                }
-                let [d, q, ty, clk, _] = fields;
-                let control = match count {
-                    2 | 3 => None, // optional trailing init only
-                    4 | 5 => Some((ty, clk)),
+                    // An optional trailing init only.
+                    [d, q] | [d, q, _] => (d, q, None),
+                    [d, q, ty, clk] | [d, q, ty, clk, _] => (d, q, Some((ty, clk))),
                     _ => {
                         return Err(
                             line.error(first, format!(".latch takes 2–5 fields, got {count}"))
@@ -439,9 +514,9 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
                     return Err(line.error(first, format!("`{first}` outside any .names cover")));
                 }
                 let width = cover.inputs().len();
-                let (plane, out) = match (tokens.next(), tokens.next()) {
-                    (Some(out), None) => (first, out),
-                    (None, None) if width == 0 => ("", first),
+                let (plane, out) = match *args {
+                    [out] => (first, out),
+                    [] if width == 0 => ("", first),
                     _ => {
                         return Err(line.error(first, "cover rows are `<input-plane> <output-bit>`"))
                     }
@@ -464,7 +539,11 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<Circuit, IoError> {
                         )
                     }
                 };
-                if let Some(bad) = plane.chars().find(|c| !matches!(c, '0' | '1' | '-')) {
+                if !plane.bytes().all(|c| matches!(c, b'0' | b'1' | b'-')) {
+                    let bad = plane
+                        .chars()
+                        .find(|c| !matches!(c, '0' | '1' | '-'))
+                        .unwrap_or('?');
                     return Err(line.error(
                         first,
                         format!("invalid cube character `{bad}` (expected 0, 1, or -)"),
@@ -582,8 +661,8 @@ pub fn write_blif(circuit: &Circuit) -> Result<String, IoError> {
 
     for gate in n.gates() {
         if gate.kind == GateKind::Dff {
-            let clk = n.node_name(gate.inputs[0]);
-            let d = n.node_name(gate.inputs[1]);
+            let clk = n.node_name(gate.inputs()[0]);
+            let d = n.node_name(gate.inputs()[1]);
             let q = n.node_name(gate.output);
             for name in [clk, d, q] {
                 check_name(name)?;
@@ -591,7 +670,7 @@ pub fn write_blif(circuit: &Circuit) -> Result<String, IoError> {
             out.push_str(&format!(".latch {d} {q} re {clk} 3\n"));
         } else {
             out.push_str(".names");
-            for &i in &gate.inputs {
+            for &i in gate.inputs() {
                 let name = n.node_name(i);
                 check_name(name)?;
                 out.push(' ');
@@ -616,6 +695,69 @@ pub fn write_blif(circuit: &Circuit) -> Result<String, IoError> {
 mod tests {
     use super::*;
     use crate::circuits_equivalent;
+    use proptest::prelude::*;
+
+    /// Checks the one-pass scanner against the line-by-line reading it
+    /// replaces: every logical line's tokens are its pieces' whitespace
+    /// split, the first token sits where `position_of` finds it, and the
+    /// next line starts after this one's pieces.
+    fn assert_scans_like_lines(text: &str) {
+        let mut scanner = Scanner::new(text);
+        let mut tokens = Vec::new();
+        let mut expected_line = 1;
+        let mut count = 0;
+        while let Some(line) = scanner.next_line(&mut tokens) {
+            assert_eq!(line.line_no, expected_line, "{text:?}");
+            let pieces: Vec<(usize, &str)> = line.pieces().collect();
+            let reference: Vec<&str> = pieces
+                .iter()
+                .flat_map(|(_, t)| t.split_whitespace())
+                .collect();
+            assert_eq!(tokens, reference, "{text:?} line {expected_line}");
+            if let Some(first) = tokens.first() {
+                assert_eq!(line.first_at, line.position_of(first), "{text:?}");
+            }
+            expected_line += pieces.len();
+            count += pieces.len();
+        }
+        assert_eq!(count, text.lines().count(), "{text:?}");
+    }
+
+    #[test]
+    fn scanner_folds_comments_and_continuations_like_lines() {
+        for text in [
+            "",
+            "\n",
+            "a b\\\nc\n",
+            ".names a \\ # c\n b y\n11 1\n",
+            "\\\n\\\n x",
+            "a\\\\\nb",
+            "a \\",
+            "a \\\n",
+            "x\r\ny \\\r\n z\r",
+            "\u{a0}a\u{2028}b\u{3000}\\\u{85}\nc\x0bd\x1ce",
+            "# only a comment \\\nnext",
+            "é#\\\nq",
+        ] {
+            assert_scans_like_lines(text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        #[test]
+        fn scanner_matches_line_reading_on_random_text(
+            picks in proptest::collection::vec(0usize..20, 0..60)
+        ) {
+            const ALPHABET: [&str; 20] = [
+                "a", "b", ".", "#", "\\", " ", "\t", "\r", "\n", "\n", "\u{a0}",
+                "\u{2028}", "é", "0", "1", "-", "\x0b", "\x1f", "\u{85}", "𝄞",
+            ];
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            assert_scans_like_lines(&text);
+        }
+    }
 
     #[test]
     fn parses_simple_and() {

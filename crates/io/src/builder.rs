@@ -14,6 +14,11 @@ pub(crate) fn strip_comment(line: &str) -> &str {
     }
 }
 
+/// The most nodes [`NetBuilder::for_text`] reserves room for (the
+/// generator's largest netlist), so a huge or hostile text grows its
+/// tables only as it actually defines nodes.
+const MAX_RESERVED_NODES: usize = 1 << 21;
+
 /// What the source text has said about one node.
 #[derive(Clone, Copy, Default)]
 struct Role {
@@ -33,11 +38,23 @@ pub(crate) struct NetBuilder {
 }
 
 impl NetBuilder {
+    #[cfg(test)]
     pub(crate) fn new() -> NetBuilder {
+        NetBuilder::for_text(0)
+    }
+
+    /// A builder sized for netlist text of `len` bytes. The densities are
+    /// those of written BLIF (about 35 bytes per gate and per node, a
+    /// sixth of the text in names); bench text is denser per gate, and
+    /// any shortfall grows as usual. Past [`MAX_RESERVED_NODES`] nodes'
+    /// worth of text nothing more is reserved up front.
+    pub(crate) fn for_text(len: usize) -> NetBuilder {
+        let len = len.min(MAX_RESERVED_NODES * 32);
+        let nodes = len / 32;
         NetBuilder {
-            netlist: Netlist::new(),
-            names: NameTable::new(),
-            roles: Vec::new(),
+            netlist: Netlist::with_capacity(nodes, len / 6, nodes),
+            names: NameTable::with_capacity(nodes),
+            roles: Vec::with_capacity(nodes),
         }
     }
 
@@ -209,10 +226,11 @@ struct NameTable {
 impl NameTable {
     const EMPTY: (u32, u32) = (0, u32::MAX);
 
-    fn new() -> NameTable {
+    /// A table that holds `names` names before it first grows.
+    fn with_capacity(names: usize) -> NameTable {
         NameTable {
             hasher: RandomState::new(),
-            slots: vec![NameTable::EMPTY; 64],
+            slots: vec![NameTable::EMPTY; (names * 2).next_power_of_two().max(64)],
             len: 0,
         }
     }

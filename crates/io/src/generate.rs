@@ -16,6 +16,8 @@
 //! dependence, so the same config is byte-identical (as written BLIF)
 //! forever.
 
+use std::fmt::Write as _;
+
 use lowvolt_circuit::netlist::{Circuit, GateKind, Netlist, NodeId};
 
 use crate::IoError;
@@ -152,7 +154,10 @@ impl Default for GeneratorConfig {
 pub fn generate(config: &GeneratorConfig) -> Result<Circuit, IoError> {
     config.validate()?;
     let mut rng = SplitMix64(config.seed);
-    let mut netlist = Netlist::new();
+    // One node per gate and input plus the clock; names like `n12345`.
+    let nodes = config.gates + config.inputs + 1;
+    let mut netlist = Netlist::with_capacity(nodes, nodes * 8, config.gates);
+    let mut name = String::new();
 
     // truncation-safe: gates ≤ 2e6 and dff_fraction ≤ 0.5.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -177,7 +182,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, IoError> {
     for i in 0..config.gates {
         if dff_here(i) {
             let d = untainted[rng.below(untainted.len())];
-            let q = netlist.node(format!("q{i}"));
+            let q = netlist.node(numbered(&mut name, 'q', i));
             let clk = clock.unwrap_or(d);
             netlist
                 .gate_into(GateKind::Dff, &[clk, d], q)
@@ -201,25 +206,25 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, IoError> {
             }
             pick -= w;
         }
-        let fanins: Vec<NodeId> = (0..kind.arity())
-            .map(|_| {
-                if pool.len() > config.window && rng.chance(3, 4) {
-                    pool[pool.len() - config.window + rng.below(config.window)]
-                } else {
-                    pool[rng.below(pool.len())]
-                }
-            })
-            .collect();
-        let out = netlist.node(format!("n{i}"));
+        let mut pins = [NodeId::from_index(0); 3];
+        for f in &mut pins[..kind.arity()] {
+            *f = if pool.len() > config.window && rng.chance(3, 4) {
+                pool[pool.len() - config.window + rng.below(config.window)]
+            } else {
+                pool[rng.below(pool.len())]
+            };
+        }
+        let fanins = &pins[..kind.arity()];
+        let out = netlist.node(numbered(&mut name, 'n', i));
         netlist
-            .gate_into(kind, &fanins, out)
+            .gate_into(kind, fanins, out)
             .map_err(|e| IoError::Unwritable {
                 reason: format!("generator built an invalid gate: {e}"),
             })?;
         consumed.resize(netlist.node_count(), false);
         tainted.resize(netlist.node_count(), false);
         let mut any_tainted = false;
-        for &f in &fanins {
+        for &f in fanins {
             consumed[f.index()] = true;
             any_tainted |= tainted[f.index()];
         }
@@ -246,6 +251,15 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, IoError> {
         outputs,
         clock,
     })
+}
+
+/// `name` set to `{prefix}{i}`, reusing its buffer.
+fn numbered(name: &mut String, prefix: char, i: usize) -> &str {
+    name.clear();
+    name.push(prefix);
+    // Writing to a `String` cannot fail.
+    let _ = write!(name, "{i}");
+    name
 }
 
 #[cfg(test)]
@@ -311,11 +325,11 @@ mod tests {
         for g in n.gates() {
             if g.kind == GateKind::Dff {
                 assert!(
-                    !g.inputs[1..].iter().any(|&d| tainted[d.index()]),
+                    !g.inputs()[1..].iter().any(|&d| tainted[d.index()]),
                     "DFF data input is downstream of a register"
                 );
                 tainted[g.output.index()] = true;
-            } else if g.inputs.iter().any(|&i| tainted[i.index()]) {
+            } else if g.inputs().iter().any(|&i| tainted[i.index()]) {
                 tainted[g.output.index()] = true;
             }
         }
@@ -329,10 +343,10 @@ mod tests {
         let clk = c.clock.unwrap();
         for g in c.netlist.gates() {
             if g.kind == GateKind::Dff {
-                assert_eq!(g.inputs[0], clk);
-                assert_ne!(g.inputs[1], clk);
+                assert_eq!(g.inputs()[0], clk);
+                assert_ne!(g.inputs()[1], clk);
             } else {
-                assert!(!g.inputs.contains(&clk));
+                assert!(!g.inputs().contains(&clk));
             }
         }
         assert!(!c.inputs.contains(&clk));

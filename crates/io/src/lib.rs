@@ -249,7 +249,7 @@ pub fn circuits_equivalent(a: &Circuit, b: &Circuit) -> Result<(), String> {
                 nb.node_name(gb.output)
             ));
         }
-        for (j, (&ia, &ib)) in ga.inputs.iter().zip(&gb.inputs).enumerate() {
+        for (j, (&ia, &ib)) in ga.inputs().iter().zip(gb.inputs()).enumerate() {
             if na.node_name(ia) != nb.node_name(ib) {
                 return Err(format!(
                     "gate {i} input {j}: `{}` vs `{}`",

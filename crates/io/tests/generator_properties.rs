@@ -95,7 +95,7 @@ fn assert_levelization_contract(netlist: &Netlist) {
     }
     let mut pins = vec![0usize; netlist.node_count()];
     for g in netlist.gates().iter().filter(|g| g.kind != GateKind::Dff) {
-        for n in &g.inputs {
+        for n in g.inputs() {
             pins[n.index()] += 1;
         }
     }
@@ -115,5 +115,59 @@ fn levelization_contract_holds_on_generated_and_standard_netlists() {
     }
     for target in standard_targets(8).expect("builds") {
         assert_levelization_contract(&target.netlist);
+    }
+}
+
+/// The node names a BLIF parse creates, in creation order: every signal
+/// at its first textual reference (`.latch d q re clk` references `d`,
+/// then `clk`, then `q`). An oracle for the name arena that reads the
+/// text, not the netlist.
+fn names_in_reference_order(blif: &str) -> Vec<&str> {
+    let mut seen = std::collections::HashSet::new();
+    let mut order = Vec::new();
+    for line in blif.lines() {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let signals = match tokens.as_slice() {
+            [".inputs" | ".outputs" | ".names", rest @ ..] => rest.to_vec(),
+            [".latch", d, q, _, clk, ..] => vec![*d, *clk, *q],
+            _ => Vec::new(),
+        };
+        for s in signals {
+            if seen.insert(s) {
+                order.push(s);
+            }
+        }
+    }
+    order
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every node of a parsed netlist, and of its clone, resolves to the
+    /// name the BLIF text gave it; a foreign id resolves to "".
+    #[test]
+    fn parsed_node_names_match_the_written_text(seed in any::<u64>(), gates in 1usize..600) {
+        let c = generate(&GeneratorConfig::new(gates, seed)).expect("valid config generates");
+        let text = write_blif(&c).expect("generated names are writable");
+        let parsed = lowvolt_io::parse_str(lowvolt_io::Format::Blif, "t", &text)
+            .expect("written BLIF parses");
+        let copy = parsed.clone();
+        let want = names_in_reference_order(&text);
+        for netlist in [&parsed.netlist, &copy.netlist] {
+            prop_assert_eq!(netlist.node_count(), want.len());
+            for (id, name) in netlist.node_ids().zip(&want) {
+                prop_assert_eq!(netlist.node_name(id), *name);
+            }
+            let foreign = lowvolt_circuit::netlist::NodeId::from_index(want.len());
+            prop_assert_eq!(netlist.node_name(foreign), "");
+        }
+        prop_assert!(copy == parsed);
+        // The generator's own arena holds the same names.
+        let mut generated: Vec<&str> = c.netlist.node_ids().map(|id| c.netlist.node_name(id)).collect();
+        let mut parsed_names = want.clone();
+        generated.sort_unstable();
+        parsed_names.sort_unstable();
+        prop_assert_eq!(generated, parsed_names);
     }
 }

@@ -167,7 +167,7 @@ fn check_isolation(target: &LintTarget, intent: &PowerIntent, diags: &mut Vec<Di
         let Some((sink_dom, _)) = intent.domain_of(gi) else {
             continue; // malformed assignments already reported as LV024
         };
-        for input in &gate.inputs {
+        for input in gate.inputs() {
             let Some(src_gate) = driver[input.index()] else {
                 continue; // primary inputs and floating nets
             };

@@ -165,7 +165,7 @@ fn combinational_loops(target: &LintTarget) -> Vec<Diagnostic> {
         .gates()
         .iter()
         .enumerate()
-        .filter(|(_, g)| g.kind != GateKind::Dff && g.inputs.contains(&g.output))
+        .filter(|(_, g)| g.kind != GateKind::Dff && g.inputs().contains(&g.output))
         .map(|(i, g)| {
             Diagnostic::new(
                 Rule::CombinationalLoop,

@@ -62,7 +62,7 @@ pub fn run(target: &LintTarget, config: &LintConfig) -> Vec<Diagnostic> {
                 "worst path ({} gates from '{}') arrives at {} against a required time of {} \
                  (slack {})",
                 ep.depth,
-                ep.startpoint,
+                base.node_name(ep.startpoint),
                 fmt_ps(ep.arrival),
                 fmt_ps(ep.required),
                 fmt_ps(ep.slack)
@@ -71,14 +71,15 @@ pub fn run(target: &LintTarget, config: &LintConfig) -> Vec<Diagnostic> {
             format!(
                 "endpoint is unreachable: its domain operates with V_DD at or below V_T, so the \
                  worst path ({} gates from '{}') never settles",
-                ep.depth, ep.startpoint
+                ep.depth,
+                base.node_name(ep.startpoint)
             )
         };
         diags.push(Diagnostic::new(
             Rule::NegativeSlack,
             Location::Node {
-                index: ep.node_index,
-                name: ep.node.clone(),
+                index: ep.node,
+                name: base.node_name(ep.node).to_owned(),
             },
             message,
             "raise the domain's V_DD, lower its V_T along the iso-delay contour (paper Figs. \
@@ -138,15 +139,15 @@ pub fn run(target: &LintTarget, config: &LintConfig) -> Vec<Diagnostic> {
         diags.push(Diagnostic::new(
             Rule::SlackInfeasibleSleep,
             Location::Node {
-                index: ep.node_index,
-                name: ep.node.clone(),
+                index: ep.node,
+                name: derated.node_name(ep.node).to_owned(),
             },
             format!(
                 "meets timing without power gating, but the sized sleep device's active-delay \
                  penalty pushes the worst path ({} gates from '{}') to {} against a required \
                  time of {} (slack {})",
                 ep.depth,
-                ep.startpoint,
+                derated.node_name(ep.startpoint),
                 fmt_ps(ep.arrival),
                 fmt_ps(ep.required),
                 fmt_ps(ep.slack)

@@ -209,7 +209,8 @@ pub const SPAN_CAMPAIGN_GOLDEN: &str = "campaign.run.golden";
 /// accounts for the parent's wall time.
 pub const SPAN_CAMPAIGN_FAULTS: &str = "campaign.run.faults";
 /// Span name for levelizing a netlist into the compiled engine's tables
-/// (opened before, not inside, [`SPAN_CAMPAIGN_RUN`]).
+/// (opened before, not inside, [`SPAN_CAMPAIGN_RUN`] and
+/// [`SPAN_STA_ANALYZE`]).
 pub const SPAN_COMPILED_COMPILE: &str = "compiled.compile";
 /// Span name for a whole `lowvolt_exec::parallel_map` region (serial or
 /// parallel).
@@ -223,8 +224,9 @@ pub const SPAN_EXEC_CHUNK: &str = "exec.chunk";
 pub const SPAN_LINT_PASS_PREFIX: &str = "lint.pass";
 /// Span name for one profiled program execution.
 pub const SPAN_PROFILE_RUN: &str = "profile.run";
-/// Span name for one static-timing analysis (compile + forward +
-/// backward + endpoint summaries).
+/// Span name for one static-timing analysis (delay pricing, forward
+/// and backward passes, endpoint summaries), opened once the netlist is
+/// levelized under [`SPAN_COMPILED_COMPILE`].
 pub const SPAN_STA_ANALYZE: &str = "sta.analyze";
 /// Span name for rendering a job's static-timing reports (text or
 /// JSON), after [`SPAN_STA_ANALYZE`].
@@ -232,6 +234,9 @@ pub const SPAN_STA_RENDER: &str = "sta.render";
 /// Span name for importing one netlist file (read plus BLIF or bench
 /// parse) as a job's circuit source.
 pub const SPAN_IO_PARSE: &str = "io.parse";
+/// Span name for building a seeded generated netlist as a job's circuit
+/// source.
+pub const SPAN_IO_GENERATE: &str = "io.generate";
 
 /// `perf` stage: fault campaign over the standard targets.
 pub const STAGE_CAMPAIGN: &str = "campaign";

@@ -18,7 +18,6 @@
 //! the job ran in one shot, in shards, or across a daemon kill/restart.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 pub use lowvolt_circuit::faults::Engine;
 use lowvolt_circuit::faults::{run_campaign, standard_targets, stuck_at_universe, CampaignOptions};
@@ -134,7 +133,8 @@ impl SourceSpec {
     /// Resolves the spec to a circuit; [`SourceSpec::Builtin`]
     /// resolves to `None` (the command falls back to its `--circuit`
     /// selection). A netlist file's import is timed as the
-    /// [`names::SPAN_IO_PARSE`] span on `rec`.
+    /// [`names::SPAN_IO_PARSE`] span on `rec`, a generated netlist's
+    /// construction as [`names::SPAN_IO_GENERATE`].
     ///
     /// # Errors
     ///
@@ -167,6 +167,7 @@ impl SourceSpec {
                 if let Some(f) = dff_fraction {
                     cfg.dff_fraction = *f;
                 }
+                let _span = span(rec, names::SPAN_IO_GENERATE);
                 Ok(Some(generate(&cfg).map_err(|e| JobError(e.to_string()))?))
             }
         }
@@ -807,10 +808,11 @@ pub fn run_sta_job(
     let out = if spec.json {
         json_array(&reports, StaReport::to_json)
     } else {
-        let mut s = String::new();
+        let mut s = String::with_capacity(reports.iter().map(|r| r.text_len_hint() + 1).sum());
         for r in &reports {
             // Writing to a `String` cannot fail.
-            let _ = writeln!(s, "{r}");
+            let _ = r.write_text(&mut s);
+            s.push('\n');
         }
         s
     };
@@ -895,7 +897,7 @@ pub fn run_optimize_job(
         };
         let target = &target;
         let profile =
-            load_profile(&target.netlist, &target.outputs).map_err(|e| JobError(e.to_string()))?;
+            load_profile(lowvolt_obs::noop(), target).map_err(|e| JobError(e.to_string()))?;
         let model = CriticalPathModel::new(
             Micrometers(2.0),
             profile.path_load,

@@ -100,7 +100,10 @@ pub fn analyze_priced(
     config: StaConfig,
     price: &dyn Fn(usize, usize) -> Result<Seconds, StaError>,
 ) -> Result<StaReport, StaError> {
-    let comp = CompiledNetlist::compile(netlist)?;
+    let comp = {
+        let _span = span(rec, names::SPAN_COMPILED_COMPILE);
+        CompiledNetlist::compile(netlist)?
+    };
     let _span = span(rec, names::SPAN_STA_ANALYZE);
     let nodes = comp.node_count();
     let gates = comp.gate_count();
@@ -148,7 +151,7 @@ pub fn analyze_priced(
         node_slacks.reserve(nodes);
         for n in 0..nodes {
             node_slacks.push(NodeSlack {
-                node: netlist.node_name(NodeId::from_index(n)).to_owned(),
+                node: n,
                 level: comp.node_level(n),
                 arrival: Seconds(arrival[n]),
                 required: Seconds(required[n]),
@@ -166,16 +169,13 @@ pub fn analyze_priced(
             f64::NEG_INFINITY
         };
         summaries.push(EndpointSummary {
-            node: netlist.node_name(NodeId::from_index(n)).to_owned(),
-            node_index: n,
+            node: n,
             kind,
             arrival: Seconds(arrival[n]),
             required: Seconds(required_t),
             slack: Seconds(slack),
             depth: depth[n] as usize,
-            startpoint: netlist
-                .node_name(NodeId::from_index(start[n] as usize))
-                .to_owned(),
+            startpoint: start[n] as usize,
         });
     }
     let worst_slack = summaries
@@ -183,14 +183,14 @@ pub fn analyze_priced(
         .map(|s| s.slack.0)
         .fold(f64::INFINITY, f64::min);
 
-    // Named critical-path chain, startpoint gate first.
+    // Critical-path chain, startpoint gate first.
     let mut critical_path = Vec::new();
     let mut cur = critical_node;
     while driver[cur] != u32::MAX {
         let p = driver[cur] as usize;
         critical_path.push(PathStep {
-            gate: comp.gate_kind(p).name().to_owned(),
-            output: netlist.node_name(NodeId::from_index(cur)).to_owned(),
+            gate: comp.gate_kind(p),
+            output: cur,
             level: comp.gate_level(p),
             fanout: comp.node_fanout(cur),
             delay: Seconds(delay[p]),
@@ -211,6 +211,7 @@ pub fn analyze_priced(
 
     Ok(StaReport {
         target: target_name.to_owned(),
+        names: netlist.node_names().clone(),
         vdd: config.vdd,
         vt: config.vt,
         feasible,
@@ -348,15 +349,22 @@ mod tests {
         assert!(report.feasible);
         assert_eq!(report.levels, 2);
         assert_eq!(report.critical_path.len(), 2);
-        assert_eq!(report.critical_path[1].output, "y");
+        assert_eq!(report.node_name(report.critical_path[1].output), "y");
         assert_eq!(report.critical_path_gates(), vec!["not", "not"]);
         // Worst slack defaults to exactly zero (required = critical).
         assert!(report.worst_slack.0.abs() < 1e-18);
         // The shallow output has positive slack.
-        let z = report.endpoints.iter().find(|e| e.node == "z").unwrap();
+        let named = |name: &str| {
+            let ep = report
+                .endpoints
+                .iter()
+                .find(|e| report.node_name(e.node) == name);
+            ep.unwrap().clone()
+        };
+        let z = named("z");
         assert!(z.slack.0 > 0.0);
         assert_eq!(z.depth, 1);
-        assert_eq!(z.startpoint, "a");
+        assert_eq!(report.node_name(z.startpoint), "a");
     }
 
     #[test]
@@ -451,11 +459,15 @@ mod tests {
             .iter()
             .find(|e| e.kind == EndpointKind::Register)
             .unwrap();
-        assert_eq!(reg.node, "x");
+        assert_eq!(report.node_name(reg.node), "x");
         // The q -> y path starts at the register output (level 0).
-        let out = report.endpoints.iter().find(|e| e.node == "y").unwrap();
+        let out = report
+            .endpoints
+            .iter()
+            .find(|e| e.node == y.index())
+            .unwrap();
         assert_eq!(out.depth, 1);
-        assert_eq!(out.startpoint, "q");
+        assert_eq!(report.node_name(out.startpoint), "q");
     }
 
     #[test]
@@ -512,5 +524,6 @@ mod tests {
         let ps = (report.critical.0 * 1e12).round() as u64;
         assert_eq!(reg.counter(names::STA_CRITICAL_PS), ps);
         assert!(reg.timer(names::SPAN_STA_ANALYZE).is_some());
+        assert!(reg.timer(names::SPAN_COMPILED_COMPILE).is_some());
     }
 }

@@ -51,6 +51,12 @@ pub enum StaError {
     /// The netlist has no timing endpoints (no declared outputs and no
     /// registers), so arrival times constrain nothing.
     NoEndpoints,
+    /// The circuit has no combinational gate (only registers, or no gate
+    /// at all), so there is no combinational path whose load to price.
+    NoCombinationalPath {
+        /// The circuit's name.
+        circuit: String,
+    },
 }
 
 impl fmt::Display for StaError {
@@ -62,6 +68,11 @@ impl fmt::Display for StaError {
                 f,
                 "static timing analysis needs at least one endpoint \
                  (a declared output or a register data pin)"
+            ),
+            StaError::NoCombinationalPath { circuit } => write!(
+                f,
+                "circuit `{circuit}` has no combinational gate, so it has no \
+                 combinational path to price"
             ),
         }
     }

@@ -13,9 +13,10 @@
 use crate::analysis::{endpoints, forward};
 use crate::StaError;
 use lowvolt_circuit::compiled::CompiledNetlist;
-use lowvolt_circuit::netlist::{Netlist, NodeId};
+use lowvolt_circuit::netlist::Circuit;
 use lowvolt_circuit::ring::DEFAULT_STAGE_LOAD;
 use lowvolt_device::units::Farads;
+use lowvolt_obs::{names, span, Recorder};
 
 /// Lumped capacitance profile of one circuit, computed with the same
 /// fanout-scaled unit loads as [`crate::DelayPricer::paper_default`].
@@ -33,18 +34,28 @@ pub struct CircuitLoadProfile {
     pub switched_cap: Farads,
 }
 
-/// Extracts the lumped load profile of `netlist` with endpoints at the
-/// declared `outputs` and every register data pin (the same endpoint set
-/// as [`crate::analyze`]).
+/// Extracts the lumped load profile of `circuit` with endpoints at its
+/// declared outputs and every register data pin (the same endpoint set
+/// as [`crate::analyze`]). Levelization is timed as the
+/// `compiled.compile` span on `rec`.
 ///
 /// # Errors
 ///
-/// Returns [`StaError::Circuit`] when the netlist cannot be levelized
-/// and [`StaError::NoEndpoints`] when no output or register constrains a
-/// path.
-pub fn load_profile(netlist: &Netlist, outputs: &[NodeId]) -> Result<CircuitLoadProfile, StaError> {
-    let comp = CompiledNetlist::compile(netlist)?;
+/// Returns [`StaError::Circuit`] when the netlist cannot be levelized,
+/// [`StaError::NoCombinationalPath`] when it has no combinational gate
+/// (a bare register bank), and [`StaError::NoEndpoints`] when no output
+/// or register constrains a path.
+pub fn load_profile(rec: &dyn Recorder, circuit: &Circuit) -> Result<CircuitLoadProfile, StaError> {
+    let comp = {
+        let _span = span(rec, names::SPAN_COMPILED_COMPILE);
+        CompiledNetlist::compile(&circuit.netlist)?
+    };
     let gates = comp.gate_count();
+    if gates == 0 {
+        return Err(StaError::NoCombinationalPath {
+            circuit: circuit.name.clone(),
+        });
+    }
 
     let mut load = Vec::with_capacity(gates);
     let mut switched = 0.0f64;
@@ -58,7 +69,7 @@ pub fn load_profile(netlist: &Netlist, outputs: &[NodeId]) -> Result<CircuitLoad
     // The timing pass's forward recurrence and endpoint choice with
     // delay replaced by load, so the same path wins.
     let path = forward(&comp, &load);
-    let (_, critical) = endpoints(&comp, outputs, &path.arrival)?;
+    let (_, critical) = endpoints(&comp, &circuit.outputs, &path.arrival)?;
     Ok(CircuitLoadProfile {
         gates,
         depth: path.depth[critical] as usize,
@@ -71,12 +82,12 @@ pub fn load_profile(netlist: &Netlist, outputs: &[NodeId]) -> Result<CircuitLoad
 mod tests {
     use super::*;
     use crate::{analyze, StaConfig};
-    use lowvolt_circuit::netlist::GateKind;
+    use lowvolt_circuit::netlist::{GateKind, Netlist};
     use lowvolt_exec::ExecPolicy;
     use lowvolt_obs::noop;
 
     /// `a -> not -> x -> not -> y` plus `a -> not -> z`.
-    fn chain() -> (Netlist, Vec<NodeId>) {
+    fn chain() -> Circuit {
         let mut n = Netlist::new();
         let a = n.input("a");
         let x = n.node("x");
@@ -85,13 +96,18 @@ mod tests {
         n.gate_into(GateKind::Not, &[a], x).unwrap();
         n.gate_into(GateKind::Not, &[x], y).unwrap();
         n.gate_into(GateKind::Not, &[a], z).unwrap();
-        (n, vec![y, z])
+        Circuit {
+            name: "chain".to_owned(),
+            netlist: n,
+            inputs: vec![a],
+            outputs: vec![y, z],
+            clock: None,
+        }
     }
 
     #[test]
     fn chain_profile_sums_unit_loads() {
-        let (n, outs) = chain();
-        let p = load_profile(&n, &outs).unwrap();
+        let p = load_profile(noop(), &chain()).unwrap();
         assert_eq!(p.gates, 3);
         assert_eq!(p.depth, 2);
         // x is read by one gate; y and z by nobody (floor of one unit).
@@ -102,14 +118,14 @@ mod tests {
 
     #[test]
     fn profile_depth_matches_the_analyzer_critical_path() {
-        let (n, outs) = chain();
-        let p = load_profile(&n, &outs).unwrap();
+        let c = chain();
+        let p = load_profile(noop(), &c).unwrap();
         let report = analyze(
             &ExecPolicy::serial(),
             noop(),
             "chain",
-            &n,
-            &outs,
+            &c.netlist,
+            &c.outputs,
             StaConfig::nominal(),
         )
         .unwrap();
@@ -122,9 +138,41 @@ mod tests {
 
     #[test]
     fn no_endpoints_is_an_error() {
+        let mut c = chain();
+        c.outputs.clear();
+        assert_eq!(load_profile(noop(), &c).unwrap_err(), StaError::NoEndpoints);
+    }
+
+    #[test]
+    fn a_register_bank_has_no_combinational_path() {
         let mut n = Netlist::new();
-        let a = n.input("a");
-        n.gate(GateKind::Not, &[a]).unwrap();
-        assert_eq!(load_profile(&n, &[]).unwrap_err(), StaError::NoEndpoints);
+        let clk = n.input("clk");
+        let d = n.input("d");
+        let q = n.node("q");
+        n.gate_into(GateKind::Dff, &[clk, d], q).unwrap();
+        let c = Circuit {
+            name: "bank".to_owned(),
+            netlist: n,
+            inputs: vec![d],
+            outputs: vec![q],
+            clock: Some(clk),
+        };
+        let err = load_profile(noop(), &c).unwrap_err();
+        assert_eq!(
+            err,
+            StaError::NoCombinationalPath {
+                circuit: "bank".to_owned()
+            }
+        );
+        assert!(err.to_string().contains("`bank` has no combinational"));
+    }
+
+    #[test]
+    fn levelization_is_its_own_span() {
+        let reg = lowvolt_obs::MetricsRegistry::new();
+        load_profile(&reg, &chain()).unwrap();
+        assert!(reg
+            .timer(lowvolt_obs::names::SPAN_COMPILED_COMPILE)
+            .is_some());
     }
 }

@@ -4,6 +4,7 @@
 //! contents — CI diffs them byte-for-byte across thread counts — and the
 //! JSON goes through the workspace's one codec, `lowvolt_obs::json`.
 
+use lowvolt_circuit::netlist::{GateKind, NodeNames};
 use lowvolt_device::units::{Seconds, Volts};
 use lowvolt_obs::json::{num, quote, Num};
 use std::fmt;
@@ -32,10 +33,10 @@ impl EndpointKind {
 /// One gate along the critical path, startpoint first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathStep {
-    /// Gate kind name (`and2`, `xor2`, ...).
-    pub gate: String,
-    /// Name of the node the gate drives.
-    pub output: String,
+    /// Gate kind.
+    pub gate: GateKind,
+    /// Index of the node the gate drives (see [`StaReport::node_name`]).
+    pub output: usize,
     /// Topological level of the gate.
     pub level: usize,
     /// Reader count the delay was priced at.
@@ -49,10 +50,8 @@ pub struct PathStep {
 /// Worst-path summary for one timing endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointSummary {
-    /// Endpoint node name.
-    pub node: String,
     /// Endpoint node index in the source netlist.
-    pub node_index: usize,
+    pub node: usize,
     /// Output or register.
     pub kind: EndpointKind,
     /// Arrival time of the latest path into the endpoint.
@@ -63,15 +62,15 @@ pub struct EndpointSummary {
     pub slack: Seconds,
     /// Gate count along the endpoint's worst path.
     pub depth: usize,
-    /// Name of the node the worst path starts from.
-    pub startpoint: String,
+    /// Index of the node the worst path starts from.
+    pub startpoint: usize,
 }
 
 /// Arrival / required / slack for one netlist node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSlack {
-    /// Node name.
-    pub node: String,
+    /// Node index in the source netlist.
+    pub node: usize,
     /// Topological level (inputs and register outputs are level 0).
     pub level: usize,
     /// Latest arrival time at the node.
@@ -83,11 +82,16 @@ pub struct NodeSlack {
     pub slack: Seconds,
 }
 
-/// The full result of one static timing analysis.
+/// The full result of one static timing analysis. Rows name nodes by
+/// index; [`StaReport::node_name`] resolves them against the report's
+/// own copy of the netlist's name arena, so the report owns everything
+/// it renders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaReport {
     /// Target circuit name.
     pub target: String,
+    /// Node names of the analyzed netlist, indexed like its nodes.
+    pub names: NodeNames,
     /// Supply voltage the delays were priced at.
     pub vdd: Volts,
     /// Threshold voltage the delays were priced at.
@@ -119,54 +123,145 @@ pub struct StaReport {
     pub node_slacks: Vec<NodeSlack>,
 }
 
-/// Renders a time as `123.456 ps` when finite and `inf` / `-inf`
-/// otherwise (NaN renders as `-inf`), through [`fmt::Formatter::pad`]
-/// so width and alignment apply. The bytes are exactly those of
-/// `format!("{:.3} ps", s.0 * 1e12)`.
-struct Ps(Seconds);
+/// `00` to `99`, two ASCII digits each.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
 
-/// Above this many femtoseconds [`Ps`] leaves rounding to `{:.3}`.
+/// Above this many femtoseconds [`ps_text`] leaves rounding to `{:.3}`.
 const PS_FAST_LIMIT_FS: f64 = (1u64 << 40) as f64;
+
+/// A time as `123.456 ps` when finite and `inf` / `-inf` otherwise (NaN
+/// renders as `-inf`): exactly the bytes of `format!("{:.3} ps", s *
+/// 1e12)`. Written into `buf` by integer arithmetic; only a value near
+/// a rounding tie, or a huge one, goes through `{:.3}` (into `spill`).
+fn ps_text<'a>(s: Seconds, buf: &'a mut [u8; 24], spill: &'a mut String) -> &'a [u8] {
+    let s = s.0;
+    if !s.is_finite() {
+        return if s > 0.0 { b"inf" } else { b"-inf" };
+    }
+    let ps = s * 1e12;
+    // Fast path: round |ps| to whole femtoseconds in integer digits.
+    // `fs` is within half an ulp (≤ fs·2⁻⁵³) of the exact |ps|·1000, and
+    // its fractional part is exact, so away from a .5 tie it rounds as
+    // the exact decimal expansion `{:.3}` rounds. Near a tie, and for
+    // huge or overflowed values, `{:.3}` decides.
+    let fs = ps.abs() * 1000.0;
+    // `fs < 2⁴⁰` past the first test, so `whole` is exact, fits 13
+    // digits, and `frac` is exact.
+    let whole = fs as u64;
+    let frac = fs - whole as f64;
+    if fs >= PS_FAST_LIMIT_FS || (frac - 0.5).abs() <= fs * f64::EPSILON * 4.0 {
+        spill.clear();
+        let _ = write!(spill, "{ps:.3} ps");
+        return spill.as_bytes();
+    }
+    // Not a tie, so rounding half away from zero is this comparison.
+    let digits = whole + u64::from(frac > 0.5);
+    let (mut int, milli) = (digits / 1000, (digits % 1000) as usize);
+    let mut at = buf.len() - 7;
+    buf[at..].copy_from_slice(b".000 ps");
+    buf[at + 1] = b'0' + (milli / 100) as u8;
+    buf[at + 2..at + 4].copy_from_slice(&PAIRS[2 * (milli % 100)..2 * (milli % 100) + 2]);
+    while int >= 100 {
+        let pair = 2 * (int % 100) as usize;
+        int /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if int >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[2 * int as usize..2 * int as usize + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + int as u8;
+    }
+    if ps.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
+}
+
+/// A time rendered by [`ps_text`], through [`fmt::Formatter::pad`] so
+/// width and alignment apply.
+struct Ps(Seconds);
 
 impl fmt::Display for Ps {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.0 .0;
-        if !s.is_finite() {
-            return f.pad(if s > 0.0 { "inf" } else { "-inf" });
-        }
-        let ps = s * 1e12;
-        // Fast path: round |ps| to whole femtoseconds in integer digits.
-        // `fs` is within half an ulp (≤ fs·2⁻⁵³) of the exact |ps|·1000,
-        // and its fractional part is exact, so away from a .5 tie it
-        // rounds as the exact decimal expansion `{:.3}` rounds. Near a
-        // tie, and for huge or overflowed values, `{:.3}` decides.
-        let fs = ps.abs() * 1000.0;
-        let frac = fs - fs.trunc();
-        if fs >= PS_FAST_LIMIT_FS || (frac - 0.5).abs() <= fs * f64::EPSILON * 4.0 {
-            return f.pad(&format!("{ps:.3} ps"));
-        }
-        // `fs < 2⁴⁰`, so the cast is exact and fits 13 digits.
-        let mut digits = fs.round() as u64;
-        let mut buf = [0u8; 24];
-        let mut at = buf.len() - 3;
-        buf[at..].copy_from_slice(b" ps");
-        for place in 0.. {
-            if place == 3 {
-                at -= 1;
-                buf[at] = b'.';
-            }
+        let (mut buf, mut spill) = ([0; 24], String::new());
+        // Only ASCII digits, `.`, `-`, ` ps` and `inf` are written.
+        f.pad(std::str::from_utf8(ps_text(self.0, &mut buf, &mut spill)).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Appends `n` spaces.
+fn pad(line: &mut Vec<u8>, mut n: usize) {
+    const SPACES: &[u8] = b"                ";
+    while n > 0 {
+        let run = n.min(SPACES.len());
+        line.extend_from_slice(&SPACES[..run]);
+        n -= run;
+    }
+}
+
+/// Builds one text row at a time without `core::fmt`: each method
+/// appends what the named `format!` spec would, byte for byte.
+#[derive(Default)]
+struct Row {
+    line: Vec<u8>,
+    /// Scratch for [`ps_text`]'s `{:.3}` fallback.
+    spill: String,
+}
+
+impl Row {
+    fn text(&mut self, s: &str) -> &mut Row {
+        self.line.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    /// `{:<width}` of a string: padded to `width` chars.
+    fn left(&mut self, s: &str, width: usize) -> &mut Row {
+        self.text(s);
+        pad(&mut self.line, width.saturating_sub(s.chars().count()));
+        self
+    }
+
+    /// `{:>width}` of an integer.
+    fn int(&mut self, mut v: usize, width: usize) -> &mut Row {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
             at -= 1;
-            buf[at] = b'0' + (digits % 10) as u8;
-            digits /= 10;
-            if digits == 0 && place >= 3 {
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
                 break;
             }
         }
-        if ps.is_sign_negative() {
-            at -= 1;
-            buf[at] = b'-';
-        }
-        f.pad(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
+        pad(&mut self.line, width.saturating_sub(buf.len() - at));
+        self.line.extend_from_slice(&buf[at..]);
+        self
+    }
+
+    /// `{:>12}` of a [`Ps`].
+    fn ps(&mut self, s: Seconds) -> &mut Row {
+        let mut buf = [0u8; 24];
+        let text = ps_text(s, &mut buf, &mut self.spill);
+        pad(&mut self.line, 12usize.saturating_sub(text.len()));
+        self.line.extend_from_slice(text);
+        self
+    }
+
+    /// Ends the row with a newline, hands it to `w` and starts the next.
+    fn end<W: fmt::Write>(&mut self, w: &mut W) -> fmt::Result {
+        self.line.push(b'\n');
+        // Whole `str`s and ASCII went in, so the row is UTF-8.
+        let done = std::str::from_utf8(&self.line).map_or(Err(fmt::Error), |row| w.write_str(row));
+        self.line.clear();
+        done
     }
 }
 
@@ -176,10 +271,100 @@ fn ps(s: Seconds) -> Num {
 }
 
 impl StaReport {
+    /// Name of node `index` (empty for an index outside the netlist).
+    #[must_use]
+    pub fn node_name(&self, index: usize) -> &str {
+        self.names.get(index)
+    }
+
     /// Gate kind names along the critical path, startpoint first.
     #[must_use]
     pub fn critical_path_gates(&self) -> Vec<&str> {
-        self.critical_path.iter().map(|s| s.gate.as_str()).collect()
+        self.critical_path.iter().map(|s| s.gate.name()).collect()
+    }
+
+    /// An upper estimate of the text rendering's length in bytes, for
+    /// sizing an output buffer once.
+    #[must_use]
+    pub fn text_len_hint(&self) -> usize {
+        // Each row at its padded column widths, plus every name twice
+        // for names that overflow their column (a node's own row and an
+        // endpoint or path row); a longer text only regrows the buffer.
+        512 + self.target.len()
+            + self.critical_path.len() * 96
+            + self.endpoints.len() * 112
+            + self.node_slacks.len() * 96
+            + self.names.text_len() * 2
+    }
+
+    /// Writes the text rendering (the [`fmt::Display`] bytes) to `w`.
+    /// The per-node, per-endpoint and critical-path rows are assembled
+    /// without `core::fmt` and handed to `w` one row at a time.
+    ///
+    /// # Errors
+    ///
+    /// Only `w`'s own write errors.
+    pub fn write_text<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        writeln!(w, "static timing report: {}", self.target)?;
+        writeln!(
+            w,
+            "operating point: vdd {:.3} V, vt {:.3} V",
+            self.vdd.0, self.vt.0
+        )?;
+        writeln!(
+            w,
+            "nodes {}  gates {}  levels {}  registers {}",
+            self.nodes, self.gates, self.levels, self.registers
+        )?;
+        if !self.feasible {
+            writeln!(w, "INFEASIBLE: vdd <= vt, devices cannot switch")?;
+        }
+        writeln!(
+            w,
+            "critical delay {}  required {}  worst slack {}",
+            Ps(self.critical),
+            Ps(self.required),
+            Ps(self.worst_slack)
+        )?;
+        let mut row = Row::default();
+        match self.critical_path.last() {
+            Some(last) => {
+                writeln!(
+                    w,
+                    "critical path ({} gates, to '{}'):",
+                    self.critical_path.len(),
+                    self.node_name(last.output)
+                )?;
+                for step in &self.critical_path {
+                    row.text("  level ").int(step.level, 3).text("  ");
+                    row.left(step.gate.name(), 5).text(" -> ");
+                    row.left(self.node_name(step.output), 12).text(" fanout ");
+                    row.int(step.fanout, 2).text("  delay ").ps(step.delay);
+                    row.text("  arrival ").ps(step.arrival).end(w)?;
+                }
+            }
+            None => writeln!(w, "critical path: empty (endpoint is a primary input)")?,
+        }
+        writeln!(w, "endpoints ({}):", self.endpoints.len())?;
+        for ep in &self.endpoints {
+            row.text("  ").left(self.node_name(ep.node), 12).text(" ");
+            row.left(ep.kind.label(), 8)
+                .text(" arrival ")
+                .ps(ep.arrival);
+            row.text("  slack ").ps(ep.slack).text("  depth ");
+            row.int(ep.depth, 3).text("  from '");
+            row.text(self.node_name(ep.startpoint)).text("'").end(w)?;
+        }
+        if !self.node_slacks.is_empty() {
+            w.write_str("node slack:\n")?;
+            for ns in &self.node_slacks {
+                row.text("  ").left(self.node_name(ns.node), 12);
+                row.text(" level ").int(ns.level, 3).text("  arrival ");
+                row.ps(ns.arrival).text("  required ").ps(ns.required);
+                row.text("  slack ").ps(ns.slack).end(w)?;
+            }
+        }
+        Ok(())
     }
 
     /// The JSON rendering. Non-finite values (an infeasible point's
@@ -211,8 +396,8 @@ impl StaReport {
                 out,
                 "{}    {{\"gate\": {}, \"output\": {}, \"level\": {}, \"fanout\": {}, \"delay_ps\": {}, \"arrival_ps\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
-                quote(&step.gate),
-                quote(&step.output),
+                quote(step.gate.name()),
+                quote(self.node_name(step.output)),
                 step.level,
                 step.fanout,
                 ps(step.delay),
@@ -230,13 +415,13 @@ impl StaReport {
                 out,
                 "{}    {{\"node\": {}, \"kind\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}, \"depth\": {}, \"startpoint\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
-                quote(&ep.node),
+                quote(self.node_name(ep.node)),
                 quote(ep.kind.label()),
                 ps(ep.arrival),
                 ps(ep.required),
                 ps(ep.slack),
                 ep.depth,
-                quote(&ep.startpoint),
+                quote(self.node_name(ep.startpoint)),
             );
         }
         out.push_str(if self.endpoints.is_empty() {
@@ -250,7 +435,7 @@ impl StaReport {
                 out,
                 "{}    {{\"node\": {}, \"level\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
-                quote(&ns.node),
+                quote(self.node_name(ns.node)),
                 ns.level,
                 ps(ns.arrival),
                 ps(ns.required),
@@ -268,78 +453,7 @@ impl StaReport {
 
 impl fmt::Display for StaReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "static timing report: {}", self.target)?;
-        writeln!(
-            f,
-            "operating point: vdd {:.3} V, vt {:.3} V",
-            self.vdd.0, self.vt.0
-        )?;
-        writeln!(
-            f,
-            "nodes {}  gates {}  levels {}  registers {}",
-            self.nodes, self.gates, self.levels, self.registers
-        )?;
-        if !self.feasible {
-            writeln!(f, "INFEASIBLE: vdd <= vt, devices cannot switch")?;
-        }
-        writeln!(
-            f,
-            "critical delay {}  required {}  worst slack {}",
-            Ps(self.critical),
-            Ps(self.required),
-            Ps(self.worst_slack)
-        )?;
-        match self.critical_path.last() {
-            Some(last) => {
-                writeln!(
-                    f,
-                    "critical path ({} gates, to '{}'):",
-                    self.critical_path.len(),
-                    last.output
-                )?;
-                for step in &self.critical_path {
-                    writeln!(
-                        f,
-                        "  level {:>3}  {:<5} -> {:<12} fanout {:>2}  delay {:>12}  arrival {:>12}",
-                        step.level,
-                        step.gate,
-                        step.output,
-                        step.fanout,
-                        Ps(step.delay),
-                        Ps(step.arrival)
-                    )?;
-                }
-            }
-            None => writeln!(f, "critical path: empty (endpoint is a primary input)")?,
-        }
-        writeln!(f, "endpoints ({}):", self.endpoints.len())?;
-        for ep in &self.endpoints {
-            writeln!(
-                f,
-                "  {:<12} {:<8} arrival {:>12}  slack {:>12}  depth {:>3}  from '{}'",
-                ep.node,
-                ep.kind.label(),
-                Ps(ep.arrival),
-                Ps(ep.slack),
-                ep.depth,
-                ep.startpoint
-            )?;
-        }
-        if !self.node_slacks.is_empty() {
-            writeln!(f, "node slack:")?;
-            for ns in &self.node_slacks {
-                writeln!(
-                    f,
-                    "  {:<12} level {:>3}  arrival {:>12}  required {:>12}  slack {:>12}",
-                    ns.node,
-                    ns.level,
-                    Ps(ns.arrival),
-                    Ps(ns.required),
-                    Ps(ns.slack)
-                )?;
-            }
-        }
-        Ok(())
+        self.write_text(f)
     }
 }
 
@@ -349,9 +463,18 @@ mod tests {
     use lowvolt_obs::json::Json;
     use proptest::prelude::*;
 
+    fn arena(names: &[&str]) -> NodeNames {
+        let mut arena = NodeNames::default();
+        for name in names {
+            arena.push(name);
+        }
+        arena
+    }
+
     fn tiny_report() -> StaReport {
         StaReport {
             target: "t".to_owned(),
+            names: arena(&["a", "y"]),
             vdd: Volts(1.0),
             vt: Volts(0.2),
             feasible: true,
@@ -363,25 +486,24 @@ mod tests {
             required: Seconds(10e-12),
             worst_slack: Seconds(0.0),
             critical_path: vec![PathStep {
-                gate: "and2".to_owned(),
-                output: "y".to_owned(),
+                gate: GateKind::And2,
+                output: 1,
                 level: 1,
                 fanout: 1,
                 delay: Seconds(10e-12),
                 arrival: Seconds(10e-12),
             }],
             endpoints: vec![EndpointSummary {
-                node: "y".to_owned(),
-                node_index: 2,
+                node: 1,
                 kind: EndpointKind::Output,
                 arrival: Seconds(10e-12),
                 required: Seconds(10e-12),
                 slack: Seconds(0.0),
                 depth: 1,
-                startpoint: "a".to_owned(),
+                startpoint: 0,
             }],
             node_slacks: vec![NodeSlack {
-                node: "a".to_owned(),
+                node: 0,
                 level: 0,
                 arrival: Seconds(0.0),
                 required: Seconds(0.0),
@@ -494,6 +616,149 @@ mod tests {
             let mantissa = f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF | 0x3FF0_0000_0000_0000);
             assert_ps_matches(mantissa * 10f64.powi(scale as i32 - 14));
         }
+
+        #[test]
+        fn rows_render_like_format(
+            picks in proptest::collection::vec(any::<u64>(), 9),
+            name_len in 0usize..20,
+            name_seed in any::<u64>(),
+        ) {
+            let mut r = tiny_report();
+            let mut t = picks.iter().map(|&bits| seconds_from(bits));
+            let mut next = || t.next().unwrap_or(Seconds(0.0));
+            r.critical_path[0].delay = next();
+            r.critical_path[0].arrival = next();
+            r.endpoints[0].arrival = next();
+            r.endpoints[0].slack = next();
+            r.node_slacks[0].arrival = next();
+            r.node_slacks[0].required = next();
+            r.node_slacks[0].slack = next();
+            r.critical = next();
+            r.worst_slack = next();
+            let name = random_name(name_len, name_seed);
+            r.names = arena(&[&name, &format!("{name}y")]);
+            r.critical_path[0].level = (name_seed % 2000) as usize;
+            r.endpoints[0].depth = (name_seed >> 16) as usize % 2000;
+            let mut text = String::new();
+            r.write_text(&mut text).unwrap();
+            prop_assert_eq!(text, reference_text(&r));
+        }
+    }
+
+    /// A time in seconds picked by `bits`: raw bit patterns (every
+    /// exponent, NaN and the infinities among them), the special values,
+    /// dyadic picosecond ties, values at and past 2⁴⁰ fs, and the
+    /// picosecond-to-microsecond range real reports hold.
+    fn seconds_from(bits: u64) -> Seconds {
+        let pick = bits >> 61;
+        let low = bits & ((1 << 58) - 1);
+        Seconds(match pick {
+            0 => f64::from_bits(bits.rotate_left(3)),
+            1 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0][(low % 5) as usize],
+            2 => {
+                let tie = (low % 4000 + 1) as f64 / f64::from(1u32 << (low >> 40) % 24);
+                let ps = if low & 1 == 0 { tie } else { -tie.next_up() };
+                seconds_for(ps).unwrap_or(ps / 1e12)
+            }
+            3 => (PS_FAST_LIMIT_FS + (low % (1 << 50)) as f64) / 1e15,
+            _ => {
+                let mantissa = f64::from_bits(low & 0x000F_FFFF_FFFF_FFFF | 0x3FF0_0000_0000_0000);
+                let sign = if low >> 57 == 1 { -1.0 } else { 1.0 };
+                sign * mantissa * 10f64.powi((low >> 52) as i32 % 8 - 14)
+            }
+        })
+    }
+
+    /// A name of `len` chars mixing ASCII with 2-, 3- and 4-byte UTF-8.
+    fn random_name(len: usize, mut seed: u64) -> String {
+        const CHARS: [char; 8] = ['a', 'n', '_', '7', 'é', 'ß', '€', '𝄞'];
+        (0..len)
+            .map(|_| {
+                seed = seed.rotate_left(5) ^ 0x9E37_79B9_7F4A_7C15;
+                CHARS[(seed % 8) as usize]
+            })
+            .collect()
+    }
+
+    /// The text rendering as `core::fmt` writes it, which
+    /// [`StaReport::write_text`] must reproduce byte for byte.
+    fn reference_text(r: &StaReport) -> String {
+        use std::fmt::Write as _;
+        let p = |s: Seconds| reference_ps(s.0);
+        let mut f = String::new();
+        writeln!(f, "static timing report: {}", r.target).unwrap();
+        writeln!(
+            f,
+            "operating point: vdd {:.3} V, vt {:.3} V",
+            r.vdd.0, r.vt.0
+        )
+        .unwrap();
+        writeln!(
+            f,
+            "nodes {}  gates {}  levels {}  registers {}",
+            r.nodes, r.gates, r.levels, r.registers
+        )
+        .unwrap();
+        if !r.feasible {
+            writeln!(f, "INFEASIBLE: vdd <= vt, devices cannot switch").unwrap();
+        }
+        writeln!(
+            f,
+            "critical delay {}  required {}  worst slack {}",
+            p(r.critical),
+            p(r.required),
+            p(r.worst_slack)
+        )
+        .unwrap();
+        let last = r.critical_path.last().unwrap();
+        writeln!(
+            f,
+            "critical path ({} gates, to '{}'):",
+            r.critical_path.len(),
+            r.node_name(last.output)
+        )
+        .unwrap();
+        for step in &r.critical_path {
+            writeln!(
+                f,
+                "  level {:>3}  {:<5} -> {:<12} fanout {:>2}  delay {:>12}  arrival {:>12}",
+                step.level,
+                step.gate.name(),
+                r.node_name(step.output),
+                step.fanout,
+                p(step.delay),
+                p(step.arrival)
+            )
+            .unwrap();
+        }
+        writeln!(f, "endpoints ({}):", r.endpoints.len()).unwrap();
+        for ep in &r.endpoints {
+            writeln!(
+                f,
+                "  {:<12} {:<8} arrival {:>12}  slack {:>12}  depth {:>3}  from '{}'",
+                r.node_name(ep.node),
+                ep.kind.label(),
+                p(ep.arrival),
+                p(ep.slack),
+                ep.depth,
+                r.node_name(ep.startpoint)
+            )
+            .unwrap();
+        }
+        writeln!(f, "node slack:").unwrap();
+        for ns in &r.node_slacks {
+            writeln!(
+                f,
+                "  {:<12} level {:>3}  arrival {:>12}  required {:>12}  slack {:>12}",
+                r.node_name(ns.node),
+                ns.level,
+                p(ns.arrival),
+                p(ns.required),
+                p(ns.slack)
+            )
+            .unwrap();
+        }
+        f
     }
 
     #[test]
@@ -546,17 +811,17 @@ mod tests {
         ] {
             let mut r = tiny_report();
             r.target = name.to_owned();
-            r.critical_path[0].gate = format!("g{name}");
-            r.critical_path[0].output = format!("o{name}");
-            r.endpoints[0].node = format!("e{name}");
-            r.endpoints[0].startpoint = format!("s{name}");
-            r.node_slacks[0].node = format!("n{name}");
+            let roles = ["s", "e", "o", "n"].map(|role| format!("{role}{name}"));
+            r.names = arena(&roles.each_ref().map(String::as_str));
+            r.endpoints[0].node = 1;
+            r.critical_path[0].output = 2;
+            r.node_slacks[0].node = 3;
             let v = Json::parse(&r.to_json()).unwrap_or_else(|e| panic!("{name:?}: {e}"));
             assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
             let text = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).unwrap().to_owned();
             let first = |key: &str| v.get(key).and_then(Json::as_array).unwrap()[0].clone();
             assert_eq!(text(&v, "target"), name);
-            assert_eq!(text(&first("critical_path"), "gate"), format!("g{name}"));
+            assert_eq!(text(&first("critical_path"), "gate"), "and2");
             assert_eq!(text(&first("critical_path"), "output"), format!("o{name}"));
             assert_eq!(text(&first("endpoints"), "node"), format!("e{name}"));
             assert_eq!(text(&first("endpoints"), "kind"), "output");

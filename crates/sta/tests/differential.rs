@@ -58,23 +58,24 @@ fn constant_pricing_reduces_sta_to_levelization() {
             .max_by(|a, b| a.arrival.0.total_cmp(&b.arrival.0))
             .expect("at least one endpoint");
         assert_eq!(worst.depth, report.levels, "{name}");
-        let level_zero: HashSet<&str> = report
+        let level_zero: HashSet<usize> = report
             .node_slacks
             .iter()
             .filter(|n| n.level == 0)
-            .map(|n| n.node.as_str())
+            .map(|n| n.node)
             .collect();
         for ep in &report.endpoints {
             assert_eq!(
-                ep.depth, report.node_slacks[ep.node_index].level,
+                ep.depth,
+                report.node_slacks[ep.node].level,
                 "{name}: endpoint {} depth",
-                ep.node
+                report.node_name(ep.node)
             );
             assert!(
-                level_zero.contains(ep.startpoint.as_str()),
+                level_zero.contains(&ep.startpoint),
                 "{name}: endpoint {} starts at {}, not a level-0 node",
-                ep.node,
-                ep.startpoint
+                report.node_name(ep.node),
+                report.node_name(ep.startpoint)
             );
         }
     }
