@@ -25,7 +25,9 @@
 //! only levels at or after the injection point and only gates whose
 //! output can reach what the pass is read for, early-exiting the
 //! moment the difference frontier against the golden planes goes
-//! all-zero (concurrent-fault-style dropout). The event engine remains required
+//! all-zero (concurrent-fault-style dropout) and, on the pass that is
+//! classified, at the first definite difference at an observed output
+//! (fault dropping on detection). The event engine remains required
 //! for combinational cycles, bridge-fault drive fights, gated or derived
 //! flip-flop clocks, register-to-register feedback, and
 //! oscillation/timing diagnosis — a levelized evaluator cannot
@@ -740,17 +742,32 @@ struct Scratch<'a> {
     frontier: Vec<u64>,
     /// Lowest frontier word holding a bit; `frontier.len()` when empty.
     lo: usize,
+    /// Observed outputs, indexed by node.
+    outputs: &'a [bool],
+    /// Lanes in which a definite difference at an observed output ends
+    /// the pass (the word's active lanes); 0 for phase A, which never
+    /// stops early because its captured state feeds phase B.
+    watch: u64,
 }
 
 impl<'a> Scratch<'a> {
-    fn new(reference: &Planes, live: &'a [u64]) -> Scratch<'a> {
+    fn new(reference: &Planes, live: &'a [u64], outputs: &'a [bool], watch: u64) -> Scratch<'a> {
         Scratch {
             planes: reference.clone(),
             touched: Vec::new(),
             live,
             frontier: vec![0; live.len()],
             lo: live.len(),
+            outputs,
+            watch,
         }
+    }
+
+    /// Whether `node`, whose golden planes are `g`, now reads `f`, a
+    /// definite difference at an observed output in a watched lane —
+    /// which fixes the word's class at `Corrupted`.
+    fn detects(&self, node: usize, g: P, f: P) -> bool {
+        g.1 & f.1 & (g.0 ^ f.0) & self.watch != 0 && self.outputs[node]
     }
 
     fn undo(&mut self, reference: &Planes) {
@@ -759,6 +776,18 @@ impl<'a> Scratch<'a> {
             self.planes.set(n, reference.get(n));
         }
     }
+}
+
+/// How a fault pass ended. On an observed pass exactly one holds; phase
+/// A never stops.
+enum PassEnd {
+    /// The frontier drained before the last level with no detection (a
+    /// pass that enqueued nothing counts here).
+    Dropped,
+    /// A definite output difference in a watched lane ended the pass.
+    Stopped,
+    /// The frontier reached the last level.
+    Ran,
 }
 
 impl CompiledNetlist {
@@ -788,20 +817,27 @@ impl CompiledNetlist {
     /// in position (so level) order from the lowest enqueued word,
     /// enqueueing fanout only where the faulty planes diverge from
     /// `reference`. Early-exits the moment no gate remains enqueued —
-    /// the concurrent-fault-style dropout. Returns the gate evaluations
-    /// performed and whether the frontier died before the last level (a
-    /// fault that enqueued nothing at all counts as a dropout).
+    /// the concurrent-fault-style dropout — and, on a pass that watches
+    /// lanes, the moment a seed or an evaluation leaves an observed
+    /// output definitely different from `reference` (fault dropping on
+    /// detection); the rest of the frontier is then cleared unevaluated.
+    /// Returns the gate evaluations performed and how the pass ended.
     fn propagate(
         &self,
         s: &mut Scratch,
         reference: &Planes,
         forced: Option<usize>,
         mut pending: usize,
-    ) -> (u64, bool) {
+    ) -> (u64, PassEnd) {
         let mut evals = 0u64;
         let mut last = None;
         let mut w = std::mem::replace(&mut s.lo, s.frontier.len());
-        while pending > 0 {
+        // Before propagation `touched` holds exactly the seeded nodes.
+        let mut stopped = s.touched.iter().any(|&n| {
+            let n = n as usize;
+            s.detects(n, reference.get(n), s.planes.get(n))
+        });
+        while pending > 0 && !stopped {
             let bits = s.frontier[w];
             if bits == 0 {
                 w += 1;
@@ -817,17 +853,35 @@ impl CompiledNetlist {
             }
             evals += 1;
             let new = self.eval_at(p, &s.planes);
-            if new != reference.get(out) {
+            let g = reference.get(out);
+            if new != g {
                 s.touched.push(out as u32);
                 s.planes.set(out, new);
-                self.enqueue_readers(s, out, &mut pending);
+                stopped = s.detects(out, g, new);
+                if !stopped {
+                    self.enqueue_readers(s, out, &mut pending);
+                }
             }
+        }
+        // A stop leaves bits in word `w` and above only: the scan has
+        // passed every lower word, and readers sit above their driver.
+        while pending > 0 {
+            pending -= s.frontier[w].count_ones() as usize;
+            s.frontier[w] = 0;
+            w += 1;
         }
         // Fanout enqueued during the sweep moved `lo` off the sentinel,
         // but every bit is clear now.
         s.lo = s.frontier.len();
-        let last_level = last.map_or(0, |p| self.gate_level[p] as usize);
-        (evals, last_level < self.level_count())
+        debug_assert!(s.frontier.iter().all(|&b| b == 0), "frontier leaked");
+        let end = if stopped {
+            PassEnd::Stopped
+        } else if last.map_or(0, |p| self.gate_level[p] as usize) < self.level_count() {
+            PassEnd::Dropped
+        } else {
+            PassEnd::Ran
+        };
+        (evals, end)
     }
 }
 
@@ -948,7 +1002,10 @@ struct Work {
     gate_evals: u64,
     /// The phase-A share of `gate_evals`.
     capture_evals: u64,
+    /// Observed passes whose frontier drained before the last level.
     dropouts: u64,
+    /// Observed passes ended by a detection.
+    detect_stops: u64,
 }
 
 /// The gates whose output reaches a node `reaches` marks, one bit per
@@ -1131,12 +1188,7 @@ impl<'a> FaultSim<'a> {
                 }
             }
             sa.undo(ga);
-            let (evals, d) = comp.propagate(sb, &gw.fin, forced, pending);
-            work.gate_evals += evals;
-            work.dropouts += u64::from(d);
-            let class = self.classify(gw, sb);
-            sb.undo(&gw.fin);
-            return class;
+            return self.observe(gw, sb, forced, pending, work);
         }
         // Combinational target, inert flip-flops, or a stuck clock:
         // a single pass in the sampled (phase-B) plane space.
@@ -1158,10 +1210,31 @@ impl<'a> FaultSim<'a> {
                 Err(class) => return class,
             },
         };
-        let (evals, dropped) = comp.propagate(sb, &gw.fin, forced, pending);
+        self.observe(gw, sb, forced, pending, work)
+    }
+
+    /// Runs the observed pass (phase B, or the single pass) from the
+    /// seeds already in `sb`, tallies its work, classifies it and
+    /// restores `sb` to golden.
+    fn observe(
+        &self,
+        gw: &GoldenWord,
+        sb: &mut Scratch,
+        forced: Option<usize>,
+        pending: usize,
+        work: &mut Work,
+    ) -> u8 {
+        let (evals, end) = self.comp.propagate(sb, &gw.fin, forced, pending);
         work.gate_evals += evals;
-        work.dropouts += u64::from(dropped);
         let class = self.classify(gw, sb);
+        match end {
+            PassEnd::Stopped => {
+                debug_assert_eq!(class, CLASS_CORRUPTED);
+                work.detect_stops += 1;
+            }
+            PassEnd::Dropped => work.dropouts += 1,
+            PassEnd::Ran => {}
+        }
         sb.undo(&gw.fin);
         class
     }
@@ -1403,6 +1476,7 @@ pub(crate) struct PackedCampaign<'a> {
     gate_evals: AtomicU64,
     capture_evals: AtomicU64,
     dropouts: AtomicU64,
+    detect_stops: AtomicU64,
     word_evaluated: Vec<AtomicBool>,
 }
 
@@ -1420,6 +1494,7 @@ impl<'a> PackedCampaign<'a> {
             gate_evals: AtomicU64::new(0),
             capture_evals: AtomicU64::new(0),
             dropouts: AtomicU64::new(0),
+            detect_stops: AtomicU64::new(0),
             word_evaluated: (0..vectors.div_ceil(64))
                 .map(|_| AtomicBool::new(false))
                 .collect(),
@@ -1499,8 +1574,10 @@ impl CampaignEngine for PackedCampaign<'_> {
     ) -> ItemStatus<Vec<u8>> {
         let gw = &golden[item.word];
         let sim = &self.sim;
-        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(ga, &sim.live_capture));
-        let mut sb = Scratch::new(&gw.fin, &sim.live_observe);
+        let mut sa =
+            gw.a.as_ref()
+                .map(|ga| Scratch::new(ga, &sim.live_capture, &sim.is_output, 0));
+        let mut sb = Scratch::new(&gw.fin, &sim.live_observe, &sim.is_output, gw.active);
         let mut classes = Vec::with_capacity(item.faults.len());
         let mut work = Work::default();
         for f in &self.faults[item.faults.clone()] {
@@ -1514,6 +1591,8 @@ impl CampaignEngine for PackedCampaign<'_> {
         self.capture_evals
             .fetch_add(work.capture_evals, Ordering::Relaxed);
         self.dropouts.fetch_add(work.dropouts, Ordering::Relaxed);
+        self.detect_stops
+            .fetch_add(work.detect_stops, Ordering::Relaxed);
         self.word_evaluated[item.word].store(true, Ordering::Relaxed);
         ItemStatus::Done(classes)
     }
@@ -1578,6 +1657,10 @@ impl CampaignEngine for PackedCampaign<'_> {
         rec.add(
             names::COMPILED_FAULT_DROPOUTS,
             self.dropouts.load(Ordering::Relaxed),
+        );
+        rec.add(
+            names::COMPILED_DETECT_STOPS,
+            self.detect_stops.load(Ordering::Relaxed),
         );
     }
 }
@@ -1909,6 +1992,116 @@ mod tests {
             reg.counter(names::CAMPAIGN_VECTORS),
             130 * faults.len() as u64
         );
+    }
+
+    /// An observed output at level 1 (`y = a & b`) in front of a
+    /// 32-gate inverter chain that reaches the other output, `z`. The
+    /// clocked variant also captures the chain's midpoint in a
+    /// flip-flop and folds it into `z`, so phase A has work too.
+    fn deep_cone_target(clocked: bool) -> Circuit {
+        let mut n = Netlist::new();
+        let clk = clocked.then(|| n.input("clk"));
+        let (a, b) = (n.input("a"), n.input("b"));
+        let y = n.gate(GateKind::And2, &[a, b]).unwrap();
+        let mut chain = vec![y];
+        for _ in 0..32 {
+            let prev = *chain.last().unwrap();
+            chain.push(n.gate(GateKind::Not, &[prev]).unwrap());
+        }
+        let tail = chain[32];
+        let z = match clk {
+            Some(clk) => {
+                let q = n.gate(GateKind::Dff, &[clk, chain[16]]).unwrap();
+                n.gate(GateKind::Xor2, &[q, tail]).unwrap()
+            }
+            None => tail,
+        };
+        Circuit {
+            name: "deep-cone".into(),
+            netlist: n,
+            inputs: vec![a, b],
+            outputs: vec![y, z],
+            clock: clk,
+        }
+    }
+
+    /// `(gate_evals, detect_stops, fault_dropouts)` of a compiled
+    /// campaign, and its outcomes.
+    fn compiled_run(
+        target: &Circuit,
+        faults: &[GateFault],
+        vectors: usize,
+    ) -> ((u64, u64, u64), Vec<FaultOutcome>) {
+        let reg = lowvolt_obs::MetricsRegistry::new();
+        let mut src = PatternSource::random(target.inputs.len(), 11).unwrap();
+        let options = CampaignOptions {
+            engine: Engine::Compiled,
+            recorder: &reg,
+            ..CampaignOptions::default()
+        };
+        let run = run_campaign(target, faults, &mut src, vectors, options).unwrap();
+        let counters = (
+            reg.counter(names::COMPILED_GATE_EVALS),
+            reg.counter(names::COMPILED_DETECT_STOPS),
+            reg.counter(names::COMPILED_FAULT_DROPOUTS),
+        );
+        let outcomes = run.reports.into_iter().map(|r| r.unwrap().outcome);
+        (counters, outcomes.collect())
+    }
+
+    #[test]
+    fn a_detection_at_a_shallow_output_skips_the_deep_cone() {
+        for clocked in [false, true] {
+            let target = deep_cone_target(clocked);
+            let comp = CompiledNetlist::compile(&target.netlist).unwrap();
+            let golden = comp.gate_count() as u64 * if clocked { 2 } else { 1 };
+            let stuck = |node: NodeId| GateFault::NodeStuckAt {
+                node,
+                value: Bit::Zero,
+            };
+            let (a, y) = (target.inputs[0], target.outputs[0]);
+            // `a` stuck at 0 flips `y` in every lane where `a & b`: the
+            // observed pass evaluates `y` and stops with the chain
+            // still enqueued.
+            let ((evals, stops, drops), out) = compiled_run(&target, &[stuck(a)], 64);
+            assert_eq!(out, [FaultOutcome::Corrupted]);
+            assert_eq!((stops, drops), (1, 0), "clocked {clocked}");
+            let capture = if clocked { 17 } else { 0 };
+            assert_eq!(evals, golden + capture + 1, "clocked {clocked}");
+            // A fault seeded on the observed output itself stops before
+            // evaluating anything.
+            // Phase A still runs: it skips the forced `y` and evaluates
+            // the chain up to the captured midpoint.
+            let ((evals, stops, _), _) = compiled_run(&target, &[stuck(y)], 64);
+            let capture = if clocked { 16 } else { 0 };
+            assert_eq!((evals, stops), (golden + capture, 1), "clocked {clocked}");
+            let faults = stuck_faults(&target);
+            let packed = compiled_run(&target, &faults, 130).1;
+            let event = outcomes(Engine::Event, &target, &faults, 130, 11);
+            assert_eq!(packed, event, "clocked {clocked}");
+        }
+    }
+
+    /// One work item runs every fault, and some stop with gates still
+    /// enqueued; each later fault must still see an empty frontier and
+    /// golden planes. Its outcome and work must equal a campaign of that
+    /// fault alone.
+    #[test]
+    fn a_stopped_pass_leaves_nothing_for_the_next_fault() {
+        for clocked in [false, true] {
+            let target = deep_cone_target(clocked);
+            let faults = stuck_faults(&target);
+            let golden = compiled_run(&target, &[], 64).0 .0;
+            let ((evals, stops, drops), out) = compiled_run(&target, &faults, 64);
+            assert!(stops > 0, "clocked {clocked}");
+            let mut sum = (golden, 0, 0);
+            for (f, fault) in faults.iter().enumerate() {
+                let ((e, s, d), alone) = compiled_run(&target, std::slice::from_ref(fault), 64);
+                assert_eq!(alone[0], out[f], "{fault:?} clocked {clocked}");
+                sum = (sum.0 + e - golden, sum.1 + s, sum.2 + d);
+            }
+            assert_eq!((evals, stops, drops), sum, "clocked {clocked}");
+        }
     }
 
     #[test]

@@ -169,26 +169,10 @@ fn cone_target() -> Circuit {
 #[test]
 fn cone_pruned_campaign_matches_event_on_every_cone_shape() {
     let target = cone_target();
-    let mut faults = stuck_at_universe(&target.netlist);
-    for input_index in 0..target.inputs.len() {
-        faults.push(GateFault::InputX { input_index });
-        faults.push(GateFault::StimulusBitFlip { input_index });
-    }
-    let outcomes = |engine: Engine, threads: usize| {
-        let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus");
-        let options = CampaignOptions {
-            engine,
-            policy: ExecPolicy::with_threads(threads),
-            ..CampaignOptions::default()
-        };
-        run_campaign(&target, &faults, &mut stimulus, VECTORS, options)
-            .expect("campaign runs")
-            .reports
-            .into_iter()
-            .map(|r| r.expect("outcome resolved").outcome)
-            .collect::<Vec<_>>()
-    };
-    let event = outcomes(Engine::Event, 1);
+    let faults = fault_universe(&target);
+    let outcomes_at =
+        |engine: Engine, threads: usize| outcomes(run(&target, &faults, VECTORS, engine, threads));
+    let event = outcomes_at(Engine::Event, 1);
     // The fault on the flip-flop-only input is visible at the outputs
     // only through the captured state.
     let f_flip = faults
@@ -197,9 +181,140 @@ fn cone_pruned_campaign_matches_event_on_every_cone_shape() {
         .expect("f is input 4");
     assert_eq!(event[f_flip], FaultOutcome::Corrupted);
     for threads in [1usize, 2, 8] {
-        let packed = outcomes(Engine::Compiled, threads);
+        let packed = outcomes_at(Engine::Compiled, threads);
         for (fault, (e, p)) in faults.iter().zip(event.iter().zip(&packed)) {
             assert_eq!(e, p, "{fault:?} at {threads} thread(s)");
+        }
+    }
+}
+
+/// A clocked target whose observed output `o = !clk & a` is also a
+/// flip-flop data node, in front of a deeper data node `d2 = !!!a`
+/// whose captured state reaches the other output only through `q2`.
+/// With the clock low, a fault on `a` changes `o` definitely before
+/// `d2` is evaluated; with the clock high `o` reads 0 either way.
+fn capture_behind_output_target() -> Circuit {
+    let mut n = Netlist::new();
+    let clk = n.input("clk");
+    let [a, b] = ["a", "b"].map(|name| n.input(name));
+    let g = |n: &mut Netlist, kind, ins: &[NodeId]| n.gate(kind, ins).expect("gate wires");
+    let nclk = g(&mut n, GateKind::Not, &[clk]);
+    let o = g(&mut n, GateKind::And2, &[nclk, a]);
+    let _q1 = g(&mut n, GateKind::Dff, &[clk, o]);
+    let na = g(&mut n, GateKind::Not, &[a]);
+    let a2 = g(&mut n, GateKind::Not, &[na]);
+    let d2 = g(&mut n, GateKind::Not, &[a2]);
+    let q2 = g(&mut n, GateKind::Dff, &[clk, d2]);
+    let z = g(&mut n, GateKind::Xor2, &[q2, b]);
+    Circuit {
+        name: "capture-behind-output".into(),
+        netlist: n,
+        inputs: vec![a, b],
+        outputs: vec![o, z],
+        clock: Some(clk),
+    }
+}
+
+/// The capture pass (clock low) is never stopped by a definite
+/// difference at an observed output: its captured state is what the
+/// observed pass reads. On [`capture_behind_output_target`], `a` stuck
+/// at 1 is visible at the outputs only through `q2`.
+#[test]
+fn the_capture_pass_runs_past_an_observed_difference() {
+    let target = capture_behind_output_target();
+    let faults = fault_universe(&target);
+    let outcomes_of = |engine: Engine| outcomes(run(&target, &faults, VECTORS, engine, 1));
+    let event = outcomes_of(Engine::Event);
+    let a_stuck_at_1 = GateFault::NodeStuckAt {
+        node: target.inputs[0],
+        value: Bit::One,
+    };
+    let at = faults
+        .iter()
+        .position(|f| *f == a_stuck_at_1)
+        .expect("a is stuck-at faulted");
+    assert_eq!(event[at], FaultOutcome::Corrupted);
+    for (fault, (e, p)) in faults
+        .iter()
+        .zip(event.iter().zip(&outcomes_of(Engine::Compiled)))
+    {
+        assert_eq!(e, p, "{fault:?}");
+    }
+}
+
+/// `faults` on `target` over `vectors` seeded random stimulus vectors.
+fn run(
+    target: &Circuit,
+    faults: &[GateFault],
+    vectors: usize,
+    engine: Engine,
+    threads: usize,
+) -> ResilientCampaign {
+    let mut stimulus = PatternSource::random(target.inputs.len(), SEED).expect("stimulus");
+    let options = CampaignOptions {
+        engine,
+        policy: ExecPolicy::with_threads(threads),
+        ..CampaignOptions::default()
+    };
+    run_campaign(target, faults, &mut stimulus, vectors, options).expect("campaign runs")
+}
+
+/// Every fault's outcome in a completed campaign.
+fn outcomes(run: ResilientCampaign) -> Vec<FaultOutcome> {
+    run.reports
+        .into_iter()
+        .map(|r| r.expect("outcome resolved").outcome)
+        .collect()
+}
+
+/// Stuck-at faults on every node plus `InputX` and `StimulusBitFlip` on
+/// every input.
+fn fault_universe(target: &Circuit) -> Vec<GateFault> {
+    let mut faults = stuck_at_universe(&target.netlist);
+    for input_index in 0..target.inputs.len() {
+        faults.push(GateFault::InputX { input_index });
+        faults.push(GateFault::StimulusBitFlip { input_index });
+    }
+    faults
+}
+
+/// Event ≡ compiled at the packed word's edges: one lane, a word one
+/// short of full, exactly full, one lane into a second word, and a
+/// third, two-lane word — on a combinational and a clocked target, at
+/// 1, 2 and 8 threads. A partial last word classifies only its active
+/// lanes, and a fault's class folds the same across words whichever of
+/// them stopped at a detection.
+#[test]
+fn packed_campaign_matches_event_at_word_edges() {
+    let adder = standard_targets(4)
+        .expect("standard targets build")
+        .swap_remove(0);
+    assert!(adder.clock.is_none(), "expected the combinational adder");
+    for target in [adder, cone_target()] {
+        let faults = fault_universe(&target);
+        for vectors in [1usize, 63, 64, 65, 130] {
+            let campaign_at =
+                |engine: Engine, threads: usize| run(&target, &faults, vectors, engine, threads);
+            let event = campaign_at(Engine::Event, 1);
+            let event_report = event
+                .report()
+                .expect("event campaign completed")
+                .to_string();
+            for threads in [1usize, 2, 8] {
+                let packed = campaign_at(Engine::Compiled, threads);
+                let at = format!(
+                    "{} at {vectors} vector(s), {threads} thread(s)",
+                    target.name
+                );
+                for (fault, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports))
+                {
+                    let e = &e.as_ref().expect("event outcome resolved").outcome;
+                    let p = &p.as_ref().expect("packed outcome resolved").outcome;
+                    assert_eq!(e, p, "{fault:?} on {at}");
+                }
+                let packed_report = packed.report().expect("packed campaign completed");
+                assert_eq!(event_report, packed_report.to_string(), "report on {at}");
+            }
         }
     }
 }

@@ -259,10 +259,12 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
 /// `compiled.fault_dropouts` counts the observed (clock-high) pass of a
 /// clocked target only. Phase A's frontier is confined to the capture
 /// cone and nearly always drains, so folding it in made the counter
-/// read almost every fault (1,032 of 1,034 here). The pinned value is
-/// also what `lowvolt campaign --generate 500 --seed 7 --vectors 32
-/// --engine compiled` reports (its `--seed` seeds both the generator
-/// and the stimulus).
+/// read almost every fault (1,032 of 1,034 here). An observed pass that
+/// stops at a detection counts under `compiled.detect_stops` instead,
+/// so each observed pass is a dropout, a stop, or neither. The pinned
+/// values are also what `lowvolt campaign --generate 500 --seed 7
+/// --vectors 32 --engine compiled` reports (its `--seed` seeds both the
+/// generator and the stimulus).
 #[test]
 fn fault_dropouts_count_the_observed_pass_only() {
     let target = generate(&GeneratorConfig::new(500, 7)).expect("generates");
@@ -277,5 +279,9 @@ fn fault_dropouts_count_the_observed_pass_only() {
     };
     run_campaign(&target, &faults, &mut stimulus, 32, options).expect("campaign runs");
     assert_eq!(faults.len(), 1034);
-    assert_eq!(reg.counter(names::COMPILED_FAULT_DROPOUTS), 891);
+    assert_eq!(reg.counter(names::COMPILED_FAULT_DROPOUTS), 275);
+    // One stimulus word: every corrupted fault's one observed pass stops.
+    assert_eq!(reg.counter(names::CAMPAIGN_CORRUPTED), 743);
+    assert_eq!(reg.counter(names::COMPILED_DETECT_STOPS), 743);
+    assert_eq!(reg.counter(names::COMPILED_GATE_EVALS), 7720);
 }

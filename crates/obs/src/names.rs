@@ -56,9 +56,15 @@ pub const CHECKPOINT_RECORDS: &str = "checkpoint.records";
 /// gates that reach a flip-flop data input are evaluated there, so it
 /// is 0 on a combinational target.
 pub const COMPILED_CAPTURE_EVALS: &str = "compiled.capture_evals";
+/// (fault, word) evaluations in the compiled bit-parallel engine whose
+/// observed pass (phase B, or the single pass) stopped at the first
+/// definite difference at an observed output in an active lane: that
+/// difference fixes the word's class at `Corrupted`, so the rest of the
+/// frontier is left unevaluated. Such a pass is not a dropout.
+pub const COMPILED_DETECT_STOPS: &str = "compiled.detect_stops";
 /// (fault, word) evaluations in the compiled bit-parallel engine that
 /// early-exited because their difference frontier went all-zero before
-/// reaching the last level. On a clocked target this is the observed
+/// reaching the last level with no detection. On a clocked target this is the observed
 /// (clock-high) pass's frontier; the capture pass's is not counted.
 pub const COMPILED_FAULT_DROPOUTS: &str = "compiled.fault_dropouts";
 /// Gate evaluations performed by the compiled bit-parallel engine
@@ -150,6 +156,7 @@ pub const COUNTERS: &[&str] = &[
     CAMPAIGN_VECTORS,
     CHECKPOINT_RECORDS,
     COMPILED_CAPTURE_EVALS,
+    COMPILED_DETECT_STOPS,
     COMPILED_FAULT_DROPOUTS,
     COMPILED_GATE_EVALS,
     COMPILED_WORDS,
