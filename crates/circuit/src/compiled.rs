@@ -1752,7 +1752,7 @@ mod tests {
             for p in 0..comp.gate_count() {
                 driver[comp.gate_output(p)] = Some(p);
             }
-            for node in 0..comp.node_count() {
+            for (node, &driven_by) in driver.iter().enumerate() {
                 let readers = comp.node_readers(node);
                 for &r in readers {
                     let r = r as usize;
@@ -1763,7 +1763,7 @@ mod tests {
                     assert!(pins > 0, "gate {r} does not read node {node}");
                     let entries = readers.iter().filter(|&&q| q as usize == r).count();
                     assert_eq!(entries, pins, "gate {r} on node {node}");
-                    if let Some(d) = driver[node] {
+                    if let Some(d) = driven_by {
                         assert!(r > d, "reader {r} not above driver {d}");
                     }
                 }

@@ -298,11 +298,9 @@ mod tests {
         }
         .to_string()
         .contains("duty"));
-        assert!(
-            CircuitError::Internal { detail: "x" }
-                .to_string()
-                .contains("bug")
-                || true
+        assert_eq!(
+            CircuitError::Internal { detail: "x" }.to_string(),
+            "internal simulator invariant violated: x"
         );
         assert!(CircuitError::Unlevelizable {
             reason: "combinational cycle"

@@ -27,7 +27,7 @@ use crate::stimulus::PatternSource;
 use crate::switchlevel::{SwNodeId, SwitchNetlist, SwitchSim};
 use lowvolt_exec::{
     fnv64, parallel_map_isolated, run_checkpointed, ByteCache, CacheKey, CancelToken,
-    CheckpointSpec, ExecError, ExecPolicy, FaultPolicy, ItemStatus,
+    CheckpointSpec, ExecError, ExecPolicy, FaultPolicy, ItemStatus, OnAppend,
 };
 use lowvolt_obs::{names, span, Recorder};
 
@@ -492,6 +492,8 @@ pub struct CampaignOptions<'a> {
     pub cache: Option<(&'a ByteCache, u64)>,
     /// Checkpoint journal bookkeeping; `None` runs uncheckpointed.
     pub checkpoint: Option<CheckpointSpec<'a>>,
+    /// Runs after every record appended to the `checkpoint` journal.
+    pub on_append: Option<OnAppend<'a>>,
 }
 
 impl Default for CampaignOptions<'_> {
@@ -503,6 +505,7 @@ impl Default for CampaignOptions<'_> {
             fault: FaultPolicy::default(),
             cache: None,
             checkpoint: None,
+            on_append: None,
         }
     }
 }
@@ -820,6 +823,7 @@ fn drive<E: CampaignEngine>(
         fault,
         cache,
         checkpoint,
+        on_append,
         ..
     } = options;
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
@@ -882,6 +886,7 @@ fn drive<E: CampaignEngine>(
                 rec,
                 &items,
                 spec,
+                on_append,
                 E::encode,
                 E::decode,
                 run_item,

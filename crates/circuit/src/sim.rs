@@ -1289,7 +1289,7 @@ mod tests {
                     queue.pending().map(|(t, g, v)| (t, g, v as u8)).collect();
                 pending.sort_unstable();
                 let mut newest = std::collections::BTreeMap::new();
-                for &Reverse((t, g, s, v)) in heap.iter() {
+                for &Reverse((t, g, s, v)) in &heap {
                     let e = newest.entry((t, g)).or_insert((s, v));
                     if s > e.0 {
                         *e = (s, v);

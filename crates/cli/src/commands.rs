@@ -17,7 +17,7 @@ use lowvolt_device::mosfet::Mosfet;
 use lowvolt_device::soias::SoiasDevice;
 use lowvolt_device::technology::Technology;
 use lowvolt_device::units::{Hertz, Volts};
-use lowvolt_exec::{ByteCache, ExecPolicy};
+use lowvolt_exec::{ByteCache, ExecPolicy, MAX_RETRIES};
 use lowvolt_lint::{Rule, UnknownRule};
 use lowvolt_obs::json::Json;
 use lowvolt_obs::{MetricsRegistry, Recorder};
@@ -213,8 +213,8 @@ circuit rather than per proxy.
 
 `serve` starts the job daemon: a TCP service speaking one JSON object
 per line that runs the same five job kinds (campaign, optimize, lint,
-sta, profile) with byte-identical payloads. Campaign jobs execute in
-journal-backed shards under `--state DIR`, so a killed daemon resumes
+sta, profile) with byte-identical payloads. Campaign jobs journal each
+completed item under `--state DIR`, so a killed daemon resumes
 completed work when the job is resubmitted. `submit` sends one request
 line (`--request '{\"job\":\"campaign\",...}'`) to a running daemon,
 streams progress to stderr, and prints the result payload to stdout
@@ -573,7 +573,15 @@ fn campaign(parsed: &Parsed) -> Result<String, CliError> {
     let width = parsed.get_u64("width")?.unwrap_or(8) as usize;
     let vectors = parsed.get_u64("vectors")?.unwrap_or(32) as usize;
     let seed = parsed.get_u64("seed")?.unwrap_or(42);
-    let max_retries = parsed.get_u64("max-retries")?.unwrap_or(0) as u32;
+    let max_retries = parsed.get_u64("max-retries")?.unwrap_or(0);
+    let max_retries = u32::try_from(max_retries)
+        .ok()
+        .filter(|&n| n <= MAX_RETRIES)
+        .ok_or_else(|| {
+            CliError(format!(
+                "--max-retries must be at most {MAX_RETRIES}, got {max_retries}"
+            ))
+        })?;
     let item_timeout_ms = parsed.get_u64("item-timeout-ms")?;
     let interrupt_after = parsed.get_u64("interrupt-after")?.map(|n| n as usize);
     let resume = parsed.has("resume");
@@ -968,6 +976,25 @@ mod tests {
             Err(CliFailure::Error(e)) => assert!(e.0.contains("nonsuch")),
             other => panic!("expected usage error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn max_retries_is_capped_not_wrapped() {
+        // 2^32 and 2^32 + 1 used to wrap to 0 and 1 retries.
+        for n in ["17", "4294967296", "4294967297"] {
+            let err = run(&["campaign", "--width", "2", "--max-retries", n]).unwrap_err();
+            assert_eq!(err.0, format!("--max-retries must be at most 16, got {n}"));
+        }
+        let out = run(&[
+            "campaign",
+            "--width",
+            "2",
+            "--vectors",
+            "2",
+            "--max-retries",
+            "16",
+        ]);
+        assert!(out.unwrap().contains("fault policy: 16 retries"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! at 1/2/8 workers.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 use lowvolt_serve::client;
@@ -31,7 +31,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn start(state: &PathBuf) -> Daemon {
+    fn start(state: &Path) -> Daemon {
         let mut child = lowvolt()
             .args([
                 "serve",

@@ -131,6 +131,12 @@ const BACKOFF_BASE_MS: u64 = 1;
 /// Upper bound on any single backoff sleep, in milliseconds.
 const BACKOFF_CAP_MS: u64 = 100;
 
+/// The most retries a campaign request may ask for. The CLI's
+/// `--max-retries` and the wire's `max_retries` refuse larger values:
+/// each retry can sleep up to `BACKOFF_CAP_MS`, so an unbounded count
+/// would let one request hold the workers indefinitely.
+pub const MAX_RETRIES: u32 = 16;
+
 /// Retry and deadline policy for [`parallel_map_isolated`]. The default
 /// (no retries, no deadline) behaves like [`crate::parallel_map`] except
 /// that panics become [`ExecError::ItemPanicked`].

@@ -310,9 +310,21 @@ impl<R> CheckpointOutcome<R> {
     }
 }
 
+/// A callback [`run_checkpointed`] runs after each record it appends,
+/// while it still holds the journal lock: calls never overlap and come
+/// in journal order, from whichever worker appended the record.
+pub struct OnAppend<'a>(pub &'a mut (dyn FnMut() + Send));
+
+impl std::fmt::Debug for OnAppend<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("OnAppend")
+    }
+}
+
 struct JournalSink<'a> {
     journal: &'a mut CheckpointJournal,
     failed: Option<String>,
+    on_append: Option<OnAppend<'a>>,
 }
 
 /// [`parallel_map_isolated`] with an incremental checkpoint journal:
@@ -322,7 +334,8 @@ struct JournalSink<'a> {
 /// is encoded and appended to the journal as soon as it completes.
 /// `decode` sees the item a record belongs to, so it can refuse a
 /// record whose shape does not fit that item; the item is then
-/// recomputed with a warning.
+/// recomputed with a warning. `on_append`, if given, runs after every
+/// record appended.
 ///
 /// Because replay keys on the input index and results always land at
 /// their input slots, an interrupted run resumed to completion yields
@@ -331,12 +344,13 @@ struct JournalSink<'a> {
 /// region; they downgrade to a warning and the run continues
 /// uncheckpointed.
 #[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed<T, R, F, Enc, Dec>(
+pub fn run_checkpointed<'a, T, R, F, Enc, Dec>(
     policy: &ExecPolicy,
     fault: &FaultPolicy,
     rec: &dyn Recorder,
     items: &[T],
-    spec: CheckpointSpec<'_>,
+    spec: CheckpointSpec<'a>,
+    on_append: Option<OnAppend<'a>>,
     encode: Enc,
     decode: Dec,
     f: F,
@@ -379,6 +393,7 @@ where
     let sink = Mutex::new(JournalSink {
         journal: spec.journal,
         failed: None,
+        on_append,
     });
     let computed = parallel_map_isolated(policy, fault, rec, &pending, |_, &orig, token| {
         match f(orig, &items[orig], token) {
@@ -386,12 +401,16 @@ where
                 let payload = encode(&r);
                 if let Ok(mut guard) = sink.lock() {
                     if guard.failed.is_none() {
-                        if let Err(e) =
-                            guard
-                                .journal
-                                .append(index_base + orig as u64, &payload, rec)
+                        match guard
+                            .journal
+                            .append(index_base + orig as u64, &payload, rec)
                         {
-                            guard.failed = Some(e.to_string());
+                            Ok(()) => {
+                                if let Some(OnAppend(hook)) = &mut guard.on_append {
+                                    hook();
+                                }
+                            }
+                            Err(e) => guard.failed = Some(e.to_string()),
                         }
                     }
                 }
@@ -542,6 +561,7 @@ mod tests {
                     index_base: 100,
                     max_new_items: cap,
                 },
+                None,
                 |r: &u64| r.to_le_bytes().to_vec(),
                 |_: &u64, b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
                 |_, &x, _| ItemStatus::Done(x * x),
@@ -557,7 +577,24 @@ mod tests {
         // Interrupt after 13 items, then resume with a different thread
         // count: final results must match the reference exactly.
         let mut j = CheckpointJournal::create(&path).expect("create");
-        let partial = run(&mut j, &HashMap::new(), Some(13), 2);
+        let mut appended = 0;
+        let partial = run_checkpointed(
+            &ExecPolicy::with_threads(2),
+            &FaultPolicy::default(),
+            lowvolt_obs::noop(),
+            &items,
+            CheckpointSpec {
+                journal: &mut j,
+                completed: &HashMap::new(),
+                index_base: 100,
+                max_new_items: Some(13),
+            },
+            Some(OnAppend(&mut || appended += 1)),
+            |r: &u64| r.to_le_bytes().to_vec(),
+            |_: &u64, b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
+            |_, &x, _| ItemStatus::Done(x * x),
+        );
+        assert_eq!(appended, 13, "one hook call per appended record");
         assert!(partial.interrupted());
         assert_eq!(partial.computed, 13);
         assert_eq!(partial.skipped, 27);

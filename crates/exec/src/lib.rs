@@ -37,10 +37,12 @@ pub mod fault;
 pub mod journal;
 
 pub use cache::{ByteCache, CacheError, CacheKey};
-pub use fault::{parallel_map_isolated, CancelToken, ExecError, FaultPolicy, ItemStatus};
+pub use fault::{
+    parallel_map_isolated, CancelToken, ExecError, FaultPolicy, ItemStatus, MAX_RETRIES,
+};
 pub use journal::{
     run_checkpointed, CheckpointJournal, CheckpointOutcome, CheckpointSpec, JournalError,
-    JournalReplay,
+    JournalReplay, OnAppend,
 };
 
 /// FNV-1a 64-bit hash of `bytes` — the checksum primitive shared by the

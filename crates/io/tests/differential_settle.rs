@@ -35,9 +35,9 @@ fn vector_with_x(width: usize, cycle: usize) -> Vec<Bit> {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = (state >> 33) ^ (i as u64);
-            if cycle % 3 == 0 && r % 5 == 0 {
+            if cycle.is_multiple_of(3) && r.is_multiple_of(5) {
                 Bit::X
-            } else if r % 2 == 0 {
+            } else if r.is_multiple_of(2) {
                 Bit::Zero
             } else {
                 Bit::One

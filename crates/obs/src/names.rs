@@ -124,8 +124,9 @@ pub const SERVE_JOBS: &str = "serve.jobs";
 /// Protocol lines rejected with a structured `error` event (malformed
 /// JSON, unknown job kinds, oversized lines).
 pub const SERVE_REQUESTS_BAD: &str = "serve.requests.bad";
-/// Shard rounds executed by sharded campaign jobs (one per bounded
-/// journal pass; each round emits one progress event).
+/// Progress reports sent by sharded campaign jobs: one per
+/// `shard_items` newly journaled items, plus the final `(total, total)`
+/// report each finished job sends.
 pub const SERVE_SHARD_ROUNDS: &str = "serve.shard_rounds";
 
 /// Instructions recorded by the ISA profiler.

@@ -9,13 +9,14 @@
 //! [`lowvolt_circuit::faults::run_campaign`] on the spec's [`Engine`]
 //! (re-exported here), which owns the work-item layout: an injection
 //! for the event engine, a (64-vector stimulus word, 1024-fault range)
-//! pair for the compiled one. They additionally support sharded
-//! execution: the work items are processed in bounded rounds through
-//! the `LVJR0001` checkpoint journal, with a progress callback after
-//! every round. Because per-item results are deterministic for any
-//! thread count and journal replay decodes to the same classification
-//! the simulator computes, the final table is byte-identical whether
-//! the job ran in one shot, in shards, or across a daemon kill/restart.
+//! pair for the compiled one. Each job is one pass over its work
+//! items, optionally through the `LVJR0001` checkpoint journal; the
+//! daemon's sharded mode adds a progress report every `shard_items`
+//! newly journaled items. Because per-item results are deterministic
+//! for any thread count and journal replay decodes to the same
+//! classification the simulator computes, the final table is
+//! byte-identical whether the job ran clean, journaled, or across a
+//! daemon kill/restart.
 
 use std::collections::HashMap;
 
@@ -27,7 +28,9 @@ use lowvolt_circuit::Circuit;
 use lowvolt_core::optimizer::{CriticalPathModel, FixedThroughputOptimizer};
 use lowvolt_core::report::{fmt_sig, Table};
 use lowvolt_device::units::{Micrometers, Seconds, Volts, Watts};
-use lowvolt_exec::{ByteCache, CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy};
+use lowvolt_exec::{
+    ByteCache, CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy, OnAppend,
+};
 use lowvolt_io::{generate, parse_path, GeneratorConfig, IoError};
 use lowvolt_isa::bblocks::BlockProfile;
 use lowvolt_isa::cpu::Cpu;
@@ -86,11 +89,14 @@ impl From<lowvolt_lint::LintError> for JobError {
     }
 }
 
-/// Streaming side-channel for long jobs: shard-round progress and
+/// Streaming side-channel for long jobs: progress reports and
 /// non-payload warnings. The daemon forwards these to the client as
-/// `progress` / `warning` events; the CLI uses [`NullSink`].
-pub trait JobSink {
-    /// `done` of `total` journal items are complete after this round.
+/// `progress` / `warning` events; the CLI uses [`NullSink`]. `Send`
+/// because a sharded campaign reports progress from whichever worker
+/// journaled the item that completed a report.
+pub trait JobSink: Send {
+    /// `done` of `total` work units are complete: journal items for a
+    /// sharded campaign, grid tiles for an optimize sweep.
     fn progress(&mut self, done: u64, total: u64);
     /// A non-fatal diagnostic that is *not* part of the result payload.
     fn warning(&mut self, message: &str);
@@ -260,7 +266,8 @@ pub struct CampaignPersist<'a> {
     pub resume: bool,
     /// Golden-trace cache shared across runs.
     pub cache: Option<&'a ByteCache>,
-    /// One bounded pass (CLI) or journal-backed rounds (daemon).
+    /// A bounded pass (CLI) or a whole pass with progress reports
+    /// (daemon).
     pub mode: RunMode,
     /// Whether persistence details (checkpoint path, cache directory,
     /// fault policy) are announced in the payload header and warnings
@@ -284,7 +291,8 @@ impl Default for CampaignPersist<'_> {
     }
 }
 
-/// Campaign scheduling mode.
+/// Campaign scheduling mode. Either way every work item is attempted
+/// at most once per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
     /// One pass, optionally stopping after a number of new items (the
@@ -293,17 +301,18 @@ pub enum RunMode {
         /// Stop after this many newly computed items.
         interrupt_after: Option<usize>,
     },
-    /// Journal-backed shard rounds of at most `shard_items` new items
-    /// each, looping until every item is complete. Requires a
+    /// One whole journaled pass that calls [`JobSink::progress`] after
+    /// every `shard_items` newly journaled items (never, for 0) and
+    /// once more, at `(total, total)`, when it ends. Requires a
     /// checkpoint path.
     Sharded {
-        /// New items per round.
+        /// Newly journaled items per progress report.
         shard_items: usize,
     },
 }
 
 /// A finished (or interrupted) campaign: the rendered payload plus
-/// shard accounting for the service's result event.
+/// journal accounting for the service's result event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOutcome {
     /// The full report, byte-identical to the CLI's stdout string.
@@ -321,20 +330,11 @@ pub struct CampaignOutcome {
     pub journal_records: u64,
 }
 
-/// One shard round's aggregate over all targets.
-struct Round {
-    table: Table,
-    computed: usize,
-    skipped: usize,
-    records: u64,
-    warnings: Vec<String>,
-}
-
 /// Runs a stuck-at fault campaign and renders the coverage report.
 ///
-/// In [`RunMode::Sharded`] the fault universe is processed in journal
-/// rounds of `shard_items`, with `sink.progress` called after every
-/// round; the final payload is byte-identical to a clean one-shot run.
+/// In [`RunMode::Sharded`] `sink.progress` reports the items on file
+/// as the pass journals them; the payload is byte-identical to a clean
+/// one-shot run.
 ///
 /// # Errors
 ///
@@ -347,6 +347,15 @@ pub fn run_campaign_job(
     persist: &CampaignPersist<'_>,
     sink: &mut dyn JobSink,
 ) -> Result<CampaignOutcome, JobError> {
+    let (interrupt_after, report_every) = match persist.mode {
+        RunMode::Once { interrupt_after } => (interrupt_after, None),
+        RunMode::Sharded { .. } if persist.checkpoint.is_none() => {
+            return Err(JobError(
+                "sharded campaign execution requires a checkpoint journal".to_string(),
+            ))
+        }
+        RunMode::Sharded { shard_items } => (None, Some(shard_items as u64)),
+    };
     let imported = spec.source.resolve(rec)?;
     let from_source = imported.is_some();
     let targets = match imported {
@@ -386,221 +395,170 @@ pub fn run_campaign_job(
         );
     }
 
-    // One pass over every target with at most `budget` new items.
-    // `journal_state` is `None` for unjournaled runs.
-    let run_round = |journal_state: &mut Option<(CheckpointJournal, HashMap<u64, Vec<u8>>)>,
-                     budget: Option<usize>|
-     -> Result<Round, JobError> {
-        let mut t = Table::new([
-            "target",
-            "faults",
-            "detected",
-            "corrupted",
-            "as-X",
-            "masked",
-            "errored",
-            "coverage",
-        ]);
-        let mut round = Round {
-            table: Table::new(["placeholder"]),
-            computed: 0,
-            skipped: 0,
-            records: 0,
-            warnings: Vec::new(),
-        };
-        let mut index_base = 0u64;
-        let mut budget = budget;
-        for (i, target) in targets.iter().enumerate() {
-            let faults = &faults_per[i];
-            let target_seed = spec.seed.wrapping_add(i as u64);
-            let mut stimulus = PatternSource::wide_random(target.inputs.len(), target_seed)?;
-            let options = CampaignOptions {
-                engine: spec.engine,
-                policy: *policy,
-                recorder: rec,
-                fault: FaultPolicy {
-                    max_retries: spec.max_retries,
-                    item_timeout_ms: spec.item_timeout_ms,
-                },
-                cache: persist.cache.map(|c| (c, target_seed)),
-                checkpoint: journal_state
-                    .as_mut()
-                    .map(|(journal, completed)| CheckpointSpec {
-                        journal,
-                        completed,
-                        index_base,
-                        max_new_items: budget,
-                    }),
-            };
-            let res = run_campaign(target, faults, &mut stimulus, spec.vectors, options)?;
-            round.warnings.extend(res.warnings.clone());
-            if let Some(b) = budget {
-                budget = Some(b.saturating_sub(res.computed));
-            }
-            round.computed += res.computed;
-            round.skipped += res.skipped;
-            index_base += items_for(i);
-            let masked = res.count("masked");
-            let resolved = res.reports.iter().flatten().count();
-            let coverage = if resolved == faults.len() {
-                format!(
-                    "{:.1}%",
-                    (1.0 - masked as f64 / faults.len() as f64) * 100.0
-                )
-            } else {
-                "--".to_string()
-            };
-            t.push_row([
-                res.target.clone(),
-                faults.len().to_string(),
-                res.count("detected").to_string(),
-                res.count("corrupted").to_string(),
-                res.count("propagated-as-X").to_string(),
-                masked.to_string(),
-                res.count("errored").to_string(),
-                coverage,
-            ]);
+    let mut warnings: Vec<String> = Vec::new();
+    let mut journal_state = match persist.checkpoint {
+        Some(path) if persist.resume => {
+            let (journal, replay) =
+                CheckpointJournal::resume(path).map_err(|e| JobError(e.to_string()))?;
+            warnings.extend(replay.warning.clone());
+            let completed = replay.completed();
+            Some((journal, completed))
         }
-        round.records = journal_state
-            .as_ref()
-            .map_or(0, |(journal, _)| journal.records());
-        round.table = t;
-        Ok(round)
+        Some(path) => Some((
+            CheckpointJournal::create(path).map_err(|e| JobError(e.to_string()))?,
+            HashMap::new(),
+        )),
+        None => None,
     };
-
-    match persist.mode {
-        RunMode::Once { interrupt_after } => {
-            let mut payload_warnings: Vec<String> = Vec::new();
-            let mut journal_state = match persist.checkpoint {
-                Some(path) if persist.resume => {
-                    let (journal, replay) =
-                        CheckpointJournal::resume(path).map_err(|e| JobError(e.to_string()))?;
-                    payload_warnings.extend(replay.warning.clone());
-                    let completed = replay.completed();
-                    Some((journal, completed))
-                }
-                Some(path) => Some((
-                    CheckpointJournal::create(path).map_err(|e| JobError(e.to_string()))?,
-                    HashMap::new(),
-                )),
-                None => None,
-            };
-            if let (Some(path), Some((_, completed))) = (persist.checkpoint, &journal_state) {
-                if persist.announce {
-                    out.push_str(&format!(
-                        "checkpoint: {path} ({} completed {}(s) on file)\n",
-                        completed.len(),
-                        spec.engine.work_unit()
-                    ));
-                }
-            }
-            if let Some(c) = persist.cache {
-                if persist.announce {
-                    out.push_str(&format!("golden-trace cache: {}\n", c.dir().display()));
-                }
-            }
-            if (spec.max_retries > 0 || spec.item_timeout_ms.is_some()) && persist.announce {
-                out.push_str(&format!(
-                    "fault policy: {} retries, item timeout {}\n",
-                    spec.max_retries,
-                    match spec.item_timeout_ms {
-                        Some(ms) => format!("{ms} ms"),
-                        None => "unbounded".to_string(),
-                    }
-                ));
-            }
-            out.push('\n');
-            let initial_on_file = journal_state
-                .as_ref()
-                .map_or(0, |(_, completed)| completed.len() as u64);
-            let round = run_round(&mut journal_state, interrupt_after)?;
-            payload_warnings.extend(round.warnings);
-            out.push_str(&round.table.to_string());
-            if round.skipped > 0 {
-                out.push_str(&format!(
-                    "\ncampaign interrupted: {} {}(s) pending; \
-                     rerun with --resume --checkpoint to finish\n",
-                    round.skipped,
-                    spec.engine.work_unit()
-                ));
-            }
-            if persist.announce {
-                if !payload_warnings.is_empty() {
-                    out.push('\n');
-                    for w in &payload_warnings {
-                        out.push_str(&format!("warning: {w}\n"));
-                    }
-                }
-            } else {
-                for w in &payload_warnings {
-                    sink.warning(w);
-                }
-            }
-            Ok(CampaignOutcome {
-                payload: out,
-                total_items,
-                replayed: initial_on_file,
-                computed: round.computed as u64,
-                pending: round.skipped as u64,
-                journal_records: round.records,
-            })
-        }
-        RunMode::Sharded { shard_items } => {
-            let Some(path) = persist.checkpoint else {
-                return Err(JobError(
-                    "sharded campaign execution requires a checkpoint journal".to_string(),
-                ));
-            };
-            if shard_items == 0 {
-                return Err(JobError("shard_items must be at least 1".to_string()));
-            }
-            out.push('\n');
-            let mut initial_on_file: Option<u64> = None;
-            let mut computed_total = 0u64;
-            loop {
-                // Each round resumes the journal fresh: completed items
-                // (from previous rounds *or* a previous daemon life)
-                // replay, then at most `shard_items` new items run.
-                let (journal, replay) =
-                    CheckpointJournal::resume(path).map_err(|e| JobError(e.to_string()))?;
-                if initial_on_file.is_none() {
-                    if let Some(w) = &replay.warning {
-                        sink.warning(w);
-                    }
-                }
-                let completed = replay.completed();
-                let mut journal_state = Some((journal, completed));
-                if initial_on_file.is_none() {
-                    initial_on_file =
-                        Some(journal_state.as_ref().map_or(0, |(_, c)| c.len() as u64));
-                }
-                let round = run_round(&mut journal_state, Some(shard_items))?;
-                for w in &round.warnings {
-                    sink.warning(w);
-                }
-                computed_total += round.computed as u64;
-                let done = total_items - round.skipped as u64;
-                sink.progress(done, total_items);
-                rec.add(names::SERVE_SHARD_ROUNDS, 1);
-                if round.skipped == 0 {
-                    out.push_str(&round.table.to_string());
-                    return Ok(CampaignOutcome {
-                        payload: out,
-                        total_items,
-                        replayed: initial_on_file.unwrap_or(0),
-                        computed: computed_total,
-                        pending: 0,
-                        journal_records: round.records,
-                    });
-                }
-                if round.computed == 0 {
-                    return Err(JobError(
-                        "sharded campaign made no progress in a round".to_string(),
-                    ));
-                }
-            }
+    if let (Some(path), Some((_, completed))) = (persist.checkpoint, &journal_state) {
+        if persist.announce {
+            out.push_str(&format!(
+                "checkpoint: {path} ({} completed {}(s) on file)\n",
+                completed.len(),
+                spec.engine.work_unit()
+            ));
         }
     }
+    if let Some(c) = persist.cache {
+        if persist.announce {
+            out.push_str(&format!("golden-trace cache: {}\n", c.dir().display()));
+        }
+    }
+    if (spec.max_retries > 0 || spec.item_timeout_ms.is_some()) && persist.announce {
+        out.push_str(&format!(
+            "fault policy: {} retries, item timeout {}\n",
+            spec.max_retries,
+            match spec.item_timeout_ms {
+                Some(ms) => format!("{ms} ms"),
+                None => "unbounded".to_string(),
+            }
+        ));
+    }
+    out.push('\n');
+    let replayed = journal_state
+        .as_ref()
+        .map_or(0, |(_, completed)| completed.len() as u64);
+
+    // Progress counts items on file. It is clamped to the total and
+    // sent only when it rises: an undecodable record counts again when
+    // its item is journaled anew, and a report may already sit at the
+    // total when the pass ends.
+    let mut reported: Option<u64> = None;
+    let mut report = |done: u64| {
+        let done = done.min(total_items);
+        if reported < Some(done) {
+            reported = Some(done);
+            sink.progress(done, total_items);
+            rec.add(names::SERVE_SHARD_ROUNDS, 1);
+        }
+    };
+    let mut journaled = 0u64;
+    let mut on_append = || {
+        journaled += 1;
+        if report_every.is_some_and(|every| journaled.is_multiple_of(every)) {
+            report(replayed + journaled);
+        }
+    };
+
+    let mut table = Table::new([
+        "target",
+        "faults",
+        "detected",
+        "corrupted",
+        "as-X",
+        "masked",
+        "errored",
+        "coverage",
+    ]);
+    let (mut computed, mut skipped) = (0, 0);
+    let mut index_base = 0u64;
+    let mut budget = interrupt_after;
+    for (i, target) in targets.iter().enumerate() {
+        let faults = &faults_per[i];
+        let target_seed = spec.seed.wrapping_add(i as u64);
+        let mut stimulus = PatternSource::wide_random(target.inputs.len(), target_seed)?;
+        let options = CampaignOptions {
+            engine: spec.engine,
+            policy: *policy,
+            recorder: rec,
+            fault: FaultPolicy {
+                max_retries: spec.max_retries,
+                item_timeout_ms: spec.item_timeout_ms,
+            },
+            cache: persist.cache.map(|c| (c, target_seed)),
+            checkpoint: journal_state
+                .as_mut()
+                .map(|(journal, completed)| CheckpointSpec {
+                    journal,
+                    completed,
+                    index_base,
+                    max_new_items: budget,
+                }),
+            on_append: report_every.map(|_| OnAppend(&mut on_append)),
+        };
+        let res = run_campaign(target, faults, &mut stimulus, spec.vectors, options)?;
+        warnings.extend(res.warnings.iter().cloned());
+        if let Some(b) = budget {
+            budget = Some(b.saturating_sub(res.computed));
+        }
+        computed += res.computed;
+        skipped += res.skipped;
+        index_base += items_for(i);
+        let masked = res.count("masked");
+        let resolved = res.reports.iter().flatten().count();
+        let coverage = if resolved == faults.len() {
+            format!(
+                "{:.1}%",
+                (1.0 - masked as f64 / faults.len() as f64) * 100.0
+            )
+        } else {
+            "--".to_string()
+        };
+        table.push_row([
+            res.target.clone(),
+            faults.len().to_string(),
+            res.count("detected").to_string(),
+            res.count("corrupted").to_string(),
+            res.count("propagated-as-X").to_string(),
+            masked.to_string(),
+            res.count("errored").to_string(),
+            coverage,
+        ]);
+    }
+    if report_every.is_some() {
+        report(total_items);
+    }
+
+    out.push_str(&table.to_string());
+    if skipped > 0 {
+        out.push_str(&format!(
+            "\ncampaign interrupted: {skipped} {}(s) pending; \
+             rerun with --resume --checkpoint to finish\n",
+            spec.engine.work_unit()
+        ));
+    }
+    if persist.announce {
+        if !warnings.is_empty() {
+            out.push('\n');
+            for w in &warnings {
+                out.push_str(&format!("warning: {w}\n"));
+            }
+        }
+    } else {
+        for w in &warnings {
+            sink.warning(w);
+        }
+    }
+    Ok(CampaignOutcome {
+        payload: out,
+        total_items,
+        replayed,
+        computed: computed as u64,
+        pending: skipped as u64,
+        journal_records: journal_state
+            .as_ref()
+            .map_or(0, |(journal, _)| journal.records()),
+    })
 }
 
 /// What a lint job checks.
@@ -1171,7 +1129,10 @@ mod tests {
         assert_eq!(sharded.replayed, 0);
         assert_eq!(sharded.computed, sharded.total_items);
         assert_eq!(sharded.journal_records, sharded.total_items);
-        assert!(sink.progress.len() >= 2, "one progress event per round");
+        assert!(
+            sink.progress.len() >= 2,
+            "a progress event every 7 journaled items"
+        );
         let (done, total) = *sink.progress.last().unwrap();
         assert_eq!((done, total), (sharded.total_items, sharded.total_items));
         // Monotone progress.
@@ -1233,6 +1194,63 @@ mod tests {
             resumed.replayed + resumed.computed,
             resumed.total_items,
             "only the remaining shards re-execute"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The coverage table: everything after the header block.
+    fn table(payload: &str) -> &str {
+        payload.split_once("\n\n").map_or("", |(_, t)| t)
+    }
+
+    #[test]
+    fn sharded_campaign_whose_items_all_fail_finishes() {
+        // Items that fail every attempt are never journaled; the job must
+        // still attempt each once and finish, as the one-pass CLI does.
+        let dir = tmp_dir("all_errored");
+        let journal = dir.join("job.lvjr").to_str().unwrap().to_string();
+        let spec = CampaignSpec {
+            item_timeout_ms: Some(0),
+            ..small_spec(Engine::Event)
+        };
+        let policy = ExecPolicy::with_threads(1);
+        let cli = run_campaign_job(
+            &policy,
+            noop(),
+            &spec,
+            &CampaignPersist::default(),
+            &mut NullSink,
+        )
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sink = CountingSink::new();
+            let sharded = run_campaign_job(
+                &policy,
+                noop(),
+                &spec,
+                &CampaignPersist {
+                    checkpoint: Some(&journal),
+                    resume: true,
+                    cache: None,
+                    mode: RunMode::Sharded { shard_items: 1 },
+                    announce: false,
+                },
+                &mut sink,
+            );
+            let _ = tx.send((sharded, sink.progress));
+        });
+        let (sharded, progress) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the sharded job finishes instead of re-running failed items");
+        let sharded = sharded.unwrap();
+        assert_eq!(table(&sharded.payload), table(&cli.payload));
+        assert!(table(&cli.payload).contains("errored"));
+        assert_eq!(sharded.journal_records, 0, "no item succeeded");
+        assert_eq!(
+            progress,
+            [(sharded.total_items, sharded.total_items)],
+            "only the final report: nothing was journaled"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

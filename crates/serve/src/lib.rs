@@ -7,10 +7,11 @@
 //! 1. **Byte-identity**: a job's result payload is byte-for-byte the
 //!    stdout of the equivalent CLI command, because both call the same
 //!    [`jobs`] layer.
-//! 2. **Durability**: campaign jobs shard their fault universe into
-//!    journal rounds (`LVJR0001`); a killed daemon resumes completed
-//!    shards on resubmission instead of recomputing them, and golden
-//!    traces persist in a shared `LVGC0001` cache.
+//! 2. **Durability**: campaign jobs journal every completed work item
+//!    (`LVJR0001`) in one pass, with a progress event every
+//!    `shard_items` items; a killed daemon replays the journaled items
+//!    on resubmission instead of recomputing them, and golden traces
+//!    persist in a shared `LVGC0001` cache.
 //! 3. **Determinism**: sharding never changes results — per-word fault
 //!    classification is pointwise, and shard merge is a commutative
 //!    max over the engine's class precedence

@@ -9,7 +9,7 @@
 //! rejected line. Malformed input never kills the connection — the
 //! server answers with a structured `error` event and keeps reading.
 
-use lowvolt_exec::fnv64;
+use lowvolt_exec::{fnv64, MAX_RETRIES};
 use lowvolt_obs::json::{quote, Json};
 
 use crate::jobs::{
@@ -275,7 +275,14 @@ pub fn parse_request(line: &str) -> Result<Request, JobError> {
                 spec.engine = Engine::parse(&e)?;
             }
             if let Some(r) = field_u64(&v, "max_retries")? {
-                spec.max_retries = u32::try_from(r).unwrap_or(u32::MAX);
+                spec.max_retries = u32::try_from(r)
+                    .ok()
+                    .filter(|&r| r <= MAX_RETRIES)
+                    .ok_or_else(|| {
+                        JobError(format!(
+                            "`max_retries` must be at most {MAX_RETRIES}, got {r}"
+                        ))
+                    })?;
             }
             spec.item_timeout_ms = field_u64(&v, "item_timeout_ms")?;
             JobKind::Campaign(spec)
@@ -384,8 +391,9 @@ pub fn accepted_event(id: u64, kind: &str) -> String {
     )
 }
 
-/// A `progress` event: shard rounds done/total plus a counter
-/// snapshot (non-zero catalog counters only).
+/// A `progress` event: work units done/total (journal items for a
+/// campaign, grid tiles for an optimize sweep) plus a counter snapshot
+/// (non-zero catalog counters only).
 #[must_use]
 pub fn progress_event(id: u64, done: u64, total: u64, counters: &str) -> String {
     format!(
@@ -402,7 +410,7 @@ pub fn warning_event(id: u64, message: &str) -> String {
     )
 }
 
-/// The final `result` event: status, shard accounting, the payload
+/// The final `result` event: status, journal accounting, the payload
 /// (byte-identical to the CLI report), and the job's full metrics
 /// report.
 #[must_use]
@@ -520,6 +528,27 @@ mod tests {
         assert!(err.0.contains("`job` or `cmd`"), "{err}");
         let err = parse_request("{\"job\":\"campaign\",\"vectors\":\"many\"}").unwrap_err();
         assert!(err.0.contains("non-negative integer"), "{err}");
+    }
+
+    #[test]
+    fn max_retries_is_capped_not_saturated() {
+        let retries = |r: u64| match parse_request(&format!(
+            "{{\"job\":\"campaign\",\"max_retries\":{r}}}"
+        )) {
+            Ok(Request::Job(job)) => match job.kind {
+                JobKind::Campaign(spec) => Ok(spec.max_retries),
+                other => panic!("expected campaign, got {other:?}"),
+            },
+            Ok(other) => panic!("expected job, got {other:?}"),
+            Err(e) => Err(e.0),
+        };
+        assert_eq!(retries(u64::from(MAX_RETRIES)), Ok(MAX_RETRIES));
+        for r in [u64::from(MAX_RETRIES) + 1, 1 << 32, (1 << 32) + 1] {
+            assert_eq!(
+                retries(r),
+                Err(format!("`max_retries` must be at most 16, got {r}"))
+            );
+        }
     }
 
     #[test]

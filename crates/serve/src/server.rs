@@ -34,8 +34,8 @@ use crate::proto::{
     warning_event, JobKind, JobRequest, Request, MAX_LINE_BYTES,
 };
 
-/// Default campaign shard size (journal items per round) when the
-/// request does not specify `shard_items`.
+/// Default campaign shard size (newly journaled items per progress
+/// report) when the request does not specify `shard_items`.
 pub const DEFAULT_SHARD_ITEMS: usize = 256;
 
 /// A daemon-level failure (bind, state-directory, or accept error).

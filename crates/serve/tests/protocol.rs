@@ -7,7 +7,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
+use lowvolt_exec::ExecPolicy;
 use lowvolt_serve::client;
+use lowvolt_serve::jobs::{run_campaign_job, CampaignPersist, CampaignSpec, NullSink, SourceSpec};
 use lowvolt_serve::server::Server;
 
 /// Binds an in-process daemon on an ephemeral port with its own state
@@ -238,7 +240,10 @@ fn resubmitted_campaign_replays_the_journal_and_leaves_no_temp_files() {
     assert!(first.journal_records > 0);
     assert_eq!(first.replayed, 0);
     assert!(first.computed > 0);
-    assert!(progress.len() >= 2, "one progress event per shard round");
+    assert!(
+        progress.len() >= 2,
+        "a progress event every 7 journaled items"
+    );
     for w in progress.windows(2) {
         assert!(w[1].0 > w[0].0, "monotone progress: {progress:?}");
     }
@@ -294,6 +299,57 @@ fn a_job_resubmitted_the_moment_its_result_arrives_is_accepted() {
             conns[(round + 1) % 2].send(request);
         }
     }
+
+    shutdown(&addr, handle);
+    std::fs::remove_dir_all(&state).ok();
+}
+
+#[test]
+fn a_campaign_whose_items_all_fail_finishes() {
+    // With a 0 ms item deadline every item fails and none is journaled;
+    // the daemon must still attempt each item once and answer.
+    let (addr, state, handle) = start("all_errored");
+    let request =
+        "{\"job\":\"campaign\",\"width\":4,\"vectors\":8,\"threads\":1,\"item_timeout_ms\":0}";
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn({
+        let addr = addr.clone();
+        move || {
+            let mut progress: Vec<(u64, u64)> = Vec::new();
+            let result = client::submit_line(&addr, request, &mut |e| {
+                if let client::Event::Progress { done, total } = e {
+                    progress.push((*done, *total));
+                }
+            });
+            let _ = tx.send((result, progress));
+        }
+    });
+    let (result, progress) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the job finishes instead of re-running failed items");
+    let result = result.expect("a result, not an error");
+
+    // The CLI's `campaign --width 4 --vectors 8 --threads 1
+    // --item-timeout-ms 0`, whose table follows its header block.
+    let spec = CampaignSpec {
+        width: 4,
+        vectors: 8,
+        item_timeout_ms: Some(0),
+        ..CampaignSpec::new(SourceSpec::Builtin)
+    };
+    let cli = run_campaign_job(
+        &ExecPolicy::with_threads(1),
+        lowvolt_obs::noop(),
+        &spec,
+        &CampaignPersist::default(),
+        &mut NullSink,
+    )
+    .expect("CLI run");
+    let table = |payload: &str| payload.split_once("\n\n").map(|(_, t)| t.to_string());
+    assert_eq!(table(&result.payload), table(&cli.payload));
+    assert_eq!(result.journal_records, 0, "no item succeeded");
+    let (done, total) = *progress.last().expect("has progress");
+    assert_eq!(done, total);
 
     shutdown(&addr, handle);
     std::fs::remove_dir_all(&state).ok();

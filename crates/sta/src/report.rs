@@ -656,7 +656,7 @@ mod tests {
             0 => f64::from_bits(bits.rotate_left(3)),
             1 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0][(low % 5) as usize],
             2 => {
-                let tie = (low % 4000 + 1) as f64 / f64::from(1u32 << (low >> 40) % 24);
+                let tie = (low % 4000 + 1) as f64 / f64::from(1u32 << ((low >> 40) % 24));
                 let ps = if low & 1 == 0 { tie } else { -tie.next_up() };
                 seconds_for(ps).unwrap_or(ps / 1e12)
             }
