@@ -257,12 +257,6 @@ impl NodeNames {
         self.ends.is_empty()
     }
 
-    /// Total length of all names, in bytes.
-    #[must_use]
-    pub fn text_len(&self) -> usize {
-        self.text.len()
-    }
-
     /// Name `index` (empty for an index past the end).
     #[must_use]
     pub fn get(&self, index: usize) -> &str {

@@ -1,7 +1,9 @@
-//! Subcommand implementations. Each returns its full report as a string;
-//! the binary prints it.
+//! Subcommand implementations. Each returns its full report as a string
+//! that the binary prints, except `sta`, whose report [`stream_sta`]
+//! writes straight into the binary's stdout.
 
 use std::fmt;
+use std::io::{self, Write};
 
 use crate::args::Parsed;
 use lowvolt_circuit::compiled::CompiledNetlist;
@@ -537,10 +539,28 @@ fn activity(parsed: &Parsed) -> Result<String, CliError> {
     ))
 }
 
-/// Static timing analysis over the standard datapaths: named critical
-/// path, per-endpoint arrival/required/slack, text or JSON. The analysis
-/// is serial, so `--threads` is not read.
+/// `sta` into a string: the bytes [`stream_sta`] writes.
 fn sta(parsed: &Parsed) -> Result<String, CliError> {
+    let mut out = Vec::new();
+    stream_sta(parsed, &mut out)?.map_err(|e| CliError(e.to_string()))?;
+    String::from_utf8(out).map_err(|e| CliError(e.to_string()))
+}
+
+/// Runs `lowvolt sta` — static timing analysis of the standard
+/// datapaths or of a `--netlist` / `--generate` source: named critical
+/// path, per-endpoint arrival/required/slack, text or JSON — and writes
+/// what it prints on stdout into `out` (without the final newline the
+/// binary adds), flushing it. The report is rendered straight into
+/// `out`; with `--metrics-json -` the metrics JSON replaces it. The
+/// analysis is serial, so `--threads` is not read.
+///
+/// # Errors
+///
+/// `Err` is a usage or job error, raised before anything is written.
+/// `Ok(Err(e))` is `out`'s own write error, which may come mid-report.
+/// A metrics file that cannot be created fails before the report
+/// starts; one that cannot be written after it is an `Err`.
+pub fn stream_sta(parsed: &Parsed, out: &mut dyn Write) -> Result<io::Result<()>, CliError> {
     let metrics = Metrics::from_args(parsed)?;
     let mut spec = jobs::StaSpec::new(source_spec(parsed)?);
     spec.circuit = parsed.get("circuit").unwrap_or("all").to_string();
@@ -549,8 +569,26 @@ fn sta(parsed: &Parsed) -> Result<String, CliError> {
     spec.vt = parsed.get_f64("vt")?;
     spec.required_ps = parsed.get_f64("required-ps")?;
     spec.json = parsed.has("json");
-    let out = jobs::run_sta_job(&ExecPolicy::serial(), metrics.recorder(), &spec)?;
-    metrics.finish(out)
+    let rec = metrics.recorder();
+    let job = jobs::StaJob::run(&ExecPolicy::serial(), rec, &spec)?;
+    let Some((registry, dest)) = metrics.registry.as_ref().zip(metrics.dest.as_deref()) else {
+        return Ok(job.write(rec, out));
+    };
+    if dest == "-" {
+        // The metrics JSON is stdout; the report is still rendered and
+        // timed, into a sink that cannot fail.
+        let _ = job.write(rec, &mut io::sink());
+        let json = registry.snapshot().to_json();
+        return Ok(out.write_all(json.as_bytes()).and_then(|()| out.flush()));
+    }
+    let cannot = |e: io::Error| CliError(format!("cannot write metrics to {dest}: {e}"));
+    let mut file = std::fs::File::create(dest).map_err(cannot)?;
+    if let Err(e) = job.write(rec, out) {
+        return Ok(Err(e));
+    }
+    file.write_all(registry.snapshot().to_json().as_bytes())
+        .map_err(cannot)?;
+    Ok(Ok(()))
 }
 
 fn optimize(parsed: &Parsed) -> Result<String, CliError> {
@@ -1151,6 +1189,73 @@ mod tests {
         assert!(counter(&m, "sta.nodes") > 0, "{json}");
         assert!(counter(&m, "sta.critical_ps") > 0, "{json}");
         assert_eq!(span_count(&m, "sta.analyze"), Some(1), "{json}");
+        // The report is rendered, and counted, though the metrics replace it.
+        let report = run(&["sta", "--circuit", "adder"]).unwrap();
+        assert_eq!(counter(&m, "sta.report_bytes"), report.len() as u64);
+        assert_eq!(span_count(&m, "sta.render"), Some(1), "{json}");
+    }
+
+    /// A writer that takes `room` bytes, then fails every write with
+    /// `kind`.
+    struct FailingWriter {
+        taken: Vec<u8>,
+        room: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room - self.taken.len());
+            if n == 0 && !buf.is_empty() {
+                return Err(self.kind.into());
+            }
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn stream(args: &[&str], out: &mut dyn Write) -> Result<io::Result<()>, CliError> {
+        stream_sta(
+            &parse(&args.iter().map(ToString::to_string).collect::<Vec<_>>()),
+            out,
+        )
+    }
+
+    #[test]
+    fn stream_sta_hands_back_a_mid_report_write_error() {
+        let mut out = FailingWriter {
+            taken: Vec::new(),
+            room: 5000,
+            kind: io::ErrorKind::StorageFull,
+        };
+        let err = stream(&["sta", "--circuit", "multiplier"], &mut out)
+            .expect("the job itself succeeds")
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        let whole = run(&["sta", "--circuit", "multiplier"]).unwrap();
+        assert!(whole.len() > out.taken.len());
+        assert!(whole.as_bytes().starts_with(&out.taken));
+    }
+
+    #[test]
+    fn stream_sta_raises_job_errors_before_writing() {
+        for args in [
+            &["sta", "--circuit", "nonsuch"][..],
+            &["sta", "--required-ps", "-1"],
+            &["sta", "--netlist", "missing.blif"],
+        ] {
+            let mut out = FailingWriter {
+                taken: Vec::new(),
+                room: 0,
+                kind: io::ErrorKind::Other,
+            };
+            assert!(stream(args, &mut out).is_err(), "{args:?}");
+            assert!(out.taken.is_empty(), "{args:?}");
+        }
     }
 
     #[test]

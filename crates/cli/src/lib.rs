@@ -15,10 +15,12 @@
 //!
 //! Every subcommand is a function taking parsed arguments and returning
 //! its report as a `String`, so the binary stays a thin dispatcher and
-//! the tests drive the same code paths the user does.
+//! the tests drive the same code paths the user does. `sta`, whose
+//! reports run to megabytes, also has [`stream_sta`], which writes the
+//! report into the binary's stdout instead of a string.
 
 pub mod args;
 pub mod commands;
 
 pub use args::{parse, Parsed};
-pub use commands::{run_command, CliError, CliFailure};
+pub use commands::{run_command, stream_sta, CliError, CliFailure};

@@ -96,14 +96,18 @@ fn lint_gate_failure_prints_report_to_stdout_with_exit_1() {
     assert!(out.stderr.is_empty());
 }
 
-/// A reader that closes stdout early (`lowvolt sta … | head`) ends the
-/// run quietly: no panic on stderr, and the exit code is still the
-/// verdict — 0 for a report, 1 for a failed gate.
+/// A reader that closes stdout early (`lowvolt sta … | head`), before
+/// the first byte or in the middle of a streamed report, ends the run
+/// quietly: no panic on stderr, and the exit code is still the verdict
+/// — 0 for a report, 1 for a failed gate.
 #[test]
 fn closed_stdout_ends_quietly_with_the_verdict() {
-    for (args, code) in [
-        (&["sta", "--generate", "20000", "--seed", "42"][..], 0),
-        (&["lint", "--fixture", "sleep"][..], 1),
+    use std::io::Read;
+    let sta = &["sta", "--generate", "20000", "--seed", "42"][..];
+    for (args, code, head) in [
+        (sta, 0, 0),
+        (sta, 0, 4096),
+        (&["lint", "--fixture", "sleep"][..], 1, 0),
     ] {
         let mut child = lowvolt()
             .args(args)
@@ -111,7 +115,10 @@ fn closed_stdout_ends_quietly_with_the_verdict() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawns");
-        drop(child.stdout.take());
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        let mut first = vec![0u8; head];
+        stdout.read_exact(&mut first).expect("the report starts");
+        drop(stdout);
         let out = child.wait_with_output().expect("runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
@@ -472,4 +479,124 @@ fn import_sta_operating_points_are_pinned() {
         "digests moved:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// A seeded 20k-gate netlist written as BLIF into its own temp dir,
+/// returned as (dir, file).
+fn temp_blif(tag: &str, seed: u64) -> (std::path::PathBuf, std::path::PathBuf) {
+    use lowvolt_io::{generate, write_blif, GeneratorConfig};
+    let dir = std::env::temp_dir().join(format!("lowvolt-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("g20000s{seed}.blif"));
+    let c = generate(&GeneratorConfig::new(20_000, seed)).expect("generates");
+    std::fs::write(&path, write_blif(&c).expect("writes")).expect("temp file writes");
+    (dir, path)
+}
+
+/// `lowvolt sta` streams its reports into stdout as it renders them;
+/// the bytes must be the in-process job payload plus the binary's final
+/// newline, for text and JSON, at a feasible and an infeasible point,
+/// on an imported netlist and on every builtin datapath.
+#[test]
+fn streamed_sta_stdout_is_the_job_payload() {
+    use lowvolt_exec::ExecPolicy;
+    use lowvolt_serve::jobs::{run_sta_job, SourceSpec, StaSpec};
+    let (dir, path) = temp_blif("sta-stream", 5);
+    let file = path.to_str().expect("UTF-8 temp path").to_owned();
+    let sources = [
+        (
+            vec!["--netlist", file.as_str()],
+            SourceSpec::Netlist { path: file.clone() },
+        ),
+        (vec!["--circuit", "all"], SourceSpec::Builtin),
+    ];
+    let points: [(&[&str], Option<f64>, Option<f64>); 2] = [
+        (&[], None, None),
+        (&["--vdd", "0.2", "--vt", "0.3"], Some(0.2), Some(0.3)),
+    ];
+    for (args, source) in &sources {
+        for (point, vdd, vt) in points {
+            for json in [false, true] {
+                let mut spec = StaSpec::new(source.clone());
+                spec.vdd = vdd;
+                spec.vt = vt;
+                spec.json = json;
+                let mut want = run_sta_job(&ExecPolicy::serial(), lowvolt_obs::noop(), &spec)
+                    .expect("job runs")
+                    .into_bytes();
+                want.push(b'\n');
+                let mut cmd = lowvolt();
+                cmd.arg("sta").args(args).args(point);
+                if json {
+                    cmd.arg("--json");
+                }
+                let out = cmd.output().expect("runs");
+                let case = format!("{args:?} {point:?} json={json}");
+                assert!(out.status.success() && out.stderr.is_empty(), "{case}");
+                assert!(out.stdout == want, "{case}: streamed bytes differ");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stdout that fails mid-report with anything but a closed pipe is an
+/// error: exit 2 and one line naming the failed write.
+#[test]
+fn a_failing_stdout_exits_2_naming_the_write() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        // No always-full device on this platform.
+        return;
+    };
+    let out = lowvolt()
+        .args(["sta", "--generate", "20000", "--seed", "42"])
+        .stdout(full)
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: cannot write the report"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// `--metrics-json -` prints only the metrics JSON, whose counters give
+/// the import and the rendering their sizes: the file's bytes and the
+/// report's bytes (the plain run's stdout less its final newline).
+#[test]
+fn sta_metrics_on_stdout_count_parsed_and_report_bytes() {
+    use lowvolt_obs::json::Json;
+    let (dir, path) = temp_blif("sta-metrics", 6);
+    let report = lowvolt()
+        .arg("sta")
+        .arg("--netlist")
+        .arg(&path)
+        .output()
+        .expect("runs");
+    assert!(report.status.success());
+    let out = lowvolt()
+        .arg("sta")
+        .arg("--netlist")
+        .arg(&path)
+        .args(["--metrics-json", "-"])
+        .output()
+        .expect("runs");
+    assert!(out.status.success() && out.stderr.is_empty());
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8");
+    let metrics = Json::parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout:.200}"));
+    let counter = |name: &str| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+    };
+    let file_len = std::fs::metadata(&path).expect("file").len();
+    assert_eq!(counter("io.bytes_parsed"), Some(file_len));
+    assert_eq!(
+        counter("sta.report_bytes"),
+        Some(report.stdout.len() as u64 - 1)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

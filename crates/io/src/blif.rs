@@ -139,42 +139,93 @@ impl<'a> Scanner<'a> {
     }
 
     /// Appends the tokens of the physical line at `pos` and moves past
-    /// its newline.
+    /// its newline. ASCII bytes are classified through [`BYTE_CLASS`]
+    /// and a run of token bytes is crossed in one inner loop; only a
+    /// non-ASCII byte decodes a `char`.
     fn physical_line(&mut self, tokens: &mut Vec<&'a str>) {
         let bytes = self.text.as_bytes();
         let mut at = self.pos;
         let mut token: Option<usize> = None;
         while let Some(&b) = bytes.get(at) {
-            let (space, width) = match b {
-                b'\n' | b'#' => break,
-                b' ' | b'\t'..=b'\r' => (true, 1),
-                0..=0x7F => (false, 1),
-                _ => match self.text.get(at..).and_then(|r| r.chars().next()) {
-                    Some(c) => (c.is_whitespace(), c.len_utf8()),
+            let here = at;
+            let space = match BYTE_CLASS[usize::from(b)] {
+                Class::Token => {
+                    token.get_or_insert(at);
+                    at += 1;
+                    while bytes
+                        .get(at)
+                        .is_some_and(|&b| BYTE_CLASS[usize::from(b)] == Class::Token)
+                    {
+                        at += 1;
+                    }
+                    continue;
+                }
+                Class::Space => {
+                    at += 1;
+                    true
+                }
+                Class::Stop => break,
+                Class::Wide => match self.text.get(at..).and_then(|r| r.chars().next()) {
+                    Some(c) => {
+                        at += c.len_utf8();
+                        c.is_whitespace()
+                    }
                     None => break,
                 },
             };
             match (space, token) {
                 (true, Some(start)) => {
-                    tokens.push(&self.text[start..at]);
+                    tokens.push(&self.text[start..here]);
                     token = None;
                 }
-                (false, None) => token = Some(at),
+                (false, None) => token = Some(here),
                 _ => {}
             }
-            at += width;
         }
         if let Some(start) = token {
             tokens.push(&self.text[start..at]);
         }
         // Past the comment, if any, and the newline.
-        self.pos = match self.text.get(at..).and_then(|r| r.find('\n')) {
-            Some(newline) => at + newline + 1,
+        self.pos = match bytes.get(at) {
+            Some(b'\n') => at + 1,
+            Some(_) => match self.text.get(at..).and_then(|r| r.find('\n')) {
+                Some(newline) => at + newline + 1,
+                None => self.text.len(),
+            },
             None => self.text.len(),
         };
         self.line_no += 1;
     }
 }
+
+/// How [`Scanner::physical_line`] treats a byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// An ASCII byte of a token.
+    Token,
+    /// ASCII whitespace other than `\n` (what [`char::is_whitespace`]
+    /// accepts below 0x80).
+    Space,
+    /// `\n` or `#`: the physical line's tokens end here.
+    Stop,
+    /// A byte of a multi-byte `char`, which decides for itself.
+    Wide,
+}
+
+/// [`Class`] of every byte value.
+const BYTE_CLASS: [Class; 256] = {
+    let mut table = [Class::Wide; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        table[b] = match b as u8 {
+            b'\n' | b'#' => Class::Stop,
+            b' ' | b'\t'..=b'\r' => Class::Space,
+            _ => Class::Token,
+        };
+        b += 1;
+    }
+    table
+};
 
 /// Truth tables are bitmaps over input assignments: bit `idx` is the
 /// output for the assignment whose bit `i` is input `i`. `INPUT_BITS[i]`
@@ -743,6 +794,14 @@ mod tests {
         }
     }
 
+    /// Pieces of random scanner input: token bytes, comment and
+    /// continuation marks, ASCII and Unicode whitespace, and non-ASCII
+    /// token chars.
+    const ALPHABET: [&str; 20] = [
+        "a", "b", ".", "#", "\\", " ", "\t", "\r", "\n", "\n", "\u{a0}", "\u{2028}", "é", "0", "1",
+        "-", "\x0b", "\x1f", "\u{85}", "𝄞",
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4_000))]
 
@@ -750,12 +809,37 @@ mod tests {
         fn scanner_matches_line_reading_on_random_text(
             picks in proptest::collection::vec(0usize..20, 0..60)
         ) {
-            const ALPHABET: [&str; 20] = [
-                "a", "b", ".", "#", "\\", " ", "\t", "\r", "\n", "\n", "\u{a0}",
-                "\u{2028}", "é", "0", "1", "-", "\x0b", "\x1f", "\u{85}", "𝄞",
-            ];
             let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
             assert_scans_like_lines(&text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A long run of ASCII token bytes (the scanner's inner loop) cut
+        /// at every offset by each byte or char that ends or splits a
+        /// token, followed by random text.
+        #[test]
+        fn scanner_matches_line_reading_around_long_token_runs(
+            run in proptest::collection::vec(0usize..16, 1..48),
+            tail in proptest::collection::vec(0usize..20, 0..12),
+        ) {
+            // Every ASCII token byte next to a class boundary, and some.
+            const TOKEN_BYTES: [&str; 16] = [
+                "a", "Z", "_", "0", ".", "[", "-", "\x00", "\x08", "\x0e", "\x1f", "!", "\"", "$",
+                "\x7f", "~",
+            ];
+            const CUTS: [&str; 7] = ["#", "\\", "\r", "\u{85}", "\u{a0}", "\u{2028}", "\\\n"];
+            let run: String = run.iter().map(|&i| TOKEN_BYTES[i]).collect();
+            let tail: String = tail.iter().map(|&i| ALPHABET[i]).collect();
+            for cut in CUTS {
+                for offset in 0..=run.len() {
+                    let (head, rest) = run.split_at(offset);
+                    assert_scans_like_lines(&format!("{head}{cut}{rest}{tail}"));
+                    assert_scans_like_lines(&format!(" {run} {head}{cut}{rest}\n{tail}"));
+                }
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! interning, single-driver bookkeeping, and 2-input gate chains.
 
 use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hasher};
 
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 
@@ -216,38 +216,62 @@ struct Slot {
 struct NameTable {
     /// Keyed per table, so crafted names cannot force long probe runs.
     hasher: RandomState,
-    /// `(low 32 hash bits, node index)`, or [`NameTable::EMPTY`]. The
-    /// length is a power of two, at least twice the entry count; an
-    /// entry's home slot is its hash bits masked to the length.
-    slots: Vec<(u32, u32)>,
+    /// Each slot is the low 32 hash bits above the node index plus one,
+    /// or 0 when empty. The length is a power of two, at least 4/3 of
+    /// the entry count; an entry's home slot is its hash bits masked to
+    /// the length.
+    slots: Vec<u64>,
     len: usize,
 }
 
 impl NameTable {
-    const EMPTY: (u32, u32) = (0, u32::MAX);
-
     /// A table that holds `names` names before it first grows.
     fn with_capacity(names: usize) -> NameTable {
         NameTable {
             hasher: RandomState::new(),
-            slots: vec![NameTable::EMPTY; (names * 2).next_power_of_two().max(64)],
+            slots: NameTable::empty_slots(NameTable::slots_for(names)),
             len: 0,
         }
     }
 
+    /// `len` empty slots, written rather than left to a zeroing
+    /// allocator (`vec![0; len]`): a probe reads a slot before an insert
+    /// writes it, and a read of an untouched zeroed page maps the shared
+    /// zero page, so every page would fault twice.
+    #[allow(clippy::slow_vector_initialization)]
+    fn empty_slots(len: usize) -> Vec<u64> {
+        let mut slots = Vec::with_capacity(len);
+        slots.resize(len, 0);
+        slots
+    }
+
+    /// The slot count that keeps `names` entries at most 3/4 full.
+    fn slots_for(names: usize) -> usize {
+        (names + names / 3 + 1).next_power_of_two().max(64)
+    }
+
+    /// The low 32 bits of `name`'s keyed hash, which the slot mask uses.
+    fn hash(&self, name: &str) -> u32 {
+        let mut hasher = self.hasher.build_hasher();
+        // A key is one whole string, so unlike `str`'s `Hash` no
+        // terminator is needed to keep keys apart.
+        hasher.write(name.as_bytes());
+        hasher.finish() as u32
+    }
+
     /// The node named `name`, or the slot where it would be inserted.
     fn find(&self, netlist: &Netlist, name: &str) -> Result<NodeId, Slot> {
-        // Truncation keeps the low bits, which the slot mask uses.
-        let hash = self.hasher.hash_one(name) as u32;
+        let hash = self.hash(name);
         let mask = self.slots.len() - 1;
         let mut index = hash as usize & mask;
         loop {
-            let (tag, node) = self.slots[index];
-            if node == u32::MAX {
+            let slot = self.slots[index];
+            let node = slot as u32;
+            if node == 0 {
                 return Err(Slot { index, hash });
             }
-            let id = NodeId::from_index(node as usize);
-            if tag == hash && netlist.node_name(id) == name {
+            let id = NodeId::from_index(node as usize - 1);
+            if (slot >> 32) as u32 == hash && netlist.node_name(id) == name {
                 return Ok(id);
             }
             index = (index + 1) & mask;
@@ -255,18 +279,18 @@ impl NameTable {
     }
 
     /// Fills the slot [`NameTable::find`] returned, growing the table
-    /// once it is half full.
+    /// once it is 3/4 full.
     fn insert(&mut self, slot: Slot, id: NodeId) {
-        // Node indices fit in 32 bits, as in the netlist's own edge list.
-        self.slots[slot.index] = (slot.hash, id.index() as u32);
+        // Node indices fit in 32 bits, as in the netlist's name offsets.
+        self.slots[slot.index] = u64::from(slot.hash) << 32 | (id.index() as u64 + 1);
         self.len += 1;
-        if self.len * 2 > self.slots.len() {
-            let grown = vec![NameTable::EMPTY; self.slots.len() * 2];
+        if NameTable::slots_for(self.len) > self.slots.len() {
+            let grown = NameTable::empty_slots(self.slots.len() * 2);
             let old = std::mem::replace(&mut self.slots, grown);
             let mask = self.slots.len() - 1;
-            for entry in old.into_iter().filter(|&(_, node)| node != u32::MAX) {
-                let mut index = entry.0 as usize & mask;
-                while self.slots[index].1 != u32::MAX {
+            for entry in old.into_iter().filter(|&entry| entry as u32 != 0) {
+                let mut index = (entry >> 32) as usize & mask;
+                while self.slots[index] != 0 {
                     index = (index + 1) & mask;
                 }
                 self.slots[index] = entry;

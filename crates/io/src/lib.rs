@@ -150,6 +150,15 @@ impl std::error::Error for IoError {}
 /// a supported format; [`IoError::Parse`] (line/column-anchored) if the
 /// contents are malformed.
 pub fn parse_path(path: &Path) -> Result<Circuit, IoError> {
+    parse_path_counted(path).map(|(circuit, _)| circuit)
+}
+
+/// [`parse_path`], also returning the byte length of the text it parsed.
+///
+/// # Errors
+///
+/// As [`parse_path`].
+pub fn parse_path_counted(path: &Path) -> Result<(Circuit, usize), IoError> {
     let format = Format::from_path(path).ok_or_else(|| IoError::File {
         path: path.display().to_string(),
         reason: "unrecognised extension (supported: .blif, .bench)".to_string(),
@@ -163,7 +172,7 @@ pub fn parse_path(path: &Path) -> Result<Circuit, IoError> {
         .and_then(|s| s.to_str())
         .unwrap_or("imported")
         .to_string();
-    parse_str(format, &fallback_name, &text)
+    Ok((parse_str(format, &fallback_name, &text)?, text.len()))
 }
 
 /// Parses netlist text in an explicit format. `fallback_name` names the

@@ -7,7 +7,9 @@
 use std::path::Path;
 
 use lowvolt_circuit::netlist::{Circuit, GateKind};
-use lowvolt_io::{circuits_equivalent, parse_path, parse_str, write_blif, Format};
+use lowvolt_io::{
+    circuits_equivalent, generate, parse_path, parse_str, write_blif, Format, GeneratorConfig,
+};
 
 fn fixture(name: &str) -> Circuit {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -82,6 +84,21 @@ fn latch2_parses_to_the_known_structure() {
 #[test]
 fn latch2_roundtrips_exactly() {
     assert_roundtrip_identity(&fixture("latch2.blif"));
+}
+
+/// The `sta-import` benchmark's scale: a 20k-gate generated netlist
+/// survives write → parse structurally intact (the generator numbers
+/// nodes in its own order, so ids may differ), and writing the parse
+/// gives the same text back.
+#[test]
+fn generated_20k_gates_roundtrip() {
+    for seed in [1, 42] {
+        let c = generate(&GeneratorConfig::new(20_000, seed)).expect("generates");
+        let written = write_blif(&c).expect("writable");
+        let parsed = parse_str(Format::Blif, &c.name, &written).expect("parses");
+        circuits_equivalent(&c, &parsed).expect("round trip is structurally equivalent");
+        assert_eq!(written, write_blif(&parsed).expect("writable"));
+    }
 }
 
 #[test]

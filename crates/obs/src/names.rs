@@ -33,6 +33,13 @@ pub const STA_CRITICAL_PS: &str = "sta.critical_ps";
 pub const STA_LEVELS: &str = "sta.levels";
 /// Netlist nodes covered by a static timing analysis.
 pub const STA_NODES: &str = "sta.nodes";
+/// Static-timing report bytes written to their sink (text or JSON), so
+/// the `sta.render` span has a rate.
+pub const STA_REPORT_BYTES: &str = "sta.report_bytes";
+
+/// Netlist text bytes imported as a job's circuit source (counted once
+/// the file has parsed), so the `io.parse` span has a rate.
+pub const IO_BYTES_PARSED: &str = "io.bytes_parsed";
 
 /// Settle invocations of the switch-level simulator.
 pub const SWITCH_SETTLES: &str = "switch.settles";
@@ -167,6 +174,7 @@ pub const COUNTERS: &[&str] = &[
     EXEC_REGIONS,
     EXEC_RETRIES,
     EXEC_TIMEOUTS,
+    IO_BYTES_PARSED,
     LINT_DIAGNOSTICS,
     LINT_PASSES,
     LINT_TARGETS,
@@ -190,6 +198,7 @@ pub const COUNTERS: &[&str] = &[
     STA_CRITICAL_PS,
     STA_LEVELS,
     STA_NODES,
+    STA_REPORT_BYTES,
     SWITCH_RELAX_PASSES,
     SWITCH_SETTLES,
     SWITCH_TRANSITIONS,

@@ -19,6 +19,7 @@
 //! daemon kill/restart.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 pub use lowvolt_circuit::faults::Engine;
 use lowvolt_circuit::faults::{run_campaign, standard_targets, stuck_at_universe, CampaignOptions};
@@ -31,7 +32,7 @@ use lowvolt_device::units::{Micrometers, Seconds, Volts, Watts};
 use lowvolt_exec::{
     ByteCache, CheckpointJournal, CheckpointSpec, ExecPolicy, FaultPolicy, OnAppend,
 };
-use lowvolt_io::{generate, parse_path, GeneratorConfig, IoError};
+use lowvolt_io::{generate, parse_path_counted, GeneratorConfig, IoError};
 use lowvolt_isa::bblocks::BlockProfile;
 use lowvolt_isa::cpu::Cpu;
 use lowvolt_isa::profile::Profiler;
@@ -151,8 +152,11 @@ impl SourceSpec {
             SourceSpec::Builtin => Ok(None),
             SourceSpec::Netlist { path } => {
                 let _span = span(rec, names::SPAN_IO_PARSE);
-                match parse_path(std::path::Path::new(path)) {
-                    Ok(c) => Ok(Some(c)),
+                match parse_path_counted(std::path::Path::new(path)) {
+                    Ok((c, bytes)) => {
+                        rec.add(names::IO_BYTES_PARSED, bytes as u64);
+                        Ok(Some(c))
+                    }
                     // Anchor parse errors at PATH:LINE:COL; file errors
                     // already name the path in their Display form.
                     Err(e @ IoError::Parse { .. }) => Err(JobError(format!("{path}:{e}"))),
@@ -504,16 +508,8 @@ pub fn run_campaign_job(
         computed += res.computed;
         skipped += res.skipped;
         index_base += items_for(i);
-        let masked = res.count("masked");
+        let (masked, errored) = (res.count("masked"), res.count("errored"));
         let resolved = res.reports.iter().flatten().count();
-        let coverage = if resolved == faults.len() {
-            format!(
-                "{:.1}%",
-                (1.0 - masked as f64 / faults.len() as f64) * 100.0
-            )
-        } else {
-            "--".to_string()
-        };
         table.push_row([
             res.target.clone(),
             faults.len().to_string(),
@@ -521,8 +517,8 @@ pub fn run_campaign_job(
             res.count("corrupted").to_string(),
             res.count("propagated-as-X").to_string(),
             masked.to_string(),
-            res.count("errored").to_string(),
-            coverage,
+            errored.to_string(),
+            coverage_cell(faults.len(), resolved, masked + errored),
         ]);
     }
     if report_every.is_some() {
@@ -729,7 +725,117 @@ impl StaSpec {
     }
 }
 
-/// Runs static timing analysis and renders the text or JSON report.
+/// The analyzed reports of one static-timing job, ready to render.
+///
+/// [`StaJob::run`] raises every error the job can have; [`StaJob::write`]
+/// only renders, so a report streamed to its sink never starts before
+/// the job could still fail.
+#[derive(Debug)]
+pub struct StaJob {
+    reports: Vec<StaReport>,
+    json: bool,
+}
+
+impl StaJob {
+    /// Resolves the circuit source and analyzes every selected target.
+    ///
+    /// # Errors
+    ///
+    /// Bad operating points, unknown circuits, import failures and
+    /// unanalyzable netlists return the same messages the CLI prints.
+    pub fn run(
+        policy: &ExecPolicy,
+        rec: &dyn Recorder,
+        spec: &StaSpec,
+    ) -> Result<StaJob, JobError> {
+        let vdd = Volts(spec.vdd.unwrap_or(NOMINAL_VDD.0));
+        let vt = Volts(spec.vt.unwrap_or(NOMINAL_VT.0));
+        let mut config = StaConfig::at(vdd, vt);
+        if let Some(ps) = spec.required_ps {
+            if !(ps.is_finite() && ps > 0.0) {
+                return Err(JobError(format!(
+                    "--required-ps must be a positive number, got {ps}"
+                )));
+            }
+            config = config.with_required(Seconds::from_picos(ps));
+        }
+        let targets = match spec.source.resolve(rec)? {
+            Some(c) => vec![c],
+            None => select_standard_targets(&spec.circuit, spec.width)?,
+        };
+        let mut reports = Vec::with_capacity(targets.len());
+        for t in &targets {
+            reports.push(
+                analyze(policy, rec, &t.name, &t.netlist, &t.outputs, config)
+                    .map_err(|e| JobError(e.to_string()))?,
+            );
+        }
+        Ok(StaJob {
+            reports,
+            json: spec.json,
+        })
+    }
+
+    /// Renders every report into `out` and flushes it: each text report
+    /// followed by a blank line, or one JSON array of the reports. The
+    /// whole write, flush included, is timed as
+    /// [`names::SPAN_STA_RENDER`] and its bytes are counted under
+    /// [`names::STA_REPORT_BYTES`].
+    ///
+    /// # Errors
+    ///
+    /// Only `out`'s own write errors.
+    pub fn write<W: Write + ?Sized>(&self, rec: &dyn Recorder, out: &mut W) -> io::Result<()> {
+        let _span = span(rec, names::SPAN_STA_RENDER);
+        let mut out = Counted {
+            inner: out,
+            bytes: 0,
+        };
+        let written = self.write_reports(&mut out).and_then(|()| out.flush());
+        rec.add(names::STA_REPORT_BYTES, out.bytes);
+        written
+    }
+
+    fn write_reports(&self, out: &mut impl Write) -> io::Result<()> {
+        if self.json {
+            out.write_all(b"[")?;
+            for (i, r) in self.reports.iter().enumerate() {
+                if i > 0 {
+                    out.write_all(b",")?;
+                }
+                r.write_json(out)?;
+            }
+            out.write_all(b"]")
+        } else {
+            for r in &self.reports {
+                r.write_text(out)?;
+                out.write_all(b"\n")?;
+            }
+            Ok(())
+        }
+    }
+}
+
+/// A writer that counts the bytes it passes on.
+struct Counted<'a, W: ?Sized> {
+    inner: &'a mut W,
+    bytes: u64,
+}
+
+impl<W: Write + ?Sized> Write for Counted<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Runs static timing analysis and renders the text or JSON report
+/// into a string: [`StaJob::run`] then [`StaJob::write`].
 ///
 /// # Errors
 ///
@@ -740,41 +846,22 @@ pub fn run_sta_job(
     rec: &dyn Recorder,
     spec: &StaSpec,
 ) -> Result<String, JobError> {
-    let vdd = Volts(spec.vdd.unwrap_or(NOMINAL_VDD.0));
-    let vt = Volts(spec.vt.unwrap_or(NOMINAL_VT.0));
-    let mut config = StaConfig::at(vdd, vt);
-    if let Some(ps) = spec.required_ps {
-        if !(ps.is_finite() && ps > 0.0) {
-            return Err(JobError(format!(
-                "--required-ps must be a positive number, got {ps}"
-            )));
-        }
-        config = config.with_required(Seconds::from_picos(ps));
+    let job = StaJob::run(policy, rec, spec)?;
+    let mut out = Vec::new();
+    // Writing to a `Vec` cannot fail, and both renderings are UTF-8.
+    let _ = job.write(rec, &mut out);
+    String::from_utf8(out).map_err(|e| JobError(e.to_string()))
+}
+
+/// A campaign table's coverage cell: the share of `faults` a campaign
+/// saw reach an output (detected, corrupted or propagated as X), or
+/// `--` while only `resolved` of them have a result. Masked faults and
+/// errored ones — whose injection never finished — are `uncovered`.
+fn coverage_cell(faults: usize, resolved: usize, uncovered: usize) -> String {
+    if resolved < faults {
+        return "--".to_string();
     }
-    let targets = match spec.source.resolve(rec)? {
-        Some(c) => vec![c],
-        None => select_standard_targets(&spec.circuit, spec.width)?,
-    };
-    let mut reports = Vec::with_capacity(targets.len());
-    for t in &targets {
-        reports.push(
-            analyze(policy, rec, &t.name, &t.netlist, &t.outputs, config)
-                .map_err(|e| JobError(e.to_string()))?,
-        );
-    }
-    let _span = span(rec, names::SPAN_STA_RENDER);
-    let out = if spec.json {
-        json_array(&reports, StaReport::to_json)
-    } else {
-        let mut s = String::with_capacity(reports.iter().map(|r| r.text_len_hint() + 1).sum());
-        for r in &reports {
-            // Writing to a `String` cannot fail.
-            let _ = r.write_text(&mut s);
-            s.push('\n');
-        }
-        s
-    };
-    Ok(out)
+    format!("{:.1}%", (1.0 - uncovered as f64 / faults as f64) * 100.0)
 }
 
 /// What a V_DD/V_T design-space sweep optimizes.
@@ -1253,6 +1340,49 @@ mod tests {
             "only the final report: nothing was journaled"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The coverage table's rows, each split into its cells.
+    fn table_rows(payload: &str) -> Vec<Vec<&str>> {
+        table(payload)
+            .lines()
+            .skip(2)
+            .filter(|row| !row.trim().is_empty())
+            .map(|row| row.split_whitespace().collect())
+            .collect()
+    }
+
+    #[test]
+    fn errored_faults_are_not_covered() {
+        let spec = CampaignSpec {
+            item_timeout_ms: Some(0),
+            ..small_spec(Engine::Compiled)
+        };
+        let out = run_campaign_job(
+            &ExecPolicy::with_threads(1),
+            noop(),
+            &spec,
+            &CampaignPersist::default(),
+            &mut NullSink,
+        )
+        .unwrap();
+        let rows = table_rows(&out.payload);
+        assert!(!rows.is_empty(), "{}", out.payload);
+        for row in rows {
+            // target faults detected corrupted as-X masked errored coverage
+            assert_eq!(row[6], row[1], "every fault errored: {row:?}");
+            assert_eq!(row[7], "0.0%", "{row:?}");
+        }
+    }
+
+    #[test]
+    fn coverage_counts_only_faults_that_reached_an_output() {
+        // 8 faults: 3 detected, 1 corrupted, 2 masked, 2 errored.
+        assert_eq!(coverage_cell(8, 8, 2 + 2), "50.0%");
+        assert_eq!(coverage_cell(8, 8, 0), "100.0%");
+        assert_eq!(coverage_cell(3, 3, 1), "66.7%");
+        // A fault without a result leaves the cell open.
+        assert_eq!(coverage_cell(8, 7, 2), "--");
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! Both renderers are fully deterministic functions of the report
 //! contents — CI diffs them byte-for-byte across thread counts — and the
 //! JSON goes through the workspace's one codec, `lowvolt_obs::json`.
+//! Both write into an [`io::Write`], so a caller streams a report to
+//! its sink instead of holding the whole rendering in memory.
 
 use lowvolt_circuit::netlist::{GateKind, NodeNames};
 use lowvolt_device::units::{Seconds, Volts};
 use lowvolt_obs::json::{num, quote, Num};
 use std::fmt;
 use std::fmt::Write as _;
+use std::io;
 
 /// What kind of timing endpoint a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,11 +258,11 @@ impl Row {
         self
     }
 
-    /// Ends the row with a newline, hands it to `w` and starts the next.
-    fn end<W: fmt::Write>(&mut self, w: &mut W) -> fmt::Result {
+    /// Ends the row with a newline, hands it to `w` and starts the next
+    /// in the same buffer.
+    fn end<W: io::Write + ?Sized>(&mut self, w: &mut W) -> io::Result<()> {
         self.line.push(b'\n');
-        // Whole `str`s and ASCII went in, so the row is UTF-8.
-        let done = std::str::from_utf8(&self.line).map_or(Err(fmt::Error), |row| w.write_str(row));
+        let done = w.write_all(&self.line);
         self.line.clear();
         done
     }
@@ -283,28 +286,16 @@ impl StaReport {
         self.critical_path.iter().map(|s| s.gate.name()).collect()
     }
 
-    /// An upper estimate of the text rendering's length in bytes, for
-    /// sizing an output buffer once.
-    #[must_use]
-    pub fn text_len_hint(&self) -> usize {
-        // Each row at its padded column widths, plus every name twice
-        // for names that overflow their column (a node's own row and an
-        // endpoint or path row); a longer text only regrows the buffer.
-        512 + self.target.len()
-            + self.critical_path.len() * 96
-            + self.endpoints.len() * 112
-            + self.node_slacks.len() * 96
-            + self.names.text_len() * 2
-    }
-
     /// Writes the text rendering (the [`fmt::Display`] bytes) to `w`.
     /// The per-node, per-endpoint and critical-path rows are assembled
-    /// without `core::fmt` and handed to `w` one row at a time.
+    /// without `core::fmt` in one reused row buffer and handed to `w` one
+    /// row at a time, so `w` should be buffered.
     ///
     /// # Errors
     ///
-    /// Only `w`'s own write errors.
-    pub fn write_text<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+    /// Only `w`'s own write errors; the rows before the failing one have
+    /// been written.
+    pub fn write_text<W: io::Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         writeln!(w, "static timing report: {}", self.target)?;
         writeln!(
             w,
@@ -356,7 +347,7 @@ impl StaReport {
             row.text(self.node_name(ep.startpoint)).text("'").end(w)?;
         }
         if !self.node_slacks.is_empty() {
-            w.write_str("node slack:\n")?;
+            w.write_all(b"node slack:\n")?;
             for ns in &self.node_slacks {
                 row.text("  ").left(self.node_name(ns.node), 12);
                 row.text(" level ").int(ns.level, 3).text("  arrival ");
@@ -371,9 +362,20 @@ impl StaReport {
     /// delays, a non-finite operating point) are `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
+        let mut out = Vec::with_capacity(1024);
+        // Writing to a `Vec` cannot fail, and the JSON is UTF-8.
+        let _ = self.write_json(&mut out);
+        String::from_utf8(out).unwrap_or_default()
+    }
+
+    /// Writes the [`StaReport::to_json`] bytes to `w`, one row at a time.
+    ///
+    /// # Errors
+    ///
+    /// Only `w`'s own write errors.
+    pub fn write_json<W: io::Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        write!(
+            w,
             "{{\n  \"target\": {},\n  \"vdd\": {},\n  \"vt\": {},\n  \"feasible\": {},\n  \
              \"nodes\": {},\n  \"gates\": {},\n  \"levels\": {},\n  \
              \"registers\": {},\n  \"critical_ps\": {},\n  \
@@ -389,11 +391,11 @@ impl StaReport {
             ps(self.critical),
             ps(self.required),
             ps(self.worst_slack),
-        );
-        out.push_str("  \"critical_path\": [");
+        )?;
+        w.write_all(b"  \"critical_path\": [")?;
         for (i, step) in self.critical_path.iter().enumerate() {
-            let _ = write!(
-                out,
+            write!(
+                w,
                 "{}    {{\"gate\": {}, \"output\": {}, \"level\": {}, \"fanout\": {}, \"delay_ps\": {}, \"arrival_ps\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
                 quote(step.gate.name()),
@@ -402,17 +404,13 @@ impl StaReport {
                 step.fanout,
                 ps(step.delay),
                 ps(step.arrival),
-            );
+            )?;
         }
-        out.push_str(if self.critical_path.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"endpoints\": [");
+        w.write_all(close_array(self.critical_path.is_empty()))?;
+        w.write_all(b"  \"endpoints\": [")?;
         for (i, ep) in self.endpoints.iter().enumerate() {
-            let _ = write!(
-                out,
+            write!(
+                w,
                 "{}    {{\"node\": {}, \"kind\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}, \"depth\": {}, \"startpoint\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
                 quote(self.node_name(ep.node)),
@@ -422,17 +420,13 @@ impl StaReport {
                 ps(ep.slack),
                 ep.depth,
                 quote(self.node_name(ep.startpoint)),
-            );
+            )?;
         }
-        out.push_str(if self.endpoints.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"node_slack\": [");
+        w.write_all(close_array(self.endpoints.is_empty()))?;
+        w.write_all(b"  \"node_slack\": [")?;
         for (i, ns) in self.node_slacks.iter().enumerate() {
-            let _ = write!(
-                out,
+            write!(
+                w,
                 "{}    {{\"node\": {}, \"level\": {}, \"arrival_ps\": {}, \"required_ps\": {}, \"slack_ps\": {}}}",
                 if i == 0 { "\n" } else { ",\n" },
                 quote(self.node_name(ns.node)),
@@ -440,20 +434,45 @@ impl StaReport {
                 ps(ns.arrival),
                 ps(ns.required),
                 ps(ns.slack),
-            );
+            )?;
         }
-        out.push_str(if self.node_slacks.is_empty() {
-            "]\n}\n"
+        w.write_all(if self.node_slacks.is_empty() {
+            b"]\n}\n"
         } else {
-            "\n  ]\n}\n"
-        });
-        out
+            b"\n  ]\n}\n"
+        })
+    }
+}
+
+/// The end of a non-final JSON array member of the report.
+fn close_array(empty: bool) -> &'static [u8] {
+    if empty {
+        b"],\n"
+    } else {
+        b"\n  ],\n"
+    }
+}
+
+/// Lets [`StaReport::write_text`] write straight into a formatter.
+struct FmtSink<'a, 'b>(&'a mut fmt::Formatter<'b>);
+
+impl io::Write for FmtSink<'_, '_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // The text renderer writes whole rows and whole `format!`
+        // pieces, each valid UTF-8 on its own.
+        let text = std::str::from_utf8(buf).map_err(io::Error::other)?;
+        self.0.write_str(text).map_err(io::Error::other)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 impl fmt::Display for StaReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_text(f)
+        self.write_text(&mut FmtSink(f)).map_err(|_| fmt::Error)
     }
 }
 
@@ -639,9 +658,10 @@ mod tests {
             r.names = arena(&[&name, &format!("{name}y")]);
             r.critical_path[0].level = (name_seed % 2000) as usize;
             r.endpoints[0].depth = (name_seed >> 16) as usize % 2000;
-            let mut text = String::new();
+            let mut text = Vec::new();
             r.write_text(&mut text).unwrap();
-            prop_assert_eq!(text, reference_text(&r));
+            prop_assert_eq!(String::from_utf8(text).unwrap(), reference_text(&r));
+            prop_assert_eq!(r.to_string(), reference_text(&r));
         }
     }
 
