@@ -211,7 +211,7 @@ fn campaign_report(
     let res =
         run_campaign(target, &faults, &mut stimulus, 32, options).map_err(|e| e.to_string())?;
     Ok(res
-        .report()
+        .report(&faults)
         .ok_or("campaign left injections unresolved")?
         .to_string())
 }

@@ -235,7 +235,7 @@ pub struct CompiledNetlist {
     level_count: usize,
     /// CSR of compiled-gate positions reading each node, one entry per
     /// input pin; the order within a node carries no meaning.
-    reader_starts: Vec<usize>,
+    reader_starts: Vec<u32>,
     readers: Vec<u32>,
     /// Original netlist gate index per compiled gate — the key that
     /// maps compiled positions back to gate-keyed annotations such as
@@ -309,24 +309,28 @@ impl CompiledNetlist {
         // The reader CSR, built once over every combinational input pin:
         // entries are indices into `comb` while Kahn's walk runs on it,
         // and compiled positions afterwards. A gate's in-degree counts
-        // its pins on driven nodes.
-        let mut reader_starts = vec![0usize; node_count + 1];
+        // its pins on driven nodes. `reader_starts` is its own fill
+        // cursor: it first holds each node's end offset, and filling the
+        // pins in reverse moves every entry back to its node's start.
+        let mut reader_starts = vec![0u32; node_count + 1];
         let mut indeg: Vec<u32> = vec![0; comb.len()];
         for (ci, &gi) in comb.iter().enumerate() {
             for inp in gates[gi].inputs() {
-                reader_starts[inp.index() + 1] += 1;
+                reader_starts[inp.index()] += 1;
                 indeg[ci] += u32::from(node_level[inp.index()] > 0);
             }
         }
-        for i in 0..node_count {
-            reader_starts[i + 1] += reader_starts[i];
+        let mut end = 0u32;
+        for slot in &mut reader_starts {
+            end += *slot;
+            *slot = end;
         }
-        let mut cursor = reader_starts.clone();
-        let mut readers = vec![0u32; reader_starts[node_count]];
-        for (ci, &gi) in comb.iter().enumerate() {
-            for inp in gates[gi].inputs() {
-                readers[cursor[inp.index()]] = ci as u32;
-                cursor[inp.index()] += 1;
+        let mut readers = vec![0u32; end as usize];
+        for (ci, &gi) in comb.iter().enumerate().rev() {
+            for inp in gates[gi].inputs().iter().rev() {
+                let slot = &mut reader_starts[inp.index()];
+                *slot -= 1;
+                readers[*slot as usize] = ci as u32;
             }
         }
 
@@ -348,7 +352,7 @@ impl CompiledNetlist {
                 .map(|n| node_level[n.index()])
                 .max()
                 .unwrap_or(0);
-            for &r in &readers[reader_starts[out]..reader_starts[out + 1]] {
+            for &r in &readers[reader_starts[out] as usize..reader_starts[out + 1] as usize] {
                 let d = &mut indeg[r as usize];
                 if *d == 1 {
                     queue.push(r);
@@ -510,7 +514,7 @@ impl CompiledNetlist {
     /// count the static timing analyzer prices capacitive load from.
     #[must_use]
     pub fn node_fanout(&self, n: usize) -> usize {
-        self.reader_starts[n + 1] - self.reader_starts[n]
+        (self.reader_starts[n + 1] - self.reader_starts[n]) as usize
     }
 
     /// Node indices of every cut flip-flop's data (`d`) input — the
@@ -547,7 +551,7 @@ impl CompiledNetlist {
     }
 
     fn node_readers(&self, node: usize) -> &[u32] {
-        &self.readers[self.reader_starts[node]..self.reader_starts[node + 1]]
+        &self.readers[self.reader_starts[node] as usize..self.reader_starts[node + 1] as usize]
     }
 
     /// Checks the netlist/target pairing against the packed campaign's
@@ -1685,10 +1689,7 @@ mod tests {
             ..CampaignOptions::default()
         };
         let run = run_campaign(target, faults, &mut src, vectors, options).unwrap();
-        run.reports
-            .into_iter()
-            .map(|r| r.unwrap().outcome)
-            .collect()
+        run.outcomes.iter().map(Option::unwrap).collect()
     }
 
     fn stuck_faults(target: &Circuit) -> Vec<GateFault> {
@@ -2045,7 +2046,7 @@ mod tests {
             reg.counter(names::COMPILED_DETECT_STOPS),
             reg.counter(names::COMPILED_FAULT_DROPOUTS),
         );
-        let outcomes = run.reports.into_iter().map(|r| r.unwrap().outcome);
+        let outcomes = run.outcomes.iter().map(Option::unwrap);
         (counters, outcomes.collect())
     }
 

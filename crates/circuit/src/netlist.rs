@@ -12,6 +12,7 @@ use std::sync::OnceLock;
 
 use crate::error::CircuitError;
 use crate::logic::Bit;
+use crate::sim::Fnv1a;
 use lowvolt_device::units::Farads;
 
 /// Identifier of a node (wire) within a [`Netlist`].
@@ -674,25 +675,27 @@ impl Netlist {
     /// property the golden-trace cache keys on.
     #[must_use]
     pub fn structural_hash(&self) -> u64 {
-        let mut bytes: Vec<u8> = Vec::with_capacity(16 + self.gates.len() * 24);
-        bytes.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        // The standard offset basis: the value `lowvolt_exec::fnv64` gives
+        // for the same bytes, hashed as they are visited.
+        let mut h = Fnv1a::new(0xcbf2_9ce4_8422_2325);
+        h.write_u64(self.nodes.len() as u64);
         for n in &self.nodes {
-            bytes.push(u8::from(n.is_input));
+            h.write_u8(u8::from(n.is_input));
         }
-        bytes.extend_from_slice(&(self.gates.len() as u64).to_le_bytes());
+        h.write_u64(self.gates.len() as u64);
         for g in &self.gates {
-            bytes.extend_from_slice(g.kind.name().as_bytes());
-            bytes.push(0xFF);
-            bytes.extend_from_slice(&g.delay.to_le_bytes());
-            bytes.extend_from_slice(&(g.output.0 as u64).to_le_bytes());
+            h.write_bytes(g.kind.name().as_bytes());
+            h.write_u8(0xFF);
+            h.write_bytes(&g.delay.to_le_bytes());
+            h.write_u64(g.output.0 as u64);
             for i in g.inputs() {
-                bytes.extend_from_slice(&(i.0 as u64).to_le_bytes());
+                h.write_u64(i.0 as u64);
             }
         }
         for i in &self.inputs {
-            bytes.extend_from_slice(&(i.0 as u64).to_le_bytes());
+            h.write_u64(i.0 as u64);
         }
-        lowvolt_exec::fnv64(&bytes)
+        h.finish()
     }
 
     /// Gate-kind census: `(kind, count)` pairs for every kind present,

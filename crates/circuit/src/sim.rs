@@ -38,7 +38,7 @@ use lowvolt_obs::{names, span, Recorder};
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
 use crate::logic::Bit;
-use crate::netlist::{FanoutIndex, GateKind, Netlist, NodeId};
+use crate::netlist::{FanoutIndex, Gate, GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
 
 /// The gates scheduled for one tick: a bit per gate, a summary bit per
@@ -178,6 +178,76 @@ struct FlatGate {
 /// Default number of events [`Simulator::settle`] will process before
 /// giving up on quiescence.
 pub const DEFAULT_EVENT_BUDGET: usize = 4_000_000;
+
+/// The latest tick, counted from the start of a settle, at which any
+/// gate of `netlist` can take an event: the longest delay path through
+/// the graph in which a gate listens to every input pin, except that a
+/// flip-flop listens to its clock pin only (its data pin schedules
+/// nothing). `None` when that graph has a cycle.
+///
+/// Every event of a settle on an acyclic graph lands at most this many
+/// ticks after the settle starts, and a gate takes at most one event
+/// per tick, so a settle processes at most `gates × horizon` events and
+/// always reaches quiescence: it cannot oscillate. Stuck-at forces keep
+/// the bound (a force only suppresses changes); bridges do not (their
+/// resolution rounds reschedule the fanout after the queue drains).
+pub(crate) fn settle_horizon(netlist: &Netlist) -> Option<u64> {
+    let gates = netlist.gates();
+    let fanout = netlist.fanout_index();
+    fn listens(g: &Gate) -> &[NodeId] {
+        match g.kind {
+            GateKind::Dff => &g.inputs()[..1],
+            _ => g.inputs(),
+        }
+    }
+    // Gates still to be placed that write each node.
+    let mut unplaced = vec![0u32; netlist.node_count()];
+    for g in gates {
+        unplaced[g.output.index()] += 1;
+    }
+    // Kahn's walk over the gates: a gate is ready once every gate that
+    // writes a node it listens to has been placed.
+    let mut waiting: Vec<u32> = gates
+        .iter()
+        .map(|g| {
+            listens(g)
+                .iter()
+                .filter(|n| unplaced[n.index()] > 0)
+                .count() as u32
+        })
+        .collect();
+    let mut ready: Vec<usize> = (0..gates.len()).filter(|&g| waiting[g] == 0).collect();
+    let mut arrival = vec![0u64; netlist.node_count()];
+    let (mut horizon, mut placed) = (0u64, 0usize);
+    while let Some(gi) = ready.pop() {
+        placed += 1;
+        let g = &gates[gi];
+        let latest = listens(g).iter().map(|n| arrival[n.index()]).max();
+        let at = latest.unwrap_or(0) + u64::from(g.delay);
+        horizon = horizon.max(at);
+        let out = g.output.index();
+        arrival[out] = arrival[out].max(at);
+        unplaced[out] -= 1;
+        if unplaced[out] > 0 {
+            continue;
+        }
+        // One fanout entry per pin; a flip-flop's data-pin entries do
+        // not count, and a flip-flop clocked by its own data node is
+        // released by whichever of its two entries comes first.
+        for &r in fanout.fanout(out) {
+            let reader = &gates[r.index()];
+            if reader.kind == GateKind::Dff && reader.inputs()[0] != g.output {
+                continue;
+            }
+            let w = &mut waiting[r.index()];
+            if *w == 1 {
+                ready.push(r.index());
+            }
+            *w = w.saturating_sub(1);
+        }
+    }
+    (placed == gates.len()).then_some(horizon)
+}
 
 /// Minimum events processed before the oscillation watchdog starts
 /// sampling state fingerprints. The effective warmup is the larger of
@@ -804,7 +874,11 @@ impl Fnv1a {
     }
 
     pub(crate) fn write_u64(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
+        self.write_bytes(&word.to_le_bytes());
+    }
+
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.write_u8(byte);
         }
     }

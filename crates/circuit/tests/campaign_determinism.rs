@@ -18,7 +18,7 @@ fn report(target: &Circuit, policy: ExecPolicy, seed: u64, vectors: usize) -> Ca
     };
     run_campaign(target, &faults, &mut src, vectors, options)
         .expect("campaign runs")
-        .report()
+        .report(&faults)
         .expect("an unjournaled run resolves every fault")
 }
 

@@ -57,21 +57,18 @@ fn packed_campaign_matches_event_on_all_standard_targets() {
     for (i, target) in targets.iter().enumerate() {
         let seed = SEED.wrapping_add(i as u64);
         let event = campaign(target, seed, Engine::Event, 1, noop());
-        let event_report = event.report().expect("event campaign completed");
         let faults = stuck_at_universe(&target.netlist);
+        let event_report = event.report(&faults).expect("event campaign completed");
         for threads in [1usize, 2, 8] {
             let packed = campaign(target, seed, Engine::Compiled, threads, noop());
-            assert_eq!(event.reports.len(), packed.reports.len());
-            for (f, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports)) {
-                let e = e.as_ref().expect("event outcome resolved");
-                let p = p.as_ref().expect("packed outcome resolved");
-                assert_eq!(
-                    e.outcome, p.outcome,
-                    "target {} threads {threads} fault {f:?}",
-                    target.name
-                );
+            assert_eq!(event.outcomes.len(), packed.outcomes.len());
+            let pairs = event.outcomes.iter().zip(packed.outcomes.iter());
+            for (f, (e, p)) in faults.iter().zip(pairs) {
+                let e = e.expect("event outcome resolved");
+                let p = p.expect("packed outcome resolved");
+                assert_eq!(e, p, "target {} threads {threads} fault {f:?}", target.name);
             }
-            let packed_report = packed.report().expect("packed campaign completed");
+            let packed_report = packed.report(&faults).expect("packed campaign completed");
             assert_eq!(
                 event_report.to_string(),
                 packed_report.to_string(),
@@ -261,9 +258,9 @@ fn run(
 
 /// Every fault's outcome in a completed campaign.
 fn outcomes(run: ResilientCampaign) -> Vec<FaultOutcome> {
-    run.reports
-        .into_iter()
-        .map(|r| r.expect("outcome resolved").outcome)
+    run.outcomes
+        .iter()
+        .map(|o| o.expect("outcome resolved"))
         .collect()
 }
 
@@ -297,7 +294,7 @@ fn packed_campaign_matches_event_at_word_edges() {
                 |engine: Engine, threads: usize| run(&target, &faults, vectors, engine, threads);
             let event = campaign_at(Engine::Event, 1);
             let event_report = event
-                .report()
+                .report(&faults)
                 .expect("event campaign completed")
                 .to_string();
             for threads in [1usize, 2, 8] {
@@ -306,13 +303,13 @@ fn packed_campaign_matches_event_at_word_edges() {
                     "{} at {vectors} vector(s), {threads} thread(s)",
                     target.name
                 );
-                for (fault, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports))
-                {
-                    let e = &e.as_ref().expect("event outcome resolved").outcome;
-                    let p = &p.as_ref().expect("packed outcome resolved").outcome;
+                let pairs = event.outcomes.iter().zip(packed.outcomes.iter());
+                for (fault, (e, p)) in faults.iter().zip(pairs) {
+                    let e = e.expect("event outcome resolved");
+                    let p = p.expect("packed outcome resolved");
                     assert_eq!(e, p, "{fault:?} on {at}");
                 }
-                let packed_report = packed.report().expect("packed campaign completed");
+                let packed_report = packed.report(&faults).expect("packed campaign completed");
                 assert_eq!(event_report, packed_report.to_string(), "report on {at}");
             }
         }

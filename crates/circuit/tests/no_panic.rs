@@ -196,7 +196,7 @@ proptest! {
         let mut src = PatternSource::random(inputs.len(), seed).expect("non-zero width");
         match run_campaign(&target, &faults, &mut src, 6, CampaignOptions::default()) {
             Ok(res) => {
-                let report = res.report().expect("an unjournaled run resolves every fault");
+                let report = res.report(&faults).expect("an unjournaled run resolves every fault");
                 prop_assert_eq!(report.faults(), universe);
                 // A panicking injection would be isolated as `errored`,
                 // which this sum leaves out.

@@ -80,7 +80,7 @@ fn kill_after_k_and_resume_is_byte_identical_for_every_k() {
         CampaignOptions::default(),
     )
     .expect("reference campaign")
-    .report()
+    .report(&faults)
     .expect("reference is complete");
 
     // K sweeps the full range: kill before anything completed, after
@@ -112,7 +112,7 @@ fn kill_after_k_and_resume_is_byte_identical_for_every_k() {
             assert_eq!(resumed.replayed, k, "K = {k}, threads = {threads}");
             assert_eq!(resumed.computed, faults.len() - k);
 
-            let report = resumed.report().expect("resumed run is complete");
+            let report = resumed.report(&faults).expect("resumed run is complete");
             assert_eq!(report, reference, "K = {k}, threads = {threads}");
             // Byte-identical includes the rendered table text.
             assert_eq!(report.to_string(), reference.to_string());
@@ -133,7 +133,7 @@ fn seeded_journal_corruption_degrades_to_recompute_with_warning() {
         CampaignOptions::default(),
     )
     .expect("reference campaign")
-    .report()
+    .report(&faults)
     .expect("reference is complete");
 
     // Write a 10-record prefix, then corrupt it three ways: truncate
@@ -178,7 +178,7 @@ fn seeded_journal_corruption_degrades_to_recompute_with_warning() {
         let completed = replay.completed();
         let resumed = run_with_journal(&target, &faults, &mut journal, &completed, None, 2);
         assert_eq!(
-            resumed.report().expect("complete"),
+            resumed.report(&faults).expect("complete"),
             reference,
             "{name}: corrupted journal still converges to the reference"
         );
@@ -219,9 +219,9 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
     .expect("campaign survives universal timeouts");
     // Every injection degraded to a typed error; none aborted the run
     // and none were checkpointed as if they had succeeded.
-    for slot in &doomed.reports {
+    for slot in doomed.outcomes.iter() {
         assert!(matches!(
-            slot.as_ref().expect("slot resolved").outcome,
+            slot.expect("slot resolved"),
             FaultOutcome::Errored(_)
         ));
     }
@@ -235,10 +235,10 @@ fn timed_out_injections_are_retried_on_resume_not_journaled() {
     assert_eq!(resumed.replayed, 0);
     assert_eq!(resumed.computed, faults.len());
     assert!(resumed
-        .reports
+        .outcomes
         .iter()
         .flatten()
-        .all(|r| !matches!(r.outcome, FaultOutcome::Errored(_))));
+        .all(|o| !matches!(o, FaultOutcome::Errored(_))));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -310,7 +310,7 @@ fn packed_kill_after_k_items_and_resume_is_byte_identical() {
         },
     )
     .expect("reference campaign")
-    .report()
+    .report(&faults)
     .expect("reference is complete")
     .to_string();
     for k in 0..=total {
@@ -333,7 +333,7 @@ fn packed_kill_after_k_items_and_resume_is_byte_identical() {
             );
             // A fault resolves once every word of its range is done:
             // range r's last item is 3 + r.
-            let resolved = partial.reports.iter().flatten().count();
+            let resolved = partial.outcomes.resolved();
             let expected = (k.saturating_sub(3) * 1024).min(faults.len());
             assert_eq!(resolved, expected, "K = {k}");
             drop(journal);
@@ -347,7 +347,7 @@ fn packed_kill_after_k_items_and_resume_is_byte_identical() {
             assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
             assert_eq!(resumed.replayed, k, "K = {k}");
             assert_eq!(resumed.replayed + resumed.computed, total, "K = {k}");
-            let report = resumed.report().expect("resumed run is complete");
+            let report = resumed.report(&faults).expect("resumed run is complete");
             assert_eq!(
                 report.to_string(),
                 reference,
@@ -371,7 +371,7 @@ fn packed_record_of_the_wrong_length_is_recomputed_with_a_warning() {
         let mut journal = CheckpointJournal::create(&path).expect("create journal");
         let run = run_packed_with_journal(&target, &faults, &mut journal, &HashMap::new(), None, 2);
         let _ = std::fs::remove_file(&path);
-        run.report().expect("complete").to_string()
+        run.report(&faults).expect("complete").to_string()
     };
     let path = tmp("packed-wrong-len");
     let _ = std::fs::remove_file(&path);
@@ -396,6 +396,9 @@ fn packed_record_of_the_wrong_length_is_recomputed_with_a_warning() {
         "{:?}",
         resumed.warnings
     );
-    assert_eq!(resumed.report().expect("complete").to_string(), clean);
+    assert_eq!(
+        resumed.report(&faults).expect("complete").to_string(),
+        clean
+    );
     let _ = std::fs::remove_file(&path);
 }

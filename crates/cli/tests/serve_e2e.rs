@@ -261,14 +261,16 @@ fn kill_mid_job_then_restart_resumes_byte_identically() {
         let expected = String::from_utf8_lossy(&direct.stdout).to_string();
 
         // Submit from a helper thread; SIGKILL the daemon once K shard
-        // rounds have been journaled.
+        // rounds have been journaled. `hold_after` makes the daemon wait
+        // after the K-th progress event until the connection closes, so
+        // the kill always lands mid-job, however fast the job runs.
         let daemon = Daemon::start(&state);
         let addr = daemon.addr.clone();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let submitter = std::thread::spawn({
-            let request = request.clone();
+            let held = request.replace('}', &format!(",\"hold_after\":{kill_after}}}"));
             move || {
-                client::submit_line(&addr, &request, &mut |event| {
+                client::submit_line(&addr, &held, &mut |event| {
                     if matches!(event, client::Event::Progress { .. }) {
                         let _ = tx.send(());
                     }

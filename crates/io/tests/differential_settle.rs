@@ -119,7 +119,7 @@ fn c17_campaign_event_vs_compiled_thread_invariant() {
         CampaignOptions::default(),
     )
     .expect("event campaign runs");
-    let event_report = event.report().expect("event campaign completed");
+    let event_report = event.report(&faults).expect("event campaign completed");
     for threads in [1usize, 2, 8] {
         let mut stimulus =
             PatternSource::random(target.inputs.len(), SEED).expect("stimulus builds");
@@ -135,14 +135,15 @@ fn c17_campaign_event_vs_compiled_thread_invariant() {
             },
         )
         .expect("packed campaign runs");
-        for (f, (e, p)) in faults.iter().zip(event.reports.iter().zip(&packed.reports)) {
-            let e = e.as_ref().expect("event outcome resolved");
-            let p = p.as_ref().expect("packed outcome resolved");
-            assert_eq!(e.outcome, p.outcome, "threads {threads} fault {f:?}");
+        let pairs = event.outcomes.iter().zip(packed.outcomes.iter());
+        for (f, (e, p)) in faults.iter().zip(pairs) {
+            let e = e.expect("event outcome resolved");
+            let p = p.expect("packed outcome resolved");
+            assert_eq!(e, p, "threads {threads} fault {f:?}");
         }
         assert_eq!(
             event_report.to_string(),
-            packed.report().expect("completed").to_string(),
+            packed.report(&faults).expect("completed").to_string(),
             "rendered report diverged at {threads} thread(s)"
         );
     }
@@ -173,7 +174,7 @@ fn generated_campaign_thread_invariant() {
             },
         )
         .expect("packed campaign runs");
-        let rendered = packed.report().expect("completed").to_string();
+        let rendered = packed.report(&faults).expect("completed").to_string();
         match &reference {
             None => reference = Some(rendered),
             Some(first) => assert_eq!(first, &rendered, "diverged at {threads} thread(s)"),
@@ -216,7 +217,7 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
         },
     )
     .expect("event campaign runs")
-    .report()
+    .report(&sample)
     .expect("event campaign completed");
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 8] {
@@ -234,7 +235,7 @@ fn clocked_multi_range_campaign_event_vs_compiled() {
             },
         )
         .expect("packed campaign runs")
-        .report()
+        .report(&faults)
         .expect("packed campaign completed");
         let sampled = CampaignReport {
             reports: packed.reports.iter().step_by(STRIDE).cloned().collect(),

@@ -15,6 +15,12 @@ pub const SIM_EVENTS_PROCESSED: &str = "sim.events.processed";
 pub const SIM_HEAP_PUSHES: &str = "sim.heap.pushes";
 /// Calls into the simulator's settle loop (one per input vector applied).
 pub const SIM_SETTLE_ITERATIONS: &str = "sim.settle.iterations";
+/// Event-engine fault injections ended at their first vector with a
+/// definite output difference from the golden run, with vectors still
+/// left to apply: that difference fixes the outcome at `Corrupted`, and
+/// the target is shaped so no later vector can raise a simulator error.
+/// The event twin of [`COMPILED_DETECT_STOPS`].
+pub const SIM_DETECT_STOPS: &str = "sim.detect_stops";
 /// Oscillation-watchdog state fingerprints taken during settling.
 pub const SIM_WATCHDOG_FINGERPRINTS: &str = "sim.watchdog.fingerprints";
 /// Internal nodes contributing to an extracted activity (`α`) report.
@@ -189,6 +195,7 @@ pub const COUNTERS: &[&str] = &[
     SERVE_REQUESTS_BAD,
     SERVE_SHARD_ROUNDS,
     SIM_ALPHA_NODES,
+    SIM_DETECT_STOPS,
     SIM_EVENTS_PROCESSED,
     SIM_HEAP_PUSHES,
     SIM_SETTLE_ITERATIONS,

@@ -59,27 +59,13 @@ pub fn submit_line(
     request: &str,
     on_event: &mut dyn FnMut(&Event),
 ) -> Result<SubmitOutcome, JobError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| JobError(format!("cannot clone connection: {e}")))?;
-    let mut reader = BufReader::new(stream);
-
-    let mut hello = String::new();
-    reader
-        .read_line(&mut hello)
-        .map_err(|e| JobError(format!("connection lost reading hello: {e}")))?;
+    let (mut reader, hello) = dial(addr)?;
     let hello = Json::parse(hello.trim_end())
         .map_err(|e| JobError(format!("malformed hello from daemon: {e}")))?;
     if hello.get("event").and_then(Json::as_str) != Some("hello") {
         return Err(JobError("daemon did not say hello".to_string()));
     }
-
-    writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+    send_line(reader.get_ref(), request)
         .map_err(|e| JobError(format!("cannot send request: {e}")))?;
 
     loop {
@@ -157,23 +143,37 @@ pub fn submit_line(
 ///
 /// [`JobError`] on connection or protocol failure.
 pub fn control(addr: &str, cmd: &str) -> Result<String, JobError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| JobError(format!("cannot clone connection: {e}")))?;
-    let mut reader = BufReader::new(stream);
-    let mut hello = String::new();
-    reader
-        .read_line(&mut hello)
-        .map_err(|e| JobError(format!("connection lost reading hello: {e}")))?;
-    writer
-        .write_all(format!("{{\"cmd\":{}}}\n", quote(cmd)).as_bytes())
-        .and_then(|()| writer.flush())
+    let (mut reader, _hello) = dial(addr)?;
+    send_line(reader.get_ref(), &format!("{{\"cmd\":{}}}", quote(cmd)))
         .map_err(|e| JobError(format!("cannot send command: {e}")))?;
     let mut answer = String::new();
     reader
         .read_line(&mut answer)
         .map_err(|e| JobError(format!("connection lost: {e}")))?;
     Ok(answer.trim_end().to_string())
+}
+
+/// Connects to the daemon and reads its `hello` line. Each request
+/// goes out whole in one write, so `TCP_NODELAY` is set: Nagle's
+/// algorithm could only delay it.
+fn dial(addr: &str) -> Result<(BufReader<TcpStream>, String), JobError> {
+    let stream =
+        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| JobError(format!("cannot configure connection: {e}")))?;
+    let mut reader = BufReader::new(stream);
+    let mut hello = String::new();
+    reader
+        .read_line(&mut hello)
+        .map_err(|e| JobError(format!("connection lost reading hello: {e}")))?;
+    Ok((reader, hello))
+}
+
+/// Writes `line` and its newline in one write.
+fn send_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    stream.write_all(&bytes)
 }

@@ -509,7 +509,7 @@ pub fn run_campaign_job(
         skipped += res.skipped;
         index_base += items_for(i);
         let (masked, errored) = (res.count("masked"), res.count("errored"));
-        let resolved = res.reports.iter().flatten().count();
+        let resolved = res.outcomes.resolved();
         table.push_row([
             res.target.clone(),
             faults.len().to_string(),

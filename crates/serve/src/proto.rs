@@ -9,6 +9,8 @@
 //! rejected line. Malformed input never kills the connection — the
 //! server answers with a structured `error` event and keeps reading.
 
+use std::io::{self, Write};
+
 use lowvolt_exec::{fnv64, MAX_RETRIES};
 use lowvolt_obs::json::{quote, Json};
 
@@ -45,6 +47,13 @@ pub struct JobRequest {
     pub threads: Option<usize>,
     /// Campaign shard size / optimize tile size override.
     pub shard_items: Option<usize>,
+    /// Hold the job after this many `progress` events: the daemon stops
+    /// streaming and waits, with the work paused inside the progress
+    /// report, until the client closes the connection; the job then
+    /// runs to its end unreported. It gives a test a deterministic
+    /// point at which to kill the daemon mid-job (the daemon's
+    /// counterpart of the CLI's `--interrupt-after`).
+    pub hold_after: Option<u64>,
 }
 
 /// The five job kinds and their specs.
@@ -79,10 +88,10 @@ impl JobKind {
 impl JobRequest {
     /// A stable identity for the job: the FNV-1a hash of a canonical
     /// encoding of everything that affects the result payload (kind,
-    /// source, knobs, thread count — but *not* `shard_items`, which
-    /// only changes progress granularity). Resubmitting the same job
-    /// after a daemon restart therefore maps to the same journal file
-    /// and resumes instead of recomputing.
+    /// source, knobs, thread count — but *not* `shard_items` or
+    /// `hold_after`, which only change how progress is reported).
+    /// Resubmitting the same job after a daemon restart therefore maps
+    /// to the same journal file and resumes instead of recomputing.
     #[must_use]
     pub fn id(&self) -> u64 {
         fnv64(self.canonical().as_bytes())
@@ -373,6 +382,10 @@ pub fn parse_request(line: &str) -> Result<Request, JobError> {
         threads: field_u64(&v, "threads")?.map(|t| usize::try_from(t).unwrap_or(usize::MAX)),
         shard_items: field_u64(&v, "shard_items")?
             .map(|s| usize::try_from(s).unwrap_or(usize::MAX)),
+        hold_after: match field_u64(&v, "hold_after")? {
+            Some(0) => return Err(JobError("`hold_after` must be at least 1".to_string())),
+            n => n,
+        },
     })))
 }
 
@@ -410,11 +423,17 @@ pub fn warning_event(id: u64, message: &str) -> String {
     )
 }
 
-/// The final `result` event: status, journal accounting, the payload
-/// (byte-identical to the CLI report), and the job's full metrics
-/// report.
-#[must_use]
-pub fn result_event(
+/// Writes the final `result` event (without its newline): status,
+/// journal accounting, the payload (byte-identical to the CLI report,
+/// escaped straight into `out` rather than into a second copy), and the
+/// job's full metrics report.
+///
+/// # Errors
+///
+/// Any error `out` returns.
+#[allow(clippy::too_many_arguments)]
+pub fn write_result_event<W: Write + ?Sized>(
+    out: &mut W,
     id: u64,
     status: &str,
     replayed: u64,
@@ -422,8 +441,9 @@ pub fn result_event(
     journal_records: u64,
     payload: &str,
     metrics: &str,
-) -> String {
-    format!(
+) -> io::Result<()> {
+    write!(
+        out,
         "{{\"event\":\"result\",\"id\":\"{id:016x}\",\"status\":{},\"replayed\":{replayed},\"computed\":{computed},\"journal_records\":{journal_records},\"payload\":{},\"metrics\":{metrics}}}",
         quote(status),
         quote(payload)
@@ -555,14 +575,22 @@ mod tests {
     fn job_id_ignores_shard_items_but_not_threads() {
         let base = parse_request("{\"job\":\"campaign\",\"threads\":2,\"shard_items\":5}");
         let resharded = parse_request("{\"job\":\"campaign\",\"threads\":2,\"shard_items\":50}");
+        let held = parse_request(
+            "{\"job\":\"campaign\",\"threads\":2,\"shard_items\":5,\"hold_after\":3}",
+        );
         let rethreaded = parse_request("{\"job\":\"campaign\",\"threads\":4,\"shard_items\":5}");
-        let id = |r: Result<Request, JobError>| match r.unwrap() {
-            Request::Job(j) => j.id(),
+        let job = |r: Result<Request, JobError>| match r.unwrap() {
+            Request::Job(j) => j,
             _ => panic!("expected job"),
         };
-        let (a, b, c) = (id(base), id(resharded), id(rethreaded));
+        let held = job(held);
+        assert_eq!(held.hold_after, Some(3));
+        let (a, b, c) = (job(base).id(), job(resharded).id(), job(rethreaded).id());
         assert_eq!(a, b, "shard size must not change the job identity");
+        assert_eq!(a, held.id(), "holding must not change the job identity");
         assert_ne!(a, c, "thread count changes the payload header");
+        let err = parse_request("{\"job\":\"campaign\",\"hold_after\":0}").unwrap_err();
+        assert_eq!(err.0, "`hold_after` must be at least 1");
     }
 
     /// Quote, backslash, every C0 control, non-ASCII and astral text.
@@ -575,6 +603,31 @@ mod tests {
             controls,
             "ünïcödé 𝄞😀\u{10FFFF}".into(),
         ]
+    }
+
+    /// The `result` event as one string.
+    fn result_event(
+        id: u64,
+        status: &str,
+        replayed: u64,
+        computed: u64,
+        journal_records: u64,
+        payload: &str,
+        metrics: &str,
+    ) -> String {
+        let mut out = Vec::new();
+        write_result_event(
+            &mut out,
+            id,
+            status,
+            replayed,
+            computed,
+            journal_records,
+            payload,
+            metrics,
+        )
+        .unwrap();
+        String::from_utf8(out).unwrap()
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! byte-identical to an uninterrupted run. Orphaned cache temp files
 //! from a kill are swept at bind time.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,8 +30,8 @@ use crate::jobs::{
     CampaignPersist, JobError, JobSink, RunMode,
 };
 use crate::proto::{
-    accepted_event, error_event, hello_event, parse_request, progress_event, result_event,
-    warning_event, JobKind, JobRequest, Request, MAX_LINE_BYTES,
+    accepted_event, error_event, hello_event, parse_request, progress_event, warning_event,
+    write_result_event, JobKind, JobRequest, Request, MAX_LINE_BYTES,
 };
 
 /// Default campaign shard size (newly journaled items per progress
@@ -225,21 +225,41 @@ fn read_line_capped<R: BufRead>(reader: &mut R) -> std::io::Result<LineRead> {
     }
 }
 
+/// A connection's event stream. Each line is buffered and flushed
+/// once, so a line that fits the buffer leaves in one write; with
+/// `TCP_NODELAY` on the socket, the last write of a longer line does
+/// not wait for the client's delayed ACK either.
+type Events = BufWriter<TcpStream>;
+
 /// Writes one event line; returns `false` once the client is gone so
 /// callers can stop emitting without aborting the job (journaled work
 /// is never wasted by a disconnect).
-fn send(stream: &mut TcpStream, event: &str) -> bool {
-    stream
-        .write_all(event.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
+fn send(out: &mut Events, event: &str) -> bool {
+    send_with(out, |out| out.write_all(event.as_bytes()))
+}
+
+/// [`send`] for a line that `write` renders straight into the stream.
+fn send_with(out: &mut Events, write: impl FnOnce(&mut Events) -> std::io::Result<()>) -> bool {
+    write(out)
+        .and_then(|()| out.write_all(b"\n"))
+        .and_then(|()| out.flush())
         .is_ok()
+}
+
+/// Blocks until the client closes the connection, discarding anything
+/// it sends.
+fn hold(mut stream: &TcpStream) {
+    let mut buf = [0u8; 256];
+    while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     state.registry.add(names::SERVE_CONNECTIONS, 1);
+    // Events are whole lines written once each; Nagle's algorithm would
+    // only add a delayed-ACK wait to every round trip.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+        Ok(w) => BufWriter::new(w),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
@@ -305,10 +325,13 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
 
 /// Streams a job's progress/warning events to the client.
 struct StreamSink<'a> {
-    writer: &'a mut TcpStream,
+    writer: &'a mut Events,
     registry: &'a MetricsRegistry,
     id: u64,
     connected: bool,
+    /// Progress events left before the job is held
+    /// ([`JobRequest::hold_after`]).
+    hold_in: Option<u64>,
 }
 
 impl JobSink for StreamSink<'_> {
@@ -316,6 +339,13 @@ impl JobSink for StreamSink<'_> {
         if self.connected {
             let event = progress_event(self.id, done, total, &counters_json(self.registry));
             self.connected = send(self.writer, &event);
+        }
+        if let Some(left) = &mut self.hold_in {
+            *left = left.saturating_sub(1);
+            if *left == 0 && self.connected {
+                hold(self.writer.get_ref());
+                self.connected = false;
+            }
         }
     }
 
@@ -342,7 +372,7 @@ impl Drop for ActiveGuard<'_> {
 
 /// Runs one job and emits its event stream. Returns `false` once the
 /// client connection is gone.
-fn run_job(state: &ServerState, writer: &mut TcpStream, job: &JobRequest) -> bool {
+fn run_job(state: &ServerState, writer: &mut Events, job: &JobRequest) -> bool {
     let id = job.id();
     {
         let Ok(mut active) = state.active.lock() else {
@@ -375,16 +405,19 @@ fn run_job(state: &ServerState, writer: &mut TcpStream, job: &JobRequest) -> boo
     match outcome {
         Err(e) => send(writer, &error_event(&e.0)),
         Ok(done) => {
-            let event = result_event(
-                id,
-                done.status,
-                done.replayed,
-                done.computed,
-                done.journal_records,
-                &done.payload,
-                &metrics_json(&registry),
-            );
-            send(writer, &event)
+            let metrics = metrics_json(&registry);
+            send_with(writer, |out| {
+                write_result_event(
+                    out,
+                    id,
+                    done.status,
+                    done.replayed,
+                    done.computed,
+                    done.journal_records,
+                    &done.payload,
+                    &metrics,
+                )
+            })
         }
     }
 }
@@ -411,7 +444,7 @@ impl JobDone {
 
 fn execute_kind(
     state: &ServerState,
-    writer: &mut TcpStream,
+    writer: &mut Events,
     job: &JobRequest,
     id: u64,
     policy: &ExecPolicy,
@@ -422,6 +455,7 @@ fn execute_kind(
         registry,
         id,
         connected: true,
+        hold_in: job.hold_after,
     };
     match &job.kind {
         JobKind::Campaign(spec) => {

@@ -36,6 +36,7 @@ struct Conn {
 impl Conn {
     fn open(addr: &str) -> Conn {
         let stream = TcpStream::connect(addr).expect("connects");
+        stream.set_nodelay(true).expect("sets TCP_NODELAY");
         let writer = stream.try_clone().expect("clones");
         let mut conn = Conn {
             reader: BufReader::new(stream),
@@ -46,10 +47,11 @@ impl Conn {
         conn
     }
 
+    /// Sends `line` and its newline in one write.
     fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("writes");
-        self.writer.write_all(b"\n").expect("writes newline");
-        self.writer.flush().expect("flushes");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("writes");
     }
 
     fn recv(&mut self) -> String {
@@ -205,6 +207,28 @@ fn mid_write_disconnect_is_a_clean_drop() {
 
     shutdown(&addr, handle);
     assert!(temp_files(&state).is_empty());
+    std::fs::remove_dir_all(&state).ok();
+}
+
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    // Twenty pings on one connection. An answer written as two small
+    // writes (the event, then its newline) holds the newline under
+    // Nagle's algorithm until the client's delayed ACK, ~40 ms per
+    // round trip, so this would take ~800 ms.
+    let (addr, state, handle) = start("round_trips");
+    let mut conn = Conn::open(&addr);
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        conn.send("{\"cmd\":\"ping\"}");
+        assert_eq!(conn.recv(), "{\"event\":\"pong\"}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(200),
+        "20 ping round trips took {elapsed:?}"
+    );
+    shutdown(&addr, handle);
     std::fs::remove_dir_all(&state).ok();
 }
 

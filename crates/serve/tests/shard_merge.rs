@@ -52,9 +52,9 @@ fn classify(
         },
     )
     .expect("campaign runs");
-    res.reports
-        .into_iter()
-        .map(|r| r.expect("uninterrupted run resolves every fault").outcome)
+    res.outcomes
+        .iter()
+        .map(|o| o.expect("uninterrupted run resolves every fault"))
         .collect()
 }
 

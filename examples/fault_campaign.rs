@@ -36,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faults = stuck_at_universe(&adder.netlist);
     let mut src = PatternSource::random(adder.inputs.len(), 1996)?;
     let run = run_campaign(adder, &faults, &mut src, 64, options(Engine::Event))?;
-    let report = run.report().ok_or("campaign left faults unresolved")?;
+    let report = run
+        .report(&faults)
+        .ok_or("campaign left faults unresolved")?;
     println!("== single-stuck-at sweep, 8-bit ripple-carry adder ==");
     print!("{report}");
 
@@ -67,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut src = PatternSource::random(adder.inputs.len(), 7)?;
     let hr = run_campaign(adder, &harness, &mut src, 64, CampaignOptions::default())?;
     println!("\nharness faults on input column 0:");
-    for r in hr.reports.iter().flatten() {
-        println!("  {:30} -> {}", r.fault.to_string(), r.outcome.label());
+    for (fault, outcome) in harness.iter().zip(hr.outcomes.iter().flatten()) {
+        println!("  {:30} -> {}", fault.to_string(), outcome.label());
     }
 
     // ---- summary over all five standard datapaths, on the compiled
@@ -78,7 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let faults = stuck_at_universe(&target.netlist);
         let mut src = PatternSource::random(target.inputs.len(), 42)?;
         let run = run_campaign(target, &faults, &mut src, 32, options(Engine::Compiled))?;
-        print!("{}", run.report().ok_or("campaign left faults unresolved")?);
+        print!(
+            "{}",
+            run.report(&faults)
+                .ok_or("campaign left faults unresolved")?
+        );
     }
     println!("\nevery fault above was classified — zero panics by construction.");
     Ok(())
