@@ -245,9 +245,12 @@ fn kill_mid_job_then_restart_resumes_byte_identically() {
     // together with the resubmission's worker count.
     for (kill_after, workers) in [(1u64, 1usize), (2, 2), (3, 8)] {
         let state = state_dir(&format!("kill_{kill_after}_{workers}"));
-        let request = format!(
-            "{{\"job\":\"campaign\",\"width\":4,\"vectors\":16,\"threads\":{workers},\"shard_items\":8}}"
-        );
+        let request_with = |extra: &str| {
+            format!(
+                "{{\"job\":\"campaign\",\"width\":4,\"vectors\":16,\"threads\":{workers},\"shard_items\":8{extra}}}"
+            )
+        };
+        let request = request_with("");
         let direct = run_cli(&[
             "campaign",
             "--width",
@@ -268,7 +271,7 @@ fn kill_mid_job_then_restart_resumes_byte_identically() {
         let addr = daemon.addr.clone();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let submitter = std::thread::spawn({
-            let held = request.replace('}', &format!(",\"hold_after\":{kill_after}}}"));
+            let held = request_with(&format!(",\"hold_after\":{kill_after}"));
             move || {
                 client::submit_line(&addr, &held, &mut |event| {
                     if matches!(event, client::Event::Progress { .. }) {

@@ -69,8 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut src = PatternSource::random(adder.inputs.len(), 7)?;
     let hr = run_campaign(adder, &harness, &mut src, 64, CampaignOptions::default())?;
     println!("\nharness faults on input column 0:");
-    for (fault, outcome) in harness.iter().zip(hr.outcomes.iter().flatten()) {
-        println!("  {:30} -> {}", fault.to_string(), outcome.label());
+    let hr = hr
+        .report(&harness)
+        .ok_or("campaign left faults unresolved")?;
+    for r in &hr.reports {
+        println!("  {:30} -> {}", r.fault.to_string(), r.outcome.label());
     }
 
     // ---- summary over all five standard datapaths, on the compiled
